@@ -2,11 +2,12 @@
 
 The 5-point stiffness matrix A (entries 4 and -1, so that uᵀAu approximates
 ∫|∇u|² dx) and the diagonal weight matrix M = diag(m h²) form the pencil
-A u = λ M u.  The smallest positive λ is found by power iteration on
-A⁻¹M + σI: the shift σ is sized from the spectral radius of A⁻¹|M| so that
-the most-positive generalized eigenvalue μ₁ = 1/λ₁ dominates even when the
-negative spectrum is larger in magnitude.  Inner solves use plain conjugate
-gradients (A is SPD) warm-started from the previous outer iterate.
+A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
+eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
+by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
+Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
+per domain and cached on it; each Lanczos step costs one solve with the
+factors, and the solver's iteration count is the number of those A-solves.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grid import GridDomain, ScalarField
 
-EIG_RAYLEIGH_RTOL = 1e-10
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_MAX_OUTER = 20000
-CG_RTOL = 1e-11
-SHIFT_POWER_STEPS = 50
-SHIFT_SAFETY = 1.1
-RITZ_EVERY = 100
-RITZ_KRYLOV = 6
 
 
 class WeightNotPositiveAnywhere(ValueError):
@@ -33,7 +29,7 @@ class WeightNotPositiveAnywhere(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The eigensolver hit its iteration cap before meeting its tolerances."""
+    """The eigensolver hit its A-solve cap or returned an unacceptable eigenpair."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,9 @@ class EigenPair:
     """Converged principal eigenpair.
 
     The eigenfunction is strictly positive, normalized to uᵀAu = 1, and the
-    relative residual ‖Au - λMu‖/‖Au‖ is below the solver tolerance.
+    relative residual ‖Au - λMu‖/‖Au‖, computed here rather than taken from
+    ARPACK, is below the solver tolerance.  ``iterations`` is the number of
+    solves with the factored A that the Lanczos process used.
     """
 
     lambda1: float
@@ -81,193 +79,77 @@ def assemble_stiffness(domain: GridDomain) -> sparse.csr_matrix:
     return A.tocsr()
 
 
-def _cg(A: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | None,
-        rtol: float = CG_RTOL, maxiter: int | None = None) -> np.ndarray:
-    """Conjugate gradients for SPD A, stopping at ‖b - Ax‖ <= rtol‖b‖."""
-    n = b.size
-    if maxiter is None:
-        maxiter = max(1000, 10 * n)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - A @ x
-    target = rtol * bnorm
-    rr = float(r @ r)
-    if np.sqrt(rr) <= target:
-        return x
-    p = r.copy()
-    for k in range(maxiter):
-        Ap = A @ p
-        alpha = rr / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= target:
-            r = b - A @ x  # confirm with the true residual before accepting
-            if np.linalg.norm(r) <= target:
-                return x
-            rr = float(r @ r)
-            p = r.copy()
-            continue
-        if (k + 1) % 128 == 0:
-            r = b - A @ x  # periodic refresh + restart against recurrence drift
-            rr = float(r @ r)
-            p = r.copy()
-            continue
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise NoConvergence("inner conjugate-gradient solve did not reach tolerance")
+def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
+    """1.1 · m_diag_bound / λ_min(A), above ρ(A⁻¹M) for every |M| <= m_diag_bound.
 
-
-def _estimate_shift(A: sparse.csr_matrix, m_abs_diag: np.ndarray,
-                    inner_rtol: float) -> float:
-    """σ = 1.1 x spectral-radius estimate of A⁻¹|M| from 50 plain power steps."""
-    n = m_abs_diag.size
-    v = np.full(n, 1.0 / np.sqrt(n))
-    y = None
-    rho = 0.0
-    for _ in range(SHIFT_POWER_STEPS):
-        y = _cg(A, m_abs_diag * v, y, rtol=inner_rtol)
-        rho = np.linalg.norm(y)
-        if rho == 0.0:
-            break
-        v = y / rho
-    return SHIFT_SAFETY * rho
-
-
-def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float,
-                     inner_rtol: float = CG_RTOL) -> float:
-    """Shift valid for every weight whose |M| diagonal stays <= m_diag_bound.
-
-    ρ(A⁻¹|M|) <= m_diag_bound * ρ(A⁻¹); ρ(A⁻¹) is estimated once by 50
-    inverse-power steps.  Lets an optimization loop reuse one shift across
-    all rearrangements of a weight class instead of re-running the
-    per-weight power estimate at every iterate.
+    The Lanczos solver needs no shift, so nothing in weightopt calls this;
+    the name stays bound because perfbench's tracer looks it up.
     """
-    n = A.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    y = None
-    rho = 0.0
-    for _ in range(SHIFT_POWER_STEPS):
-        y = _cg(A, v, y, rtol=inner_rtol)
-        rho = np.linalg.norm(y)
-        v = y / rho
-    return SHIFT_SAFETY * m_diag_bound * rho
-
-
-def _ritz_refine(A: sparse.csr_matrix, m_diag: np.ndarray, v: np.ndarray,
-                 inner_rtol: float, krylov: int = RITZ_KRYLOV) -> np.ndarray:
-    """Rayleigh-Ritz extraction on a small Krylov basis at the iterate v.
-
-    Plain power iteration separates the two largest shifted eigenvalues at
-    a rate that collapses when they nearly coincide (small grids routinely
-    produce such clusters).  Projecting the pencil onto
-    span{v, A⁻¹Mv, (A⁻¹M)²v, ...} (A-orthonormalized) resolves the cluster
-    directly; the top Ritz vector is returned as the improved iterate.
-    """
-    basis: list[tuple[np.ndarray, np.ndarray]] = []  # (w, Aw), A-orthonormal
-    w = v.copy()
-    y_warm = None
-    for _ in range(krylov):
-        Aw = A @ w
-        for wj, Awj in basis:
-            c = float(Awj @ w)
-            w = w - c * wj
-            Aw = Aw - c * Awj
-        norm_a = np.sqrt(max(float(w @ Aw), 0.0))
-        if norm_a <= 1e-14 * np.linalg.norm(w):
-            break  # Krylov space exhausted: v is (nearly) invariant
-        w = w / norm_a
-        Aw = Aw / norm_a
-        basis.append((w, Aw))
-        y_warm = _cg(A, m_diag * w, y_warm, rtol=inner_rtol)
-        w = y_warm
-    if not basis:
-        return v
-    V = np.stack([wj for wj, _ in basis], axis=1)
-    T = V.T @ (m_diag[:, None] * V)
-    T = 0.5 * (T + T.T)
-    _, W = np.linalg.eigh(T)
-    out = V @ W[:, -1]
-    return out / np.linalg.norm(out)
+    lam_min = eigsh(A, k=1, sigma=0.0, v0=np.ones(A.shape[0]),
+                    return_eigenvectors=False)[0]
+    return 1.1 * m_diag_bound / lam_min
 
 
 def principal_positive_eigenvalue(
     domain: GridDomain,
     m: ScalarField,
     *,
-    A: sparse.csr_matrix | None = None,
     u0: np.ndarray | None = None,
-    shift: float | None = None,
-    rayleigh_rtol: float = EIG_RAYLEIGH_RTOL,
     residual_rtol: float = EIG_RESIDUAL_RTOL,
-    inner_rtol: float = CG_RTOL,
     max_outer: int = EIG_MAX_OUTER,
 ) -> EigenPair:
     """Smallest positive λ of A u = λ M u and its positive eigenfunction.
 
     Equivalently 1/λ₁ maximizes (uᵀMu)/(uᵀAu) over u ≠ 0.  The returned
     eigenfunction is sign-fixed to be positive and normalized to uᵀAu = 1.
+    ``u0`` warm-starts Lanczos from a nearby eigenvector; without it the
+    start vector is all ones, so repeated runs give identical bits.
 
-    Raises WeightNotPositiveAnywhere when m <= 0 on every cell and
-    NoConvergence past the outer iteration cap.  ``A`` and ``u0`` allow the
-    caller to reuse the assembled stiffness matrix and to warm-start from a
-    nearby eigenvector; ``shift`` overrides the 50-step power estimate of σ
-    with a known dominating value (see :func:`dominating_shift`).
+    Raises WeightNotPositiveAnywhere when m <= 0 on every cell, and
+    NoConvergence when the solve needs more than ``max_outer`` A-solves or
+    its eigenpair misses ``residual_rtol`` or is not one-signed.
     """
     if m.domain is not domain:
         raise ValueError("weight must live on the given domain")
     if m.values.max() <= 0.0:
         raise WeightNotPositiveAnywhere("need m > 0 on at least one in-domain cell")
-    if A is None:
+    if domain._stiffness is None:
+        # A is SPD: a symmetric fill-reducing order with no pivoting halves
+        # the fill of splu's default column order
         A = assemble_stiffness(domain)
+        domain._stiffness = (A, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
+    A, lu = domain._stiffness
     n = domain.n_cells
     m_diag = m.values * domain.cell_area
 
-    sigma = _estimate_shift(A, np.abs(m_diag), inner_rtol) if shift is None else float(shift)
-
-    if u0 is not None:
-        v = np.asarray(u0, dtype=float).copy()
-        nv = np.linalg.norm(v)
-        v = v / nv if nv > 0 else np.full(n, 1.0 / np.sqrt(n))
+    solves = 0
+    if n == 1:
+        # ARPACK needs k < n; a 1x1 pencil is its own eigenpair
+        mu, u = float(m_diag[0] / A[0, 0]), np.ones(1)
     else:
-        v = np.full(n, 1.0 / np.sqrt(n))
+        def solve(x: np.ndarray) -> np.ndarray:
+            nonlocal solves
+            solves += 1
+            if solves > max_outer:
+                raise NoConvergence(f"no convergence within {max_outer} A-solves")
+            return lu.solve(x)
 
-    y = None
-    mu_prev = np.inf
-    for k in range(1, max_outer + 1):
-        if k % RITZ_EVERY == 0:
-            # rescue clustered top eigenvalues that stall plain power steps
-            v = _ritz_refine(A, m_diag, v, inner_rtol)
-            y = None
-        y = _cg(A, m_diag * v, y, rtol=inner_rtol)
-        w = y + sigma * v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise NoConvergence("power iterate vanished")
-        v = w / nw
+        mus, vecs = eigsh(
+            LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
+            k=1, M=A, Minv=LinearOperator((n, n), matvec=solve, dtype=float),
+            which="LA", v0=np.ones(n) if u0 is None else u0,
+            maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
+        )
+        mu, u = float(mus[0]), vecs[:, 0]
 
-        Av = A @ v
-        Mv = m_diag * v
-        vAv = float(v @ Av)
-        mu = float(v @ Mv) / vAv
-        if mu > 0.0 and abs(mu - mu_prev) <= rayleigh_rtol * abs(mu):
-            resid = np.linalg.norm(Av - (1.0 / mu) * Mv) / np.linalg.norm(Av)
-            # one-signedness is part of convergence: a converged Rayleigh
-            # value with a sign-changing iterate means eigenvector mixing is
-            # still being damped out
-            u = -v if v.sum() < 0 else v
-            if resid <= residual_rtol and u.min() > 0:
-                u = u / np.sqrt(vAv)
-                return EigenPair(
-                    lambda1=1.0 / mu,
-                    u=ScalarField(domain, u),
-                    residual=float(resid),
-                    iterations=k,
-                )
-        mu_prev = mu
-    raise NoConvergence(f"no convergence after {max_outer} outer iterations")
+    u = -u if u.sum() < 0 else u
+    u = u / np.sqrt(float(u @ (A @ u)))
+    Au = A @ u
+    resid = float(np.linalg.norm(Au - (1.0 / mu) * (m_diag * u)) / np.linalg.norm(Au))
+    if not resid <= residual_rtol or u.min() <= 0:
+        raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min u {u.min():.3g}")
+    return EigenPair(1.0 / mu, ScalarField(domain, u), resid, iterations=solves)
 
 
 def rayleigh(u: ScalarField, m: ScalarField, A: sparse.csr_matrix) -> float:

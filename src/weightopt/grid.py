@@ -79,6 +79,8 @@ class GridDomain:
         self.cell_rows.setflags(write=False)
         self.cell_cols.setflags(write=False)
 
+        # (A, splu(A)) of the 5-point stencil, filled by weightopt.eig on the
+        # first eigensolve so every solve on this domain reuses one factorization
         self._stiffness = None
         self._row_sections = None
 

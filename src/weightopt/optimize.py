@@ -20,8 +20,6 @@ import numpy as np
 from .eig import (
     EigenPair,
     WeightNotPositiveAnywhere,
-    assemble_stiffness,
-    dominating_shift,
     principal_positive_eigenvalue,
 )
 from .grid import GridDomain, ScalarField
@@ -174,8 +172,6 @@ def _minimize_over_class(
         raise ValueError("need at least one seed")
     if profile.values[0] <= 0:
         raise WeightNotPositiveAnywhere("class contains no weight positive anywhere")
-    A = assemble_stiffness(domain)
-    sigma = dominating_shift(A, float(np.abs(profile.values).max()) * domain.cell_area)
     kwargs = dict(eig_kwargs or {})
     # full one-swap neighborhood on desk-size problems, a rank-nearest
     # shortlist on large grids where each probe costs a full eigensolve
@@ -184,9 +180,7 @@ def _minimize_over_class(
     )
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
-        return principal_positive_eigenvalue(
-            domain, m, A=A, u0=u0, shift=sigma, **kwargs
-        )
+        return principal_positive_eigenvalue(domain, m, u0=u0, **kwargs)
 
     best: tuple[float, EigenPair, ScalarField, list[float], bool] | None = None
     for s in range(seeds):

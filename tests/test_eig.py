@@ -8,6 +8,7 @@ from weightopt.eig import (
     rayleigh,
 )
 from weightopt.grid import from_mask, make_box, make_rectangle
+from weightopt.verify import dense_lambda1
 
 from conftest import rng_field
 
@@ -92,6 +93,34 @@ class TestPrincipalEigenvalue:
             principal_positive_eigenvalue(
                 small_rect, small_rect.constant_field(1.0), max_outer=2
             )
+
+    def test_cap_counts_a_solves(self, small_rect):
+        from weightopt.eig import NoConvergence
+
+        m = small_rect.constant_field(1.0)
+        pair = principal_positive_eigenvalue(small_rect, m)
+        capped = principal_positive_eigenvalue(small_rect, m, max_outer=pair.iterations)
+        assert capped.lambda1 == pair.lambda1
+        with pytest.raises(NoConvergence):
+            principal_positive_eigenvalue(small_rect, m, max_outer=pair.iterations - 1)
+
+    def test_clustered_spectrum_converges(self):
+        # 8 cells, h = 0.5 ('.' outside); positive pencil eigenvalues
+        # μ = 0.06989, 0.06455, 0.06455, so λ₁ is simple but the top is clustered
+        layout = [". + .", ". - .", "+ - +", "- - -"]
+        cells = [row.split() for row in layout]
+        dom = from_mask(np.array([[c != "." for c in row] for row in cells]), 0.5)
+        m = dom.field(np.array([1.0 if c == "+" else -1.0
+                                for row in cells for c in row if c != "."]))
+        pair = principal_positive_eigenvalue(dom, m)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+
+    def test_single_cell(self):
+        h, m = 0.5, 3.0
+        dom = from_mask(np.array([[True]]), h)
+        pair = principal_positive_eigenvalue(dom, dom.constant_field(m))
+        assert pair.lambda1 == pytest.approx(4.0 / (m * h * h), rel=1e-15)
+        assert pair.u.values == pytest.approx([0.5], rel=1e-15)
 
     def test_monotonicity_in_weight(self, small_rect):
         rng = np.random.default_rng(3)
