@@ -3,18 +3,20 @@
 ``weightopt <task> --config <path> [--out <dir>] [--seed <u64>] [--grid <n>]``
 
 Tasks: eig, optimize, optimize2, symmetrize, verify, remark.  Each run
-reads a JSON config, validates feasibility before any computation, and
+reads a JSON config, validates the whole config before any computation, and
 writes results.json plus weight.csv / eigenfunction.csv (and an optional
 heatmap.pgm).  Identical config and seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 malformed config, 2 infeasible constants,
-3 eigensolver non-convergence, 4 verification-suite failure.
+Exit codes: 0 success, 1 malformed config or unreadable file, 2 infeasible
+constants or domain, 3 eigensolver non-convergence, 4 verification failure.
+Every nonzero exit prints one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,43 +25,102 @@ import numpy as np
 
 from . import io as wio
 from . import verify as wverify
-from .eig import (
-    EIG_RESIDUAL_RTOL,
-    NoConvergence,
-    WeightNotPositiveAnywhere,
-    principal_positive_eigenvalue,
-)
+from .eig import EIG_RESIDUAL_RTOL, NoConvergence, principal_positive_eigenvalue
 from .grid import GridDomain, ScalarField, transpose_field, transposed
 from .optimize import (
     DEFAULT_SEEDS,
-    InfeasibleClassError,
     OptimizeReport,
     compare_split_vs_merged,
     optimize_single,
     optimize_two,
+    random_arrangement,
     single_class_profile,
 )
-from .rearrange import INTEGRAL_RTOL, ResourceClass
-from .steiner import SteinerAxisError, symmetrize_function, symmetry_defect
+from .rearrange import ResourceClass
+from .steiner import symmetrize_function, symmetry_defect
 
 TASKS = ("eig", "optimize", "optimize2", "symmetrize", "verify", "remark")
 
-DEFAULT_TOLERANCES = {
-    "eig_residual": EIG_RESIDUAL_RTOL,
-    "integral_rel": INTEGRAL_RTOL,
-    "symmetry_defect": 0.02,
-}
+DEFAULT_TOLERANCES = {"eig_residual": EIG_RESIDUAL_RTOL}
 
 
 class ConfigError(ValueError):
     """Malformed or schema-invalid run configuration."""
 
 
+def _finite(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
+# (test, what it asks for) of each kind of value; JSON types must match
+# exactly, so true is no number and 2.0 is no integer
+ANY = (lambda v: True, "")
+NUMBER = (_finite, "a finite number")
+POSITIVE = (lambda v: _finite(v) and v > 0, "a finite number > 0")
+COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+SEED = (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
+BOOL = (lambda v: type(v) is bool, "true or false")
+PATH = (lambda v: type(v) is str and v != "" and "\0" not in v, "a non-empty path")
+OBJECT = (lambda v: type(v) is dict, "an object")
+PAIR = (lambda v: type(v) is list and len(v) == 2, "a list of two objects")
+AXES = (lambda v: type(v) is list and len(v) == 2 and all(POSITIVE[0](a) for a in v),
+        "two finite numbers > 0")
+
+TOP_LEVEL = {
+    "task": (lambda v: type(v) is str and v in TASKS, "one of " + ", ".join(TASKS)),
+    "domain": OBJECT, "weight": OBJECT, "single_class": OBJECT, "classes": PAIR,
+    "seeds": COUNT, "seed": SEED, "tolerances": OBJECT, "output_dir": PATH,
+    "heatmap": BOOL, "verify_trials": COUNT,
+}
+SHAPES = {
+    "rectangle": {"nx": COUNT, "ny": COUNT, "h": POSITIVE},
+    "ellipse": {"nx": COUNT, "ny": COUNT, "h": POSITIVE, "semi_axes": AXES},
+    "mask_file": {"mask_path": PATH, "h": POSITIVE},
+}
+WEIGHTS = {
+    "constant": {"value": NUMBER},
+    "csv": {"path": PATH},
+    "bang_bang": {"m1": NUMBER, "m2": NUMBER, "m3": NUMBER},
+}
+TASK_NEEDS = {"optimize": "single_class", "optimize2": "classes"}
+
+
+def _checked(name: str, value, kind: tuple):
+    test, need = kind
+    if not test(value):
+        raise ConfigError(f"{name}: need {need}, got {value!r:.60}")
+    return value
+
+
+def _check_object(obj: dict, spec: dict, where: str, optional=()) -> dict:
+    """`obj` holds no key outside `spec`, every key of `spec` but the
+    `optional` ones, and values of their kinds; errors name ``where + key``."""
+    for key in obj:
+        if key not in spec:
+            raise ConfigError(f"{where}{key}: unexpected key")
+    for key, kind in spec.items():
+        if key in obj:
+            _checked(where + key, obj[key], kind)
+        elif key not in optional:
+            raise ConfigError(f"{where}{key}: missing, need {kind[1]}")
+    return obj
+
+
+def _tagged(obj: dict, tag: str, specs: dict, where: str, optional=()) -> dict:
+    """An object whose `tag` value picks its spec among `specs`."""
+    _checked(where + tag, obj.get(tag), (lambda v: type(v) is str and v in specs,
+                                         "one of " + ", ".join(specs)))
+    return _check_object(obj, {tag: ANY, **specs[obj[tag]]}, where, optional)
+
+
 @dataclass
 class RunConfig:
     task: str
     domain_cfg: dict
-    weight_cfg: dict | None = None
+    weight_cfg: dict = field(default_factory=lambda: {"kind": "constant"})
     single_class: tuple[float, float, float] | None = None
     classes: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
     seeds: int = DEFAULT_SEEDS
@@ -68,64 +129,63 @@ class RunConfig:
     output_dir: str = "."
     heatmap: bool = False
     verify_trials: int = 60
+    base_dir: Path = Path(".")  # relative file names in the config resolve here
 
     @staticmethod
     def load(path: str | Path, task_override: str | None = None) -> "RunConfig":
-        text = Path(path).read_text()
         try:
-            raw = json.loads(text)
+            raw = json.loads(Path(path).read_bytes())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
-        if task_override is not None:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep
+            raise ConfigError(f"{path}: not a JSON document ({exc})") from exc
+        if task_override is not None and type(raw) is dict:
             declared = raw.get("task")
             if declared is not None and declared != task_override:
                 raise ConfigError(
-                    f"{path}: config task {declared!r} does not match CLI task {task_override!r}"
+                    f"{path}: config task {declared!r:.60} does not match CLI task {task_override!r}"
                 )
             raw = {**raw, "task": task_override}
         return RunConfig.from_dict(raw, path)
 
     @staticmethod
     def from_dict(raw: dict, path: str | Path = "<config>") -> "RunConfig":
-        task = raw.get("task")
-        if task not in TASKS:
-            raise ConfigError(f"{path}: task must be one of {TASKS}, got {task!r}")
-        domain_cfg = raw.get("domain")
-        if not isinstance(domain_cfg, dict):
-            raise ConfigError(f"{path}: missing domain object")
-        if domain_cfg.get("shape") not in ("rectangle", "ellipse", "mask_file"):
-            raise ConfigError(
-                f"{path}: domain.shape must be rectangle, ellipse or mask_file"
-            )
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
-        try:
-            single = raw.get("single_class")
-            if single is not None:
-                single = (float(single["m1"]), float(single["m2"]), float(single["m3"]))
-            classes = raw.get("classes")
-            if classes is not None:
-                if len(classes) != 2:
-                    raise ConfigError(f"{path}: classes must hold exactly two entries")
-                classes = tuple(
-                    (float(c["p"]), float(c["q"]), float(c["l"])) for c in classes
-                )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: bad class constants ({exc})") from exc
+        """Type- and range-check every field, the fields the task needs and
+        the files the config names; any violation raises ConfigError."""
+        where = f"{path}: "
+        if type(raw) is not dict:
+            raise ConfigError(f"{where}config root must be a JSON object")
+        _check_object(raw, TOP_LEVEL, where, optional=TOP_LEVEL.keys() - {"task", "domain"})
+        domain_cfg = _tagged(raw["domain"], "shape", SHAPES, where + "domain.")
+        weight_cfg = _tagged(raw.get("weight", {"kind": "constant"}), "kind", WEIGHTS,
+                             where + "weight.", optional=("value",))
+        base_dir = Path(path).parent
+        for name, rel in (("domain.mask_path", domain_cfg.get("mask_path")),
+                          ("weight.path", weight_cfg.get("path"))):
+            if rel is not None and not (base_dir / rel).is_file():
+                raise ConfigError(f"{where}{name}: no such file {str(base_dir / rel)!r}")
+        need = TASK_NEEDS.get(raw["task"])
+        if need is not None and need not in raw:
+            raise ConfigError(f"{where}{need}: missing, the {raw['task']} task needs it")
+        single = raw.get("single_class")
+        if single is not None:
+            _check_object(single, dict.fromkeys(("m1", "m2", "m3"), NUMBER),
+                          where + "single_class.")
+            single = tuple(float(single[k]) for k in ("m1", "m2", "m3"))
+        classes = raw.get("classes")
+        if classes is not None:
+            for i, c in enumerate(classes):
+                _check_object(_checked(f"{where}classes[{i}]", c, OBJECT),
+                              dict.fromkeys("pql", NUMBER), f"{where}classes[{i}].")
+            classes = tuple(tuple(float(c[k]) for k in "pql") for c in classes)
+        tolerances = {**DEFAULT_TOLERANCES, **_check_object(
+            raw.get("tolerances", {}), {"eig_residual": POSITIVE}, where + "tolerances.",
+            optional=("eig_residual",))}
         return RunConfig(
-            task=task,
-            domain_cfg=domain_cfg,
-            weight_cfg=raw.get("weight"),
-            single_class=single,
-            classes=classes,
-            seeds=int(raw.get("seeds", DEFAULT_SEEDS)),
-            seed=int(raw.get("seed", 0)),
-            tolerances=tol,
-            output_dir=str(raw.get("output_dir", ".")),
-            heatmap=bool(raw.get("heatmap", False)),
-            verify_trials=int(raw.get("verify_trials", 60)),
+            task=raw["task"], domain_cfg=domain_cfg, weight_cfg=weight_cfg,
+            single_class=single, classes=classes, tolerances=tolerances, base_dir=base_dir,
+            **{k: raw[k] for k in ("seeds", "seed", "output_dir", "heatmap", "verify_trials")
+               if k in raw},
         )
 
 
@@ -133,60 +193,23 @@ def _apply_grid_override(domain_cfg: dict, n: int) -> dict:
     """--grid n: rectangle -> n x n cells with h = 1/(n+1) (unit square);
     ellipse -> (n+1) x (n+1) grid with h = 1/n, semi-axes kept."""
     cfg = dict(domain_cfg)
-    if cfg.get("shape") == "rectangle":
+    if cfg["shape"] == "rectangle":
         cfg.update(nx=n, ny=n, h=1.0 / (n + 1))
-    elif cfg.get("shape") == "ellipse":
+    elif cfg["shape"] == "ellipse":
         cfg.update(nx=n + 1, ny=n + 1, h=1.0 / n)
     else:
-        raise ConfigError("--grid override applies to rectangle/ellipse shapes only")
+        raise ConfigError("--grid: applies to rectangle and ellipse shapes only")
     return cfg
 
 
-def _build_weight(cfg: RunConfig, domain: GridDomain, base_dir: Path) -> ScalarField:
-    wc = cfg.weight_cfg or {"kind": "constant", "value": 1.0}
-    kind = wc.get("kind")
-    if kind == "constant":
-        return domain.constant_field(float(wc.get("value", 1.0)))
-    if kind == "csv":
-        return wio.read_field_csv(base_dir / wc["path"], domain)
-    if kind == "bang_bang":
-        constants = (float(wc["m1"]), float(wc["m2"]), float(wc["m3"]))
-        profile = single_class_profile(domain, constants)
-        rng = np.random.default_rng([cfg.seed, 0xBB])
-        values = np.empty(domain.n_cells)
-        values[rng.permutation(domain.n_cells)] = profile.cell_values()
-        return ScalarField(domain, values)
-    raise ConfigError(f"unknown weight kind: {kind!r}")
-
-
-def _validate_feasibility(cfg: RunConfig, domain: GridDomain) -> None:
-    """Feasibility of the task's constants, before any computation starts."""
-    omega = domain.total_measure
-    if cfg.task == "optimize":
-        if cfg.single_class is None:
-            raise ConfigError("optimize task needs single_class constants")
-        m1, m2, m3 = cfg.single_class
-        if m1 <= 0 or not (-m2 * omega < m3 < m1 * omega):
-            raise InfeasibleClassError(
-                f"single-class constants infeasible: m1={m1}, m2={m2}, m3={m3}, |Omega|={omega}"
-            )
-    if cfg.task == "optimize2":
-        if cfg.classes is None:
-            raise ConfigError("optimize2 task needs two classes")
-        for p, q, l in cfg.classes:
-            if p + q <= 0 or not (-p * omega < l < q * omega):
-                raise InfeasibleClassError(
-                    f"resource class infeasible: p={p}, q={q}, l={l}, |Omega|={omega}"
-                )
-        if cfg.classes[0][1] + cfg.classes[1][1] <= 0:
-            raise InfeasibleClassError("q1 + q2 must be positive")
-    if cfg.task == "eig" and (cfg.weight_cfg or {}).get("kind") == "bang_bang":
-        wc = cfg.weight_cfg
-        m1, m2, m3 = float(wc["m1"]), float(wc["m2"]), float(wc["m3"])
-        if m1 <= 0 or not (-m2 * omega < m3 < m1 * omega):
-            raise InfeasibleClassError(
-                f"bang-bang weight constants infeasible: m1={m1}, m2={m2}, m3={m3}"
-            )
+def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
+    wc = cfg.weight_cfg
+    if wc["kind"] == "csv":
+        return wio.read_field_csv(cfg.base_dir / wc["path"], domain)
+    if wc["kind"] == "bang_bang":
+        profile = single_class_profile(domain, (wc["m1"], wc["m2"], wc["m3"]))
+        return random_arrangement(profile, domain, np.random.default_rng([cfg.seed, 0xBB]))
+    return domain.constant_field(float(wc.get("value", 1.0)))
 
 
 def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
@@ -209,6 +232,89 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
     }
 
 
+def _run_task(cfg: RunConfig, domain: GridDomain, broken_tie_rule: bool
+              ) -> tuple[dict, ScalarField | None, ScalarField | None]:
+    """Run the configured task; returns (results, weight, eigenfunction)."""
+    eig_kwargs = {"residual_rtol": float(cfg.tolerances["eig_residual"])}
+    if cfg.task == "eig":
+        m = _build_weight(cfg, domain)
+        pair = principal_positive_eigenvalue(domain, m, **eig_kwargs)
+        return {
+            "task": "eig",
+            "lambda": pair.lambda1,
+            "eig_iterations": pair.iterations,
+            "eig_residual": pair.residual,
+            "domain_measure": domain.total_measure,
+            "seed": cfg.seed,
+        }, m, pair.u
+    if cfg.task == "optimize":
+        report = optimize_single(
+            domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs,
+        )
+        return {
+            "task": "optimize",
+            "seed": cfg.seed,
+            "domain_measure": domain.total_measure,
+            "realized_integral": report.weight.integral(),
+            **_optimize_results(report, domain),
+        }, report.weight, report.final.u
+    if cfg.task == "optimize2":
+        omega = domain.total_measure
+        cls1, cls2 = (ResourceClass(p, q, l, omega) for p, q, l in cfg.classes)
+        report, bb = optimize_two(
+            domain, cls1, cls2, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs,
+        )
+        return {
+            "task": "optimize2",
+            "seed": cfg.seed,
+            "domain_measure": omega,
+            "levels": {"top": bb.top, "mid": bb.mid, "bot": bb.bot},
+            "measure_E": float(bb.E.sum()) * domain.cell_area,
+            "measure_G": float(bb.G.sum()) * domain.cell_area,
+            "realized_integrals": list(bb.realized_integrals),
+            **_optimize_results(report, domain),
+        }, report.weight, report.final.u
+    if cfg.task == "symmetrize":
+        m = _build_weight(cfg, domain)
+        pair_before = principal_positive_eigenvalue(domain, m, **eig_kwargs)
+        m_sym = symmetrize_function(domain, m)
+        pair_after = principal_positive_eigenvalue(domain, m_sym, **eig_kwargs)
+        return {
+            "task": "symmetrize",
+            "seed": cfg.seed,
+            "lambda_before": pair_before.lambda1,
+            "lambda_after": pair_after.lambda1,
+            "defect_before": symmetry_defect(domain, m),
+            "defect_after": symmetry_defect(domain, m_sym),
+        }, m_sym, pair_after.u
+    if cfg.task == "remark":
+        report_two, report_one = compare_split_vs_merged(
+            domain, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs
+        )
+        lam_two = report_two.final.lambda1
+        lam_single = report_one.final.lambda1
+        # artifacts carry the winning (merged-constraint) arrangement
+        return {
+            "task": "remark",
+            "seed": cfg.seed,
+            "lambda_two_resource": lam_two,
+            "lambda_single": lam_single,
+            "single_beats_two_resource": lam_single < lam_two,
+            **{f"single_{k}": v for k, v in _optimize_results(report_one, domain).items()},
+        }, report_one.weight, report_one.final.u
+    checks = wverify.run_all(
+        domain, rng_seed=cfg.seed, trials=cfg.verify_trials, broken_tie_rule=broken_tie_rule,
+    )
+    for r in checks:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+    return {
+        "task": "verify",
+        "seed": cfg.seed,
+        "checks": {r.name: r.passed for r in checks},
+        "all_passed": all(r.passed for r in checks),
+    }, None, None
+
+
 def _write_artifacts(outdir: Path, cfg: RunConfig, results: dict,
                      weight: ScalarField | None, u: ScalarField | None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
@@ -221,166 +327,48 @@ def _write_artifacts(outdir: Path, cfg: RunConfig, results: dict,
         wio.write_field_csv(outdir / "eigenfunction.csv", u)
 
 
+# exception -> (exit code, stderr prefix); the first matching row wins, so
+# the subclasses (ConfigError and FileFormatError are ValueErrors,
+# NoConvergence a RuntimeError) come before their bases.  A RuntimeError
+# past NoConvergence is a checked property that failed: a verify suite,
+# the remark's strict ordering or the optimizer's descent.
+EXIT_CODES = (
+    ((ConfigError, wio.FileFormatError, OSError), 1, "error"),
+    (NoConvergence, 3, "no convergence"),
+    (ValueError, 2, "infeasible"),
+    (RuntimeError, 4, "verification failed"),
+)
+
+
 def run(config_path: str | Path, out_dir: str | None = None,
         seed: int | None = None, grid_n: int | None = None,
-        task: str | None = None) -> int:
-    """Execute one task from a config file; returns the process exit code."""
-    try:
-        cfg = RunConfig.load(config_path, task_override=task)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if cfg.task == "verify":
-        return verify(config_path, out_dir=out_dir, seed=seed, grid_n=grid_n)
-    if seed is not None:
-        cfg.seed = seed
-    if out_dir is not None:
-        cfg.output_dir = out_dir
-    base_dir = Path(config_path).parent
-    try:
-        domain_cfg = _apply_grid_override(cfg.domain_cfg, grid_n) if grid_n else cfg.domain_cfg
-        domain = wio.domain_from_config(domain_cfg, base_dir)
-        _validate_feasibility(cfg, domain)
-    except (ConfigError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InfeasibleClassError, WeightNotPositiveAnywhere, ValueError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+        task: str | None = None, broken_tie_rule: bool = False) -> int:
+    """Execute one task from a config file; returns the process exit code.
 
-    outdir = Path(cfg.output_dir)
-    eig_kwargs = {"residual_rtol": float(cfg.tolerances["eig_residual"])}
-    try:
-        if cfg.task == "eig":
-            m = _build_weight(cfg, domain, base_dir)
-            pair = principal_positive_eigenvalue(domain, m, **eig_kwargs)
-            results = {
-                "task": "eig",
-                "lambda": pair.lambda1,
-                "eig_iterations": pair.iterations,
-                "eig_residual": pair.residual,
-                "domain_measure": domain.total_measure,
-                "seed": cfg.seed,
-            }
-            _write_artifacts(outdir, cfg, results, m, pair.u)
-        elif cfg.task == "optimize":
-            report = optimize_single(
-                domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed,
-                eig_kwargs=eig_kwargs,
-            )
-            results = {
-                "task": "optimize",
-                "seed": cfg.seed,
-                "domain_measure": domain.total_measure,
-                "realized_integral": report.weight.integral(),
-                **_optimize_results(report, domain),
-            }
-            _write_artifacts(outdir, cfg, results, report.weight, report.final.u)
-        elif cfg.task == "optimize2":
-            c1, c2 = cfg.classes
-            omega = domain.total_measure
-            cls1 = ResourceClass(c1[0], c1[1], c1[2], omega)
-            cls2 = ResourceClass(c2[0], c2[1], c2[2], omega)
-            report, bb = optimize_two(
-                domain, cls1, cls2, cfg.seeds, rng_seed=cfg.seed,
-                eig_kwargs=eig_kwargs,
-            )
-            results = {
-                "task": "optimize2",
-                "seed": cfg.seed,
-                "domain_measure": domain.total_measure,
-                "levels": {"top": bb.top, "mid": bb.mid, "bot": bb.bot},
-                "measure_E": float(bb.E.sum()) * domain.cell_area,
-                "measure_G": float(bb.G.sum()) * domain.cell_area,
-                "realized_integrals": list(bb.realized_integrals),
-                **_optimize_results(report, domain),
-            }
-            _write_artifacts(outdir, cfg, results, report.weight, report.final.u)
-        elif cfg.task == "symmetrize":
-            m = _build_weight(cfg, domain, base_dir)
-            pair_before = principal_positive_eigenvalue(domain, m, **eig_kwargs)
-            m_sym = symmetrize_function(domain, m)
-            pair_after = principal_positive_eigenvalue(domain, m_sym, **eig_kwargs)
-            results = {
-                "task": "symmetrize",
-                "seed": cfg.seed,
-                "lambda_before": pair_before.lambda1,
-                "lambda_after": pair_after.lambda1,
-                "defect_before": symmetry_defect(domain, m),
-                "defect_after": symmetry_defect(domain, m_sym),
-            }
-            _write_artifacts(outdir, cfg, results, m_sym, pair_after.u)
-        elif cfg.task == "remark":
-            report_two, report_one = compare_split_vs_merged(
-                domain, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs
-            )
-            lam_two = report_two.final.lambda1
-            lam_single = report_one.final.lambda1
-            results = {
-                "task": "remark",
-                "seed": cfg.seed,
-                "lambda_two_resource": lam_two,
-                "lambda_single": lam_single,
-                "single_beats_two_resource": lam_single < lam_two,
-                **{f"single_{k}": v
-                   for k, v in _optimize_results(report_one, domain).items()},
-            }
-            # artifacts carry the winning (merged-constraint) arrangement
-            _write_artifacts(outdir, cfg, results, report_one.weight,
-                             report_one.final.u)
-    except (InfeasibleClassError, WeightNotPositiveAnywhere, SteinerAxisError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return 3
-    return 0
-
-
-def verify(config_path: str | Path, out_dir: str | None = None,
-           seed: int | None = None, grid_n: int | None = None,
-           broken_tie_rule: bool = False) -> int:
-    """Run the property suites on the configured instance; 0 iff all pass.
-
-    ``broken_tie_rule`` is a test hook that deliberately mis-biases the
-    set-symmetrization parity rule so the superlevel-consistency suite must
-    report a failure (negative control).
+    ``broken_tie_rule`` is a test hook of the verify task that deliberately
+    mis-biases the set-symmetrization parity rule, so the
+    superlevel-consistency suite must report a failure (negative control).
     """
     try:
-        cfg = RunConfig.load(config_path, task_override="verify")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if seed is not None:
-        cfg.seed = seed
-    if out_dir is not None:
-        cfg.output_dir = out_dir
-    try:
-        domain_cfg = _apply_grid_override(cfg.domain_cfg, grid_n) if grid_n else cfg.domain_cfg
-        domain = wio.domain_from_config(domain_cfg, Path(config_path).parent)
-    except (ConfigError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-
-    results = wverify.run_all(
-        domain, rng_seed=cfg.seed, trials=cfg.verify_trials,
-        broken_tie_rule=broken_tie_rule,
-    )
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "task": "verify",
-        "seed": cfg.seed,
-        "checks": {r.name: r.passed for r in results},
-        "all_passed": all(r.passed for r in results),
-    }
-    wio.write_results_json(outdir / "results.json", payload)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-    return 0 if payload["all_passed"] else 4
+        cfg = RunConfig.load(config_path, task_override=task)
+        if seed is not None:
+            cfg.seed = _checked("--seed", seed, SEED)
+        if out_dir is not None:
+            cfg.output_dir = _checked("--out", out_dir, PATH)
+        if grid_n is not None:
+            cfg.domain_cfg = _apply_grid_override(cfg.domain_cfg,
+                                                  _checked("--grid", grid_n, COUNT))
+        domain = wio.domain_from_config(cfg.domain_cfg, cfg.base_dir)
+        results, weight, u = _run_task(cfg, domain, broken_tie_rule)
+        _write_artifacts(Path(cfg.output_dir), cfg, results, weight, u)
+        failed = [name for name, passed in results.get("checks", {}).items() if not passed]
+        if failed:
+            raise RuntimeError(", ".join(failed))
+    except (ValueError, OSError, RuntimeError) as exc:
+        code, label = next((c, lbl) for types, c, lbl in EXIT_CODES if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,8 +382,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
     parser.add_argument("--grid", type=int, default=None, help="grid resolution override")
     args = parser.parse_args(argv)
-    if args.task == "verify":
-        return verify(args.config, out_dir=args.out, seed=args.seed, grid_n=args.grid)
     return run(args.config, out_dir=args.out, seed=args.seed, grid_n=args.grid,
                task=args.task)
 

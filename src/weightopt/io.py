@@ -22,6 +22,10 @@ from . import grid as _grid
 from .grid import GridDomain, ScalarField
 
 
+class FileFormatError(ValueError):
+    """A field CSV or PGM file is malformed or does not fit its domain."""
+
+
 def write_field_csv(path: str | Path, f: ScalarField) -> None:
     domain = f.domain
     ny, nx = domain.shape
@@ -33,25 +37,28 @@ def write_field_csv(path: str | Path, f: ScalarField) -> None:
 
 def read_field_csv(path: str | Path, domain: GridDomain | None = None) -> ScalarField:
     """Read a field CSV; reconstructs the domain from the nan pattern unless
-    one is supplied (then shapes and spacing must match)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "nx,ny,h":
-        raise ValueError(f"{path}: expected 'nx,ny,h' header")
-    nx_s, ny_s, h_s = lines[1].split(",")
-    nx, ny, h = int(nx_s), int(ny_s), float(h_s)
-    data = np.array([float(s) for s in lines[2:]], dtype=float)
-    if data.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} values, found {data.size}")
-    grid_vals = data.reshape(ny, nx)
-    mask = ~np.isnan(grid_vals)
-    if domain is None:
-        domain = GridDomain(mask, h)
-    else:
-        if domain.shape != (ny, nx) or domain.h != h:
-            raise ValueError(f"{path}: grid does not match the given domain")
-        if not np.array_equal(mask, domain.mask):
-            raise ValueError(f"{path}: nan pattern does not match the domain mask")
-    return ScalarField(domain, grid_vals[domain.cell_rows, domain.cell_cols])
+    one is supplied (then shapes and spacing must match).  A malformed file,
+    or one that does not match the supplied domain, raises FileFormatError."""
+    try:
+        lines = Path(path).read_text().splitlines()
+        if not lines or lines[0].strip() != "nx,ny,h":
+            raise ValueError("expected 'nx,ny,h' header")
+        nx_s, ny_s, h_s = lines[1].split(",")
+        nx, ny, h = int(nx_s), int(ny_s), float(h_s)
+        data = np.array([float(s) for s in lines[2:]], dtype=float)
+        if data.size != nx * ny:
+            raise ValueError(f"expected {nx * ny} values, found {data.size}")
+        grid_vals = data.reshape(ny, nx)
+        mask = ~np.isnan(grid_vals)
+        if domain is None:
+            domain = GridDomain(mask, h)
+        elif domain.shape != (ny, nx) or domain.h != h:
+            raise ValueError("grid does not match the given domain")
+        elif not np.array_equal(mask, domain.mask):
+            raise ValueError("nan pattern does not match the domain mask")
+        return ScalarField(domain, grid_vals[domain.cell_rows, domain.cell_cols])
+    except (ValueError, IndexError) as exc:  # IndexError: no second line
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -88,29 +95,32 @@ def _pgm_tokens(raw: bytes):
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a P2 or P5 PGM into a 2D integer array."""
+    """Read a P2 or P5 PGM into a 2D integer array; a malformed file raises
+    FileFormatError."""
     raw = Path(path).read_bytes()
     tokens = _pgm_tokens(raw)
     try:
         magic, _ = next(tokens)
         (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
+        if magic not in (b"P2", b"P5"):
+            raise ValueError("not a PGM (P2/P5) file")
+        nx, ny, maxval = int(w_tok), int(h_tok), int(max_tok)
+        if nx <= 0 or ny <= 0 or maxval <= 0:
+            raise ValueError("invalid PGM dimensions")
+        if magic == b"P2":
+            values = [int(t) for t, _ in _pgm_tokens(raw[end:])]
+            data = np.array(values, dtype=np.int64)
+        else:
+            # P5: exactly one whitespace byte after maxval, then binary samples
+            body = raw[end + 1:]
+            dtype = np.dtype(">u2") if maxval > 255 else np.uint8
+            data = np.frombuffer(body, dtype=dtype, count=nx * ny).astype(np.int64)
+        if data.size != nx * ny:
+            raise ValueError(f"expected {nx * ny} samples, found {data.size}")
     except StopIteration:
-        raise ValueError(f"{path}: truncated PGM header") from None
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM (P2/P5) file")
-    nx, ny, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if nx <= 0 or ny <= 0 or maxval <= 0:
-        raise ValueError(f"{path}: invalid PGM dimensions")
-    if magic == b"P2":
-        values = [int(t) for t, _ in _pgm_tokens(raw[end:])]
-        data = np.array(values, dtype=np.int64)
-    else:
-        # P5: exactly one whitespace byte after maxval, then binary samples
-        body = raw[end + 1:]
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        data = np.frombuffer(body, dtype=dtype, count=nx * ny).astype(np.int64)
-    if data.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} samples, found {data.size}")
+        raise FileFormatError(f"{path}: truncated PGM header") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     return data.reshape(ny, nx)
 
 

@@ -122,8 +122,9 @@ def _profile_from_levels(levels: list[tuple[float, int]], cell_area: float) -> S
     return StepProfile(np.array(values), np.array(counts), cell_area)
 
 
-def _random_arrangement(profile: StepProfile, domain: GridDomain,
-                        rng: np.random.Generator) -> ScalarField:
+def random_arrangement(profile: StepProfile, domain: GridDomain,
+                       rng: np.random.Generator) -> ScalarField:
+    """The profile's values on a uniformly random permutation of the cells."""
     values = np.empty(domain.n_cells)
     values[rng.permutation(domain.n_cells)] = profile.cell_values()
     return ScalarField(domain, values)
@@ -158,7 +159,6 @@ def _minimize_over_class(
     profile: StepProfile,
     seeds: int,
     rng_seed: int,
-    max_iters: int = MAX_FIXED_POINT_ITERS,
     eig_kwargs: dict | None = None,
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
@@ -166,7 +166,7 @@ def _minimize_over_class(
     Per seed: comonotone fixed-point descent until the arrangement
     stabilizes (or cycles), then a greedy one-swap polish around the best
     iterate; every accepted swap strictly lowers λ₁ and the descent loop
-    resumes from it.  Every eigensolve counts against the iteration cap.
+    resumes from it.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -185,7 +185,7 @@ def _minimize_over_class(
     best: tuple[float, EigenPair, ScalarField, list[float], bool] | None = None
     for s in range(seeds):
         rng = np.random.default_rng([rng_seed, s])
-        m = _random_arrangement(profile, domain, rng)
+        m = random_arrangement(profile, domain, rng)
         history: list[float] = []
         seen: set[bytes] = set()
         stabilized = False
@@ -195,9 +195,9 @@ def _minimize_over_class(
         history.append(pair.lambda1)
         seed_best = (pair.lambda1, pair, m)
 
-        while evals < max_iters:
+        while evals < MAX_FIXED_POINT_ITERS:
             # comonotone descent until fixed point or cycle
-            while evals < max_iters:
+            while evals < MAX_FIXED_POINT_ITERS:
                 seen.add(m.values.tobytes())
                 m_next = rearrangement_step(profile, pair.u)
                 # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u²
@@ -230,7 +230,7 @@ def _minimize_over_class(
             accepted = None
             for i, j in _swap_candidates(m0.values, pair0.u.values,
                                          profile.values, pairs_per_level):
-                if evals >= max_iters:
+                if evals >= MAX_FIXED_POINT_ITERS:
                     break
                 trial_values = m0.values.copy()
                 trial_values[i], trial_values[j] = trial_values[j], trial_values[i]
@@ -287,7 +287,6 @@ def optimize_single(
     seeds: int = DEFAULT_SEEDS,
     *,
     rng_seed: int = 0,
-    max_iters: int = MAX_FIXED_POINT_ITERS,
     eig_kwargs: dict | None = None,
 ) -> OptimizeReport:
     """Minimize λ₁ over {-m2 <= m <= m1, ∫m = m3, m > 0 somewhere}.
@@ -297,7 +296,7 @@ def optimize_single(
     random starting sets.
     """
     profile = single_class_profile(domain, constants)
-    return _minimize_over_class(domain, profile, seeds, rng_seed, max_iters, eig_kwargs)
+    return _minimize_over_class(domain, profile, seeds, rng_seed, eig_kwargs)
 
 
 def combined_profile(
@@ -347,7 +346,6 @@ def optimize_two(
     seeds: int = DEFAULT_SEEDS,
     *,
     rng_seed: int = 0,
-    max_iters: int = MAX_FIXED_POINT_ITERS,
     eig_kwargs: dict | None = None,
 ) -> tuple[OptimizeReport, BangBangWeight]:
     """Minimize λ₁ over sums f1 + f2 with f_i in two resource classes.
@@ -357,7 +355,7 @@ def optimize_two(
     nested level sets E ⊆ G carrying (q1+q2, r, -(p1+p2)).
     """
     profile, gamma, delta, r = combined_profile(domain, class1, class2)
-    report = _minimize_over_class(domain, profile, seeds, rng_seed, max_iters, eig_kwargs)
+    report = _minimize_over_class(domain, profile, seeds, rng_seed, eig_kwargs)
 
     top = class1.q + class2.q
     bot = -(class1.p + class2.p)

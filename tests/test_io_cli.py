@@ -1,12 +1,16 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weightopt.cli import RunConfig, run, verify
+from weightopt.cli import TASKS, RunConfig, main, run
 from weightopt.grid import make_rectangle
 from weightopt.io import (
     domain_from_config,
@@ -141,7 +145,9 @@ class TestRunConfig:
         cfg = RunConfig.load(p)
         assert cfg.seeds == 8
         assert cfg.tolerances["eig_residual"] == 1e-8
-        assert cfg.tolerances["symmetry_defect"] == 0.02
+        dead = write_config(tmp_path / "d.json", task="eig",
+                            tolerances={"symmetry_defect": 0.02})
+        assert run(dead) == 1
 
 
 class TestRunTask:
@@ -260,13 +266,13 @@ class TestRunTask:
 class TestVerifyTask:
     def test_verify_passes(self, tmp_path):
         p = write_config(tmp_path / "c.json", task="verify", verify_trials=15)
-        assert verify(p, out_dir=str(tmp_path / "v")) == 0
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify") == 0
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["all_passed"] is True
 
     def test_broken_tie_rule_negative_control(self, tmp_path):
         p = write_config(tmp_path / "c.json", task="verify", verify_trials=10)
-        assert verify(p, out_dir=str(tmp_path / "v"), broken_tie_rule=True) == 4
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify", broken_tie_rule=True) == 4
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["checks"]["steiner_superlevel_consistency"] is False
         failed = [k for k, v in results["checks"].items() if not v]
@@ -291,3 +297,151 @@ class TestCliEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2  # argparse usage error
+
+
+# config fields and CLI arguments -> exit code; relative file names resolve
+# in the test's directory, which holds the files that _exit_case_files writes
+RECT = {"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5}
+SINGLE = {"task": "optimize", "single_class": {"m1": 1.0, "m2": 1.0, "m3": 1.25}}
+EXIT_CASES = {
+    "eig-runs": ({}, [], 0),
+    "csv-weight-without-path": ({"weight": {"kind": "csv"}}, [], 1),
+    "unknown-weight-kind": ({"weight": {"kind": "gaussian"}}, [], 1),
+    "zero-seeds": ({**SINGLE, "seeds": 0}, [], 1),
+    "seeds-not-a-number": ({**SINGLE, "seeds": "many"}, [], 1),
+    "tolerances-not-an-object": ({"tolerances": 5}, [], 1),
+    "dead-tolerance-key": ({"tolerances": {"integral_rel": 1e-12}}, [], 1),
+    "missing-config-file": ({}, ["--config", "absent.json"], 1),  # the last --config wins
+    "missing-mask-file": ({"domain": {"shape": "mask_file", "mask_path": "absent.pgm",
+                                      "h": 0.5}}, [], 1),
+    "malformed-mask-file": ({"domain": {"shape": "mask_file", "mask_path": "bad.pgm",
+                                        "h": 0.5}}, [], 1),
+    "missing-csv-file": ({"weight": {"kind": "csv", "path": "absent.csv"}}, [], 1),
+    "csv-of-another-grid": ({"weight": {"kind": "csv", "path": "other.csv"}}, [], 1),
+    "nx-not-an-integer": ({"domain": {**RECT, "nx": "a"}}, [], 1),
+    "grid-zero": ({}, ["--grid", "0"], 1),
+    "negative-seed": (SINGLE, ["--seed", "-1"], 1),
+    "heatmap-as-string": ({"heatmap": "no"}, [], 1),
+    "infeasible-constants": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0, "m3": 100.0}},
+                             [], 2),
+    "remark-without-axis": ({"task": "remark", "seeds": 1,
+                             "domain": {"shape": "mask_file", "mask_path": "lopsided.pgm",
+                                        "h": 0.5}}, [], 2),
+    "unreachable-eig-residual": ({"tolerances": {"eig_residual": 1e-300}}, [], 3),
+    "remark-ordering-fails": ({"task": "remark", "seeds": 2,
+                               "domain": {"shape": "rectangle", "nx": 3, "ny": 3, "h": 0.1}},
+                              [], 4),
+}
+
+
+def _exit_case_files(d: Path) -> None:
+    lopsided = np.zeros((6, 7), dtype=np.uint8)
+    lopsided[1:5, 1:4] = 1
+    lopsided[1, 4] = 1
+    write_pgm(d / "lopsided.pgm", lopsided)
+    (d / "bad.pgm").write_text("P2\n3 3\n255\n1 2\n")
+    write_field_csv(d / "other.csv", make_rectangle(4, 4, 0.5).constant_field(1.0))
+
+
+@pytest.mark.parametrize("fields, args, code", EXIT_CASES.values(), ids=EXIT_CASES.keys())
+def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
+    monkeypatch.chdir(tmp_path)
+    _exit_case_files(tmp_path)
+    cfg = {"task": "eig", "domain": RECT, "output_dir": "out", **fields}
+    Path("c.json").write_text(json.dumps(cfg))
+    assert main([cfg["task"], "--config", "c.json", *args]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0), err
+
+
+# numbers stay small and strings hold no digits, so that no reading of a size
+# field, however lax, asks for more than 8 x 8 cells or two seeds
+TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2.5, 2.5)
+    | st.sampled_from([math.nan, math.inf]) | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+NUM = st.floats(-2, 2) | st.integers(-2, 2) | st.floats()
+SIZE = st.integers(3, 8)
+SPACING = st.floats(0.05, 1.0)
+DOMAIN = st.one_of(
+    st.fixed_dictionaries({"shape": st.just("rectangle"), "nx": SIZE, "ny": SIZE, "h": SPACING}),
+    st.fixed_dictionaries({"shape": st.just("ellipse"), "nx": SIZE, "ny": SIZE, "h": SPACING,
+                           "semi_axes": st.lists(st.floats(0.05, 0.6), min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"shape": st.just("mask_file"), "h": SPACING,
+                           "mask_path": st.sampled_from(["disk.pgm", "bad.pgm", "absent.pgm"])}),
+)
+WEIGHT = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant")}, optional={"value": NUM}),
+    st.fixed_dictionaries({"kind": st.just("csv"),
+                           "path": st.sampled_from(["w.csv", "absent.csv"])}),
+    st.fixed_dictionaries({"kind": st.just("bang_bang"), "m1": NUM, "m2": NUM, "m3": NUM}),
+)
+
+
+def _paths(node, at=()):
+    """Paths to every value inside a JSON document, the root excluded."""
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _paths(value, at + (key,))
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(CLI task, config): a config of the right shape whose numbers are
+    random, with up to two of its values deleted or replaced by any JSON
+    value."""
+    task = draw(st.sampled_from(TASKS))
+    cfg = draw(st.fixed_dictionaries({
+        "domain": DOMAIN,
+        "single_class": st.fixed_dictionaries({"m1": NUM, "m2": NUM, "m3": NUM}),
+        "classes": st.lists(st.fixed_dictionaries({"p": NUM, "q": NUM, "l": NUM}),
+                            min_size=2, max_size=2),
+    }, optional={
+        "task": st.just(task),
+        "weight": WEIGHT,
+        "seeds": st.integers(1, 2),
+        "seed": st.integers(0, 2**64 - 1),
+        "tolerances": st.fixed_dictionaries({}, optional={
+            "eig_residual": st.floats(1e-12, 1e-4)}),
+        "output_dir": st.text(min_size=1, max_size=4),
+        "heatmap": st.booleans(),
+        "verify_trials": st.integers(1, 2),
+    }))
+    # deepest first, so that no replacement removes a path still to come
+    for path in sorted(draw(st.lists(st.sampled_from(list(_paths(cfg))), max_size=2,
+                                     unique=True)),
+                       key=len, reverse=True):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if type(node) is dict and draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(JSON)
+    return task, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=fuzz_cases(), grid=st.none() | st.integers(-1, 7),
+       seed=st.none() | st.integers(-1, 2**64))
+def test_fuzzed_config_exit_codes(case, grid, seed):
+    """Random JSON in every config field exits with a documented code: grids of
+    at most 8 x 8 cells, at most two seeds and two verify trials."""
+    task, cfg = case
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        disk = np.zeros((7, 7), dtype=np.uint8)
+        disk[2:5, 1:6] = disk[1:6, 2:5] = 1
+        write_pgm(d / "disk.pgm", disk)
+        (d / "bad.pgm").write_text("P5 2 2 255\n")
+        write_field_csv(d / "w.csv", make_rectangle(6, 6, 0.2).constant_field(0.5))
+        (d / "c.json").write_text(json.dumps(cfg))
+        argv = [task, "--config", str(d / "c.json"), "--out", str(d / "out")]
+        argv += [] if grid is None else ["--grid", str(grid)]
+        argv += [] if seed is None else ["--seed", str(seed)]
+        assert main(argv) in (0, 1, 2, 3, 4)
