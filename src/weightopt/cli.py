@@ -7,9 +7,9 @@ reads a JSON config, validates the whole config before any computation, and
 writes results.json plus weight.csv / eigenfunction.csv (and an optional
 heatmap.pgm).  Identical config and seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 malformed config or unreadable file, 2 infeasible
-constants or domain, 3 eigensolver non-convergence, 4 verification failure.
-Every nonzero exit prints one line on stderr.
+Exit codes: 0 success, 1 bad usage, malformed config or unreadable file,
+2 infeasible constants or domain, 3 eigensolver non-convergence,
+4 verification failure.  Every nonzero exit prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
     }
 
 
-def _run_task(cfg: RunConfig, domain: GridDomain, broken_tie_rule: bool
+def _run_task(cfg: RunConfig, domain: GridDomain
               ) -> tuple[dict, ScalarField | None, ScalarField | None]:
     """Run the configured task; returns (results, weight, eigenfunction)."""
     eig_kwargs = {"residual_rtol": float(cfg.tolerances["eig_residual"])}
@@ -302,9 +302,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain, broken_tie_rule: bool
             "single_beats_two_resource": lam_single < lam_two,
             **{f"single_{k}": v for k, v in _optimize_results(report_one, domain).items()},
         }, report_one.weight, report_one.final.u
-    checks = wverify.run_all(
-        domain, rng_seed=cfg.seed, trials=cfg.verify_trials, broken_tie_rule=broken_tie_rule,
-    )
+    checks = wverify.run_all(domain, rng_seed=cfg.seed, trials=cfg.verify_trials)
     for r in checks:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
     return {
@@ -342,13 +340,8 @@ EXIT_CODES = (
 
 def run(config_path: str | Path, out_dir: str | None = None,
         seed: int | None = None, grid_n: int | None = None,
-        task: str | None = None, broken_tie_rule: bool = False) -> int:
-    """Execute one task from a config file; returns the process exit code.
-
-    ``broken_tie_rule`` is a test hook of the verify task that deliberately
-    mis-biases the set-symmetrization parity rule, so the
-    superlevel-consistency suite must report a failure (negative control).
-    """
+        task: str | None = None) -> int:
+    """Execute one task from a config file; returns the process exit code."""
     try:
         cfg = RunConfig.load(config_path, task_override=task)
         if seed is not None:
@@ -359,7 +352,7 @@ def run(config_path: str | Path, out_dir: str | None = None,
             cfg.domain_cfg = _apply_grid_override(cfg.domain_cfg,
                                                   _checked("--grid", grid_n, COUNT))
         domain = wio.domain_from_config(cfg.domain_cfg, cfg.base_dir)
-        results, weight, u = _run_task(cfg, domain, broken_tie_rule)
+        results, weight, u = _run_task(cfg, domain)
         _write_artifacts(Path(cfg.output_dir), cfg, results, weight, u)
         failed = [name for name, passed in results.get("checks", {}).items() if not passed]
         if failed:
@@ -371,8 +364,16 @@ def run(config_path: str | Path, out_dir: str | None = None,
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 1 with one line on stderr
+    (argparse's own exit code 2 means infeasible input here)."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="weightopt",
         description="Minimize the principal Dirichlet eigenvalue over weight rearrangements",
     )

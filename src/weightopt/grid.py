@@ -33,13 +33,6 @@ class VerticalAxis:
     def through_column(self) -> bool:
         return self.center2 % 2 == 0
 
-    @property
-    def center(self) -> float:
-        return self.center2 / 2.0
-
-    def reflect_col(self, col: int) -> int:
-        return self.center2 - col
-
 
 class GridDomain:
     """Bounded open set discretized into uniform square cells.
@@ -82,7 +75,6 @@ class GridDomain:
         # (A, splu(A)) of the 5-point stencil, filled by weightopt.eig on the
         # first eigensolve so every solve on this domain reuses one factorization
         self._stiffness = None
-        self._row_sections = None
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from .eig import (
     principal_positive_eigenvalue,
 )
 from .grid import GridDomain, ScalarField
-from .rearrange import ResourceClass, StepProfile, comonotone
+from .rearrange import ResourceClass, StepProfile, comonotone, hl_pairing, pair_family
 
 DESCENT_RTOL = 1e-9
 MAX_FIXED_POINT_ITERS = 500
@@ -83,43 +83,29 @@ class OptimizeReport:
 def rearrangement_step(m0_profile: StepProfile, u: ScalarField) -> ScalarField:
     """The element of the class of m0 comonotone with u.
 
-    Cells sorted by u descending (ties by cell index ascending) receive the
-    profile's values in order; this maximizes ∫ m u² dx over the class and
-    is the discrete realization of m̌ = ψ(u_m̌) for an increasing ψ.
+    The profile's values are Hardy-Littlewood paired with u (cells ranked
+    by u descending, ties by cell index ascending); this maximizes ∫ m u² dx
+    over the class and is the discrete realization of m̌ = ψ(u_m̌) for an
+    increasing ψ.
     """
     domain = u.domain
     if u.values.min() <= 0:
         raise ValueError("eigenfunction must be positive on the domain")
     if m0_profile.n_cells != domain.n_cells or m0_profile.cell_area != domain.cell_area:
         raise ValueError("profile measure space does not match the domain")
-    order = np.argsort(-u.values, kind="stable")
-    values = np.empty(domain.n_cells)
-    values[order] = m0_profile.cell_values()
-    return ScalarField(domain, values)
+    return hl_pairing(u, ScalarField(domain, m0_profile.cell_values()))
 
 
-def _quantize_cells(target_measure: float, cell_area: float, n_cells: int) -> int:
-    """Measure -> cell count, rounding half away from zero, clamped to [0, n]."""
-    k = int(np.floor(target_measure / cell_area + 0.5))
-    return min(max(k, 0), n_cells)
-
-
-def _profile_from_levels(levels: list[tuple[float, int]], cell_area: float) -> StepProfile:
-    """Profile from (value, count) pairs in decreasing value order; drops
-    empty steps and merges equal adjacent values."""
-    values: list[float] = []
-    counts: list[int] = []
-    for v, c in levels:
-        if c <= 0:
-            continue
-        if values and v == values[-1]:
-            counts[-1] += c
-        else:
-            values.append(v)
-            counts.append(c)
-    if not values:
-        raise InfeasibleClassError("quantization produced an empty profile")
-    return StepProfile(np.array(values), np.array(counts), cell_area)
+def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[ScalarField]:
+    """Each class's quantized bang-bang generator: q on its first k cells in
+    cell order and -p on the rest, k = e / h² rounded half up and clamped
+    to [0, n]."""
+    n = domain.n_cells
+    out = []
+    for cls in classes:
+        k = min(max(int(np.floor(cls.e / domain.cell_area + 0.5)), 0), n)
+        out.append(ScalarField(domain, np.repeat([cls.q, -cls.p], [k, n - k])))
+    return out
 
 
 def random_arrangement(profile: StepProfile, domain: GridDomain,
@@ -273,12 +259,10 @@ def single_class_profile(domain: GridDomain, constants: tuple[float, float, floa
         raise InfeasibleClassError(
             f"infeasible constants: need {-m2 * omega} < m3={m3} < {m1 * omega}"
         )
-    e = (m2 * omega + m3) / (m1 + m2)
-    n = domain.n_cells
-    n_e = _quantize_cells(e, domain.cell_area, n)
-    if n_e < 1:
+    (generator,) = _class_generators(domain, ResourceClass(m2, m1, m3, omega))
+    if generator.values[0] != m1:
         raise InfeasibleClassError("quantized favourable set is empty")
-    return _profile_from_levels([(m1, n_e), (-m2, n - n_e)], domain.cell_area)
+    return StepProfile.from_cell_values(generator.values, domain.cell_area)
 
 
 def optimize_single(
@@ -313,30 +297,22 @@ def combined_profile(
     for cls in (class1, class2):
         if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
             raise InfeasibleClassError("resource class measure does not match the domain")
-    top = class1.q + class2.q
-    bot = -(class1.p + class2.p)
-    if top <= 0:
+    if class1.q + class2.q <= 0:
         raise WeightNotPositiveAnywhere("q1 + q2 must be positive")
     e1, e2 = class1.e, class2.e
-    gamma, delta = min(e1, e2), max(e1, e2)
     if e1 > e2:
         r = class1.q - class2.p
     elif e1 < e2:
         r = class2.q - class1.p
     else:
         r = 0.0
-    n = domain.n_cells
-    n_gamma = _quantize_cells(gamma, domain.cell_area, n)
-    n_delta = max(_quantize_cells(delta, domain.cell_area, n), n_gamma)
-    if n_gamma < 1:
+    g1, g2 = pair_family(_class_generators(domain, class1, class2))
+    if g1.values[0] != class1.q or g2.values[0] != class2.q:
         raise WeightNotPositiveAnywhere(
             "combined weight is never positive after quantization"
         )
-    profile = _profile_from_levels(
-        [(top, n_gamma), (r, n_delta - n_gamma), (bot, n - n_delta)],
-        domain.cell_area,
-    )
-    return profile, gamma, delta, r
+    profile = StepProfile.from_cell_values(g1.values + g2.values, domain.cell_area)
+    return profile, min(e1, e2), max(e1, e2), r
 
 
 def optimize_two(
@@ -354,28 +330,24 @@ def optimize_two(
     generator, so the same fixed-point iteration applies; the optimum has
     nested level sets E ⊆ G carrying (q1+q2, r, -(p1+p2)).
     """
-    profile, gamma, delta, r = combined_profile(domain, class1, class2)
+    profile, _, _, r = combined_profile(domain, class1, class2)
     report = _minimize_over_class(domain, profile, seeds, rng_seed, eig_kwargs)
 
     top = class1.q + class2.q
     bot = -(class1.p + class2.p)
     w = report.weight.values
-    E = domain.cells_to_mask(w == top)
-    G = domain.cells_to_mask(w > bot)
-    n_gamma = int((w == top).sum())
-    n_delta = int((w > bot).sum())
     area = domain.cell_area
     omega = domain.total_measure
 
-    def realized(cls: ResourceClass, on_delta: bool) -> float:
-        n_top = n_delta if on_delta else n_gamma
-        return cls.q * n_top * area - cls.p * (omega - n_top * area)
+    def realized(cls: ResourceClass, part: ScalarField) -> float:
+        k = int((part.values == cls.q).sum())
+        return cls.q * k * area - cls.p * (omega - k * area)
 
-    l1 = realized(class1, class1.e >= class2.e)
-    l2 = realized(class2, class2.e > class1.e)
+    _, f1, f2 = pair_family([report.weight, *_class_generators(domain, class1, class2)])
     bb = BangBangWeight(
-        domain=domain, E=E, G=G, top=top, mid=r, bot=bot,
-        realized_integrals=(l1, l2),
+        domain=domain, E=domain.cells_to_mask(w == top), G=domain.cells_to_mask(w > bot),
+        top=top, mid=r, bot=bot,
+        realized_integrals=(realized(class1, f1), realized(class2, f2)),
     )
     return report, bb
 
@@ -385,31 +357,25 @@ def decompose(
 ) -> tuple[ScalarField, ScalarField]:
     """Split a two-resource optimum into its per-resource components.
 
-    On E both components sit at their maxima, outside G at their minima; on
-    G∖E the resource with the larger level-set measure stays at its maximum
-    and the other at its minimum.  The parts sum to the weight cellwise.
+    Both classes' generators are Hardy-Littlewood paired onto the optimum's
+    ranking (E, then G∖E, then the rest).  So on E both components sit at
+    their maxima, outside G at their minima, and on G∖E the resource with
+    the larger level-set measure stays at its maximum and the other at its
+    minimum.  The parts sum to the weight cellwise.
     """
     domain = w.domain
-    profile, gamma, delta, r = combined_profile(domain, class1, class2)
+    _, gamma, delta, r = combined_profile(domain, class1, class2)
     expected_top = class1.q + class2.q
     expected_bot = -(class1.p + class2.p)
     if w.top != expected_top or w.bot != expected_bot or (delta > gamma and w.mid != r):
         raise MismatchedClassesError("weight levels do not match the classes")
     sel_E = domain.subset_cells(w.E)
     sel_G = domain.subset_cells(w.G)
-    n = domain.n_cells
-    n_gamma_expect = _quantize_cells(gamma, domain.cell_area, n)
-    n_delta_expect = max(_quantize_cells(delta, domain.cell_area, n), n_gamma_expect)
-    if int(sel_E.sum()) != n_gamma_expect or int(sel_G.sum()) != n_delta_expect:
+    ranking = ScalarField(domain, sel_E.astype(float) + sel_G)
+    _, f1, f2 = pair_family([ranking, *_class_generators(domain, class1, class2)])
+    at_max1, at_max2 = f1.values == class1.q, f2.values == class2.q
+    if not (np.array_equal(at_max1 & at_max2, sel_E) and np.array_equal(at_max1 | at_max2, sel_G)):
         raise MismatchedClassesError("level-set measures do not match the classes")
-
-    def component(cls: ResourceClass, on_delta: bool) -> ScalarField:
-        values = np.full(n, -cls.p)
-        values[sel_G if on_delta else sel_E] = cls.q
-        return ScalarField(domain, values)
-
-    f1 = component(class1, class1.e >= class2.e)
-    f2 = component(class2, class2.e > class1.e)
     return f1, f2
 
 
@@ -424,9 +390,10 @@ def compare_split_vs_merged(
 
     Resources (0 <= f1 <= 1, ∫f1 = 2|Ω|/3) and (-1 <= f2 <= 0, ∫f2 = -|Ω|/2)
     give a three-level optimum; merging the constraints into
-    (-1 <= m <= 1, ∫m = |Ω|/6) enlarges the feasible set, so its optimum is
-    strictly better.  Returns the (two_resource, single) reports and checks
-    the strict ordering of their λ values.
+    (-1 <= m <= 1, ∫m = |Ω|/6) enlarges the feasible set, so in the
+    continuum its optimum is strictly better.  Returns the (two_resource,
+    single) reports and checks the strict ordering of their λ values, which
+    coarse grids can break.
     """
     if domain.axis is None:
         raise ValueError("comparison domain must carry a symmetry axis")

@@ -238,23 +238,14 @@ def hl_pairing(f: ScalarField, g: ScalarField) -> ScalarField:
 def pair_family(fields: list[ScalarField]) -> list[ScalarField]:
     """Rearrange a family so every pair attains Hardy-Littlewood equality.
 
-    One shared cell order (the first field's descending order, ties by cell
-    index) receives each field's values sorted descending, so all outputs
-    are mutually comonotone and the profile of the sum equals the sum of
+    Every field is Hardy-Littlewood paired with the first, so all outputs
+    share its cell order (value descending, ties by cell index ascending),
+    are mutually comonotone, and the profile of the sum equals the sum of
     the profiles.  The first field is returned unchanged.
     """
     if not fields:
         raise ValueError("need at least one field")
-    domain = fields[0].domain
-    if any(f.domain is not domain for f in fields[1:]):
-        raise ValueError("fields must share a domain")
-    order = _descending_order(fields[0].values)
-    out = []
-    for f in fields:
-        values = np.empty_like(f.values)
-        values[order] = np.sort(f.values)[::-1]
-        out.append(ScalarField(domain, values))
-    return out
+    return [hl_pairing(fields[0], f) for f in fields]
 
 
 def scale_class_generator(f: ScalarField, alpha: float) -> ScalarField:
@@ -272,19 +263,12 @@ def comonotone(f: ScalarField | np.ndarray, g: ScalarField | np.ndarray) -> bool
     gv = g.values if isinstance(g, ScalarField) else np.asarray(g, dtype=float)
     if fv.shape != gv.shape:
         raise ValueError("mismatched shapes")
-    order = np.argsort(-fv, kind="stable")
-    f_sorted = fv[order]
-    g_sorted = gv[order]
-    run_min = np.inf
-    i = 0
-    n = f_sorted.size
-    while i < n:
-        j = i
-        while j < n and f_sorted[j] == f_sorted[i]:
-            j += 1
-        block = g_sorted[i:j]
-        if block.max() > run_min:
-            return False
-        run_min = min(run_min, float(block.min()))
-        i = j
-    return True
+    order = _descending_order(fv)
+    f_sorted, g_sorted = fv[order], gv[order]
+    if f_sorted.size == 0:
+        return True
+    starts = np.flatnonzero(np.r_[True, f_sorted[1:] != f_sorted[:-1]])
+    # no block of equal f may reach above the smallest g of a larger f
+    block_max = np.maximum.reduceat(g_sorted, starts)
+    prior_min = np.minimum.accumulate(np.minimum.reduceat(g_sorted, starts))
+    return bool(np.all(block_max[1:] <= prior_min[:-1]))

@@ -51,8 +51,6 @@ def row_sections(domain: GridDomain) -> list[AxisSection]:
     """
     if domain.axis is None:
         raise SteinerAxisError("domain has no symmetry axis")
-    if domain._row_sections is not None:
-        return domain._row_sections
     center2 = domain.axis.center2
     sections = []
     for r in range(domain.height):
@@ -65,36 +63,21 @@ def row_sections(domain: GridDomain) -> list[AxisSection]:
         if lo + hi != center2:
             raise SteinerAxisError(f"row {r} is not centered on the axis")
         sections.append(AxisSection(r, lo, hi + 1))
-    domain._row_sections = sections
     return sections
-
-
-def _centered_start(lo: int, width: int, k: int) -> int:
-    # extra cell to the lower column index on parity mismatch
-    return lo + (width - k) // 2
-
-
-def _symmetrize_set_impl(domain: GridDomain, mask: np.ndarray, *,
-                         extra_left: bool = True) -> np.ndarray:
-    sel = domain.subset_cells(mask)  # validates containment
-    mask = domain.cells_to_mask(sel)
-    out = np.zeros_like(mask)
-    for sec in row_sections(domain):
-        k = int(mask[sec.row, sec.col_start:sec.col_stop].sum())
-        if k == 0:
-            continue
-        if extra_left:
-            start = _centered_start(sec.col_start, sec.width, k)
-        else:
-            start = sec.col_start + (sec.width - k + 1) // 2
-        out[sec.row, start:start + k] = True
-    return out
 
 
 def symmetrize_set(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
     """Steiner symmetrization of a cell subset: per row, the same number of
     cells re-centered on the axis.  Preserves measure cell-exactly."""
-    return _symmetrize_set_impl(domain, mask, extra_left=True)
+    sel = domain.subset_cells(mask)  # validates containment
+    mask = domain.cells_to_mask(sel)
+    out = np.zeros_like(mask)
+    for sec in row_sections(domain):
+        k = int(mask[sec.row, sec.col_start:sec.col_stop].sum())
+        # extra cell to the lower column index on parity mismatch
+        start = sec.col_start + (sec.width - k) // 2
+        out[sec.row, start:start + k] = True
+    return out
 
 
 def _center_out_order(sec: AxisSection, center2: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .rearrange import (
     pair_family,
     precedes,
 )
-from .steiner import symmetrize_function, symmetrize_set, _symmetrize_set_impl
+from .steiner import symmetrize_function, symmetrize_set
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,13 @@ def check_descent(domain: GridDomain, constants: tuple[float, float, float],
 
 
 def check_steiner(domain: GridDomain, rng: np.random.Generator,
-                  trials: int = 200, broken_tie_rule: bool = False) -> list[CheckResult]:
-    """Steiner suite; `broken_tie_rule` is a negative-control hook that
-    mis-biases the set symmetrization so superlevel consistency must fail."""
+                  trials: int = 200) -> list[CheckResult]:
     measure_ok = True
     equim_ok = True
     idem_ok = True
     superlevel_ok = True
     crescente_ok = True
     hl_ok = True
-    sym_set = (lambda d, m: _symmetrize_set_impl(d, m, extra_left=False)) \
-        if broken_tie_rule else symmetrize_set
     for _ in range(trials):
         f = _random_field(domain, rng)
         fs = symmetrize_function(domain, f)
@@ -136,7 +132,7 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
 
         t = float(rng.choice(f.values))
         sub = domain.cells_to_mask(f.values > t)
-        sub_s = sym_set(domain, sub)
+        sub_s = symmetrize_set(domain, sub)
         measure_ok &= int(sub_s.sum()) == int(sub.sum())
         superlevel_ok &= np.array_equal(domain.cells_to_mask(fs.values > t), sub_s)
 
@@ -275,7 +271,7 @@ def check_small_domain_oracles(rng: np.random.Generator,
 
 
 def run_all(domain: GridDomain | None = None, rng_seed: int = 0,
-            trials: int = 100, broken_tie_rule: bool = False) -> list[CheckResult]:
+            trials: int = 100) -> list[CheckResult]:
     """Run every suite (on a default small rectangle when no domain given)."""
     rng = np.random.default_rng(rng_seed)
     if domain is None:
@@ -283,7 +279,7 @@ def run_all(domain: GridDomain | None = None, rng_seed: int = 0,
     results: list[CheckResult] = []
     results += check_hardy_littlewood(domain, rng, trials)
     results += check_precedence(domain, rng, trials)
-    results += check_steiner(domain, rng, trials, broken_tie_rule=broken_tie_rule)
+    results += check_steiner(domain, rng, trials)
     small = make_rectangle(6, 5, 0.5)
     results += check_descent(small, (1.0, 1.0, small.total_measure / 6.0), rng_seed)
     results += check_small_domain_oracles(rng, trials=max(4, trials // 10))

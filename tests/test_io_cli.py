@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightopt.verify
 from weightopt.cli import TASKS, RunConfig, main, run
 from weightopt.grid import make_rectangle
 from weightopt.io import (
@@ -20,6 +21,7 @@ from weightopt.io import (
     write_field_csv,
     write_pgm,
 )
+from weightopt.steiner import row_sections
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -270,9 +272,20 @@ class TestVerifyTask:
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["all_passed"] is True
 
-    def test_broken_tie_rule_negative_control(self, tmp_path):
+    def test_broken_tie_rule_negative_control(self, tmp_path, monkeypatch):
+        def right_biased_symmetrize_set(domain, mask):
+            # the extra cell of a parity mismatch goes to the higher column
+            # index, against the rule symmetrize_function follows
+            out = np.zeros_like(mask)
+            for sec in row_sections(domain):
+                k = int(mask[sec.row, sec.col_start:sec.col_stop].sum())
+                start = sec.col_start + (sec.width - k + 1) // 2
+                out[sec.row, start:start + k] = True
+            return out
+
+        monkeypatch.setattr(weightopt.verify, "symmetrize_set", right_biased_symmetrize_set)
         p = write_config(tmp_path / "c.json", task="verify", verify_trials=10)
-        assert run(p, out_dir=str(tmp_path / "v"), task="verify", broken_tie_rule=True) == 4
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify") == 4
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["checks"]["steiner_superlevel_consistency"] is False
         failed = [k for k, v in results["checks"].items() if not v]
@@ -296,7 +309,20 @@ class TestCliEntry:
             [sys.executable, "-m", "weightopt.cli", "fly", "--config", str(p)],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 2  # argparse usage error
+        assert proc.returncode == 1  # a usage error is malformed input
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eig", "--config", "c.json", "--seed", "x"], 1),
+        (["eig"], 1),
+        (["--help"], 0),
+    ])
+    def test_usage_exit_codes(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 # config fields and CLI arguments -> exit code; relative file names resolve

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weightopt.eig import principal_positive_eigenvalue
+from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
+    BangBangWeight,
     InfeasibleClassError,
     MismatchedClassesError,
     combined_profile,
@@ -12,10 +15,17 @@ from weightopt.optimize import (
     is_fixed_point,
     optimize_single,
     optimize_two,
+    random_arrangement,
     rearrangement_step,
     single_class_profile,
 )
-from weightopt.rearrange import ResourceClass, StepProfile, decreasing_rearrangement
+from weightopt.rearrange import (
+    ResourceClass,
+    StepProfile,
+    comonotone,
+    decreasing_rearrangement,
+    equimeasurable,
+)
 from weightopt.steiner import symmetrize_function, symmetry_defect
 
 
@@ -196,6 +206,87 @@ class TestOptimizeTwo:
         report2, _ = optimize_two(dom, cls1, cls2, seeds=4)
         report1 = optimize_single(dom, (1.5, 1.5, 0.0), seeds=4)
         assert report2.final.lambda1 == pytest.approx(report1.final.lambda1, rel=1e-8)
+
+
+def quantized_cells(domain, measure):
+    """round(measure / h²), halves away from zero, clamped to [0, n]."""
+    return min(max(int(np.floor(measure / domain.cell_area + 0.5)), 0), domain.n_cells)
+
+
+def stacked_profile(domain, cls1, cls2):
+    """Reference for combined_profile, stacked level by level: (profile, r),
+    or None when the sum class has no weight positive anywhere.
+
+    The profile is (q1+q2, r, -(p1+p2)) on (n_γ, n_δ - n_γ, n - n_δ) cells,
+    empty steps dropped and equal neighbours merged."""
+    e1, e2 = cls1.e, cls2.e
+    r = cls1.q - cls2.p if e1 > e2 else cls2.q - cls1.p if e1 < e2 else 0.0
+    n = domain.n_cells
+    n_gamma = quantized_cells(domain, min(e1, e2))
+    n_delta = quantized_cells(domain, max(e1, e2))
+    top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
+    if top <= 0 or n_gamma < 1:
+        return None
+    values, counts = [], []
+    for v, c in ((top, n_gamma), (r, n_delta - n_gamma), (bot, n - n_delta)):
+        if c <= 0:
+            continue
+        if values and v == values[-1]:
+            counts[-1] += c
+        else:
+            values.append(v)
+            counts.append(c)
+    return StepProfile(np.array(values), np.array(counts), domain.cell_area), r
+
+
+eighths = st.integers(-8, 16).map(lambda k: k / 8)
+class_bounds = st.tuples(eighths, eighths).filter(lambda pq: pq[0] + pq[1] > 0)
+level_fraction = st.integers(1, 15).map(lambda k: k / 16)
+
+
+def class_with_level_fraction(p, q, t, omega):
+    """The class {-p <= f <= q, ∫f = l} whose level set has measure t|Ω|."""
+    return ResourceClass(p, q, -p * omega + t * (p + q) * omega, omega)
+
+
+class TestPairedGenerators:
+    @settings(max_examples=200, deadline=None)
+    @given(nx=st.integers(3, 12), ny=st.integers(3, 12), h=st.sampled_from([0.5, 0.25, 0.1]),
+           pq1=class_bounds, t1=level_fraction, pq2=class_bounds, t2=level_fraction,
+           equal_e=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_sum_class_and_decomposition(self, nx, ny, h, pq1, t1, pq2, t2, equal_e, seed):
+        dom = make_rectangle(nx, ny, h)
+        omega = dom.total_measure
+        cls1 = class_with_level_fraction(*pq1, t1, omega)
+        if equal_e:  # scaling by 2 keeps e bit for bit
+            cls2 = ResourceClass(2 * cls1.p, 2 * cls1.q, 2 * cls1.l, omega)
+            assert cls2.e == cls1.e
+        else:
+            cls2 = class_with_level_fraction(*pq2, t2, omega)
+        expected = stacked_profile(dom, cls1, cls2)
+        if expected is None:
+            with pytest.raises(WeightNotPositiveAnywhere):
+                combined_profile(dom, cls1, cls2)
+            return
+        expected_profile, expected_r = expected
+        profile, gamma, delta, r = combined_profile(dom, cls1, cls2)
+        assert profile.same_as(expected_profile)
+        assert (gamma, delta, r) == (min(cls1.e, cls2.e), max(cls1.e, cls2.e), expected_r)
+
+        m = random_arrangement(profile, dom, np.random.default_rng(seed))
+        top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
+        w = BangBangWeight(
+            domain=dom, E=dom.cells_to_mask(m.values == top),
+            G=dom.cells_to_mask(m.values > bot), top=top, mid=r, bot=bot,
+            realized_integrals=(cls1.l, cls2.l),
+        )
+        f1, f2 = decompose(w, cls1, cls2)
+        assert np.array_equal(f1.values + f2.values, m.values)
+        for part, cls in ((f1, cls1), (f2, cls2)):
+            k = quantized_cells(dom, cls.e)
+            generator = dom.field(np.repeat([cls.q, -cls.p], [k, dom.n_cells - k]))
+            assert equimeasurable(part, generator)
+        assert comonotone(f1, f2) and comonotone(f2, f1)
 
 
 class TestCompareSplitVsMerged:
