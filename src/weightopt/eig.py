@@ -8,6 +8,10 @@ by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
 Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
 per domain and cached on it; each Lanczos step costs one solve with the
 factors, and the solver's iteration count is the number of those A-solves.
+Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
+and the LU: one dense ``scipy.linalg.eigh(M, A)`` returns the top eigenpair,
+and counts as n A-solves, since it pushes all n columns through A's Cholesky
+factor.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -22,6 +27,14 @@ from .grid import GridDomain, ScalarField
 
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_MAX_OUTER = 20000
+# Pencils of at most this many cells are solved by one dense eigh, which
+# skips ARPACK's fixed cost of a 20-vector Lanczos basis per call.  Median
+# time per solve on square grids, one BLAS thread, a random bang-bang weight,
+# ARPACK warm-started after one swap (AMD EPYC, 2 shared vCPUs): dense vs
+# ARPACK 0.07 vs 0.77 ms at 36 cells, 0.35 vs 1.13 ms at 121, 0.49 vs
+# 0.86 ms at 144, 1.24 vs 1.55 ms at 196, 2.0 vs 1.3 ms at 256.  The crossover
+# is near 200 cells; 128 keeps a margin below it.
+DENSE_MAX_CELLS = 128
 
 
 class WeightNotPositiveAnywhere(ValueError):
@@ -39,7 +52,8 @@ class EigenPair:
     The eigenfunction is strictly positive, normalized to uᵀAu = 1, and the
     relative residual ‖Au - λMu‖/‖Au‖, computed here rather than taken from
     ARPACK, is below the solver tolerance.  ``iterations`` is the number of
-    solves with the factored A that the Lanczos process used.
+    solves with the factored A that the Lanczos process used; a dense solve
+    of an n-cell pencil counts n.
     """
 
     lambda1: float
@@ -103,7 +117,8 @@ def principal_positive_eigenvalue(
     Equivalently 1/λ₁ maximizes (uᵀMu)/(uᵀAu) over u ≠ 0.  The returned
     eigenfunction is sign-fixed to be positive and normalized to uᵀAu = 1.
     ``u0`` warm-starts Lanczos from a nearby eigenvector; without it the
-    start vector is all ones, so repeated runs give identical bits.
+    start vector is all ones, so repeated runs give identical bits.  Pencils
+    of at most ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
 
     Raises WeightNotPositiveAnywhere when m <= 0 on every cell, and
     NoConvergence when the solve needs more than ``max_outer`` A-solves or
@@ -113,21 +128,28 @@ def principal_positive_eigenvalue(
         raise ValueError("weight must live on the given domain")
     if m.values.max() <= 0.0:
         raise WeightNotPositiveAnywhere("need m > 0 on at least one in-domain cell")
+    n = domain.n_cells
     if domain._stiffness is None:
         # A is SPD: a symmetric fill-reducing order with no pivoting halves
-        # the fill of splu's default column order
+        # the fill of splu's default column order; the dense path needs no LU
         A = assemble_stiffness(domain)
-        domain._stiffness = (A, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
+        domain._stiffness = (A, None if n <= DENSE_MAX_CELLS else splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}))
     A, lu = domain._stiffness
-    n = domain.n_cells
     m_diag = m.values * domain.cell_area
 
-    solves = 0
-    if n == 1:
-        # ARPACK needs k < n; a 1x1 pencil is its own eigenpair
-        mu, u = float(m_diag[0] / A[0, 0]), np.ones(1)
+    if n <= DENSE_MAX_CELLS:
+        # eigh whitens the pencil with A's Cholesky factor, which pushes all
+        # n columns through it: n A-solves, counted against the cap up front
+        if max_outer < n:
+            raise NoConvergence(f"dense solve needs {n} A-solves, cap is {max_outer}")
+        solves = n
+        mus, vecs = scipy.linalg.eigh(np.diag(m_diag), A.toarray(),
+                                      subset_by_index=[n - 1, n - 1])
     else:
+        solves = 0
+
         def solve(x: np.ndarray) -> np.ndarray:
             nonlocal solves
             solves += 1
@@ -141,7 +163,7 @@ def principal_positive_eigenvalue(
             which="LA", v0=np.ones(n) if u0 is None else u0,
             maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
         )
-        mu, u = float(mus[0]), vecs[:, 0]
+    mu, u = float(mus[0]), vecs[:, 0]
 
     u = -u if u.sum() < 0 else u
     u = u / np.sqrt(float(u @ (A @ u)))

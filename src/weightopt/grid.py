@@ -73,7 +73,8 @@ class GridDomain:
         self.cell_cols.setflags(write=False)
 
         # (A, splu(A)) of the 5-point stencil, filled by weightopt.eig on the
-        # first eigensolve so every solve on this domain reuses one factorization
+        # first eigensolve so every solve on this domain reuses one
+        # factorization; splu(A) is None on domains that eig solves densely
         self._stiffness = None
 
     @property

@@ -29,10 +29,9 @@ class FileFormatError(ValueError):
 def write_field_csv(path: str | Path, f: ScalarField) -> None:
     domain = f.domain
     ny, nx = domain.shape
-    values = f.to_grid().ravel()
-    lines = ["nx,ny,h", f"{nx},{ny},{f.domain.h!r}"]
-    lines.extend("nan" if np.isnan(v) else repr(float(v)) for v in values)
-    Path(path).write_text("\n".join(lines) + "\n")
+    # repr of a Python float round-trips exactly, and repr(nan) is "nan"
+    values = "\n".join(map(repr, f.to_grid().ravel().tolist()))
+    Path(path).write_text(f"nx,ny,h\n{nx},{ny},{domain.h!r}\n{values}\n")
 
 
 def read_field_csv(path: str | Path, domain: GridDomain | None = None) -> ScalarField:
@@ -71,7 +70,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
             raise ValueError("PGM values must be in [0, 255]")
         image = image.astype(np.uint8)
     ny, nx = image.shape
-    rows = [" ".join(str(int(v)) for v in row) for row in image]
+    rows = [" ".join(map(str, row)) for row in image.tolist()]
     Path(path).write_text(f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n")
 
 

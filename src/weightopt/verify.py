@@ -175,7 +175,7 @@ def _batch_lambda1(A_dense: np.ndarray, m_values: np.ndarray, cell_area: float) 
     """λ₁ for a batch of weights on one small domain (rows of m_values).
 
     Whitens the pencil with one Cholesky factor of A and runs a batched
-    symmetric eigensolve; independent of the iterative production path.
+    symmetric eigensolve; independent of principal_positive_eigenvalue.
     """
     L = np.linalg.cholesky(A_dense)
     Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from weightopt.eig import (
+    DENSE_MAX_CELLS,
+    EIG_RESIDUAL_RTOL,
+    NoConvergence,
     WeightNotPositiveAnywhere,
     assemble_stiffness,
     principal_positive_eigenvalue,
@@ -11,6 +14,19 @@ from weightopt.grid import from_mask, make_box, make_rectangle
 from weightopt.verify import dense_lambda1
 
 from conftest import rng_field
+
+
+def first_cells(n_cells, width=12):
+    """Domain made of the first n_cells cells of a width-wide grid, row by row."""
+    rows = -(-n_cells // width)
+    mask = np.arange(rows * width).reshape(rows, width) < n_cells
+    return from_mask(mask, 1.0 / (width + 1))
+
+
+@pytest.fixture
+def rect_above_dense():
+    """Smallest 10-row rectangle that the Lanczos path solves."""
+    return make_rectangle(DENSE_MAX_CELLS // 10 + 1, 10, 0.5)
 
 
 class TestAssembly:
@@ -86,23 +102,51 @@ class TestPrincipalEigenvalue:
         with pytest.raises(WeightNotPositiveAnywhere):
             principal_positive_eigenvalue(small_rect, small_rect.constant_field(-1.0))
 
-    def test_iteration_cap_raises(self, small_rect):
-        from weightopt.eig import NoConvergence
-
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    def test_iteration_cap_raises(self, dom_name, request):
+        dom = request.getfixturevalue(dom_name)
         with pytest.raises(NoConvergence):
-            principal_positive_eigenvalue(
-                small_rect, small_rect.constant_field(1.0), max_outer=2
-            )
+            principal_positive_eigenvalue(dom, dom.constant_field(1.0), max_outer=2)
 
-    def test_cap_counts_a_solves(self, small_rect):
-        from weightopt.eig import NoConvergence
-
-        m = small_rect.constant_field(1.0)
-        pair = principal_positive_eigenvalue(small_rect, m)
-        capped = principal_positive_eigenvalue(small_rect, m, max_outer=pair.iterations)
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    def test_cap_counts_a_solves(self, dom_name, request):
+        dom = request.getfixturevalue(dom_name)
+        m = dom.constant_field(1.0)
+        pair = principal_positive_eigenvalue(dom, m)
+        capped = principal_positive_eigenvalue(dom, m, max_outer=pair.iterations)
         assert capped.lambda1 == pair.lambda1
         with pytest.raises(NoConvergence):
-            principal_positive_eigenvalue(small_rect, m, max_outer=pair.iterations - 1)
+            principal_positive_eigenvalue(dom, m, max_outer=pair.iterations - 1)
+
+    @pytest.mark.parametrize("n_cells", [DENSE_MAX_CELLS, DENSE_MAX_CELLS + 1])
+    def test_agreement_across_dense_threshold(self, n_cells):
+        dom = first_cells(n_cells)
+        assert dom.n_cells == n_cells
+        A = assemble_stiffness(dom)
+        rng = np.random.default_rng(n_cells)
+        for _ in range(3):
+            m = dom.field(np.where(rng.permutation(n_cells) < n_cells // 3, 1.0, -1.0))
+            pair = principal_positive_eigenvalue(dom, m)
+            assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+            u = pair.u.values
+            assert u.min() > 0
+            Au = A @ u
+            assert u @ Au == pytest.approx(1.0, rel=1e-12)
+            resid = np.linalg.norm(Au - pair.lambda1 * m.values * dom.cell_area * u)
+            assert resid / np.linalg.norm(Au) <= EIG_RESIDUAL_RTOL
+            if n_cells <= DENSE_MAX_CELLS:
+                assert pair.iterations == n_cells
+
+    def test_dense_ignores_u0(self, small_rect):
+        assert small_rect.n_cells <= DENSE_MAX_CELLS
+        rng = np.random.default_rng(9)
+        m = small_rect.field(np.where(rng.random(small_rect.n_cells) < 0.4, 1.0, -1.0))
+        cold = principal_positive_eigenvalue(small_rect, m)
+        warm = principal_positive_eigenvalue(small_rect, m,
+                                             u0=rng.random(small_rect.n_cells))
+        assert warm.lambda1 == cold.lambda1
+        assert warm.u.values.tobytes() == cold.u.values.tobytes()
+        assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
 
     def test_clustered_spectrum_converges(self):
         # 8 cells, h = 0.5 ('.' outside); positive pencil eigenvalues

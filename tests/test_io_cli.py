@@ -69,6 +69,27 @@ class TestFieldCsv:
             read_field_csv(p, other)
 
 
+def test_writer_bytes_match_per_element_formula(tmp_path):
+    dom = make_rectangle(3, 3, 0.5)  # padded grid: nan outside the domain
+    vals = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5e-310, 1 / 3, -1e-300, 7.0, 0.0])
+    f = dom.field(vals)
+    p = tmp_path / "f.csv"
+    write_field_csv(p, f)
+    ny, nx = dom.shape
+    lines = ["nx,ny,h", f"{nx},{ny},{dom.h!r}"]
+    lines.extend("nan" if np.isnan(v) else repr(float(v)) for v in f.to_grid().ravel())
+    assert "nan" in lines
+    assert p.read_text() == "\n".join(lines) + "\n"
+    assert read_field_csv(p).values.tobytes() == vals.tobytes()
+
+    img = np.array([[0, 255, 7], [255, 0, 128]], dtype=np.uint8)
+    q = tmp_path / "img.pgm"
+    write_pgm(q, img)
+    rows = [" ".join(str(int(v)) for v in row) for row in img]
+    assert q.read_text() == "P2\n3 2\n255\n" + "\n".join(rows) + "\n"
+    assert np.array_equal(read_pgm(q), img)
+
+
 class TestPgm:
     def test_p2_roundtrip(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
