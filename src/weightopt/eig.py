@@ -8,6 +8,11 @@ by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
 Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
 per domain and cached on it; each Lanczos step costs one solve with the
 factors, and the solver's iteration count is the number of those A-solves.
+A cold solve starts from all ones with ARPACK's default 20-vector basis and
+runs to machine precision.  A warm solve starts from a nearby eigenfunction
+with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
+below ``residual_rtol / 100``; in the optimizer, where nearly every solve is
+warm, that halves the A-solves.
 Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
 and the LU: one dense ``scipy.linalg.eigh(M, A)`` returns the top eigenpair,
 and counts as n A-solves, since it pushes all n columns through A's Cholesky
@@ -28,13 +33,20 @@ from .grid import GridDomain, ScalarField
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_MAX_OUTER = 20000
 # Pencils of at most this many cells are solved by one dense eigh, which
-# skips ARPACK's fixed cost of a 20-vector Lanczos basis per call.  Median
-# time per solve on square grids, one BLAS thread, a random bang-bang weight,
-# ARPACK warm-started after one swap (AMD EPYC, 2 shared vCPUs): dense vs
-# ARPACK 0.07 vs 0.77 ms at 36 cells, 0.35 vs 1.13 ms at 121, 0.49 vs
-# 0.86 ms at 144, 1.24 vs 1.55 ms at 196, 2.0 vs 1.3 ms at 256.  The crossover
-# is near 200 cells; 128 keeps a margin below it.
+# skips ARPACK's per-call overhead.  Median time per solve on k x k unit-square
+# grids, one BLAS thread (AMD EPYC, 2 shared vCPUs), dense vs warm ARPACK, for
+# a swap probe at an optimize_single optimum and for a random bang-bang weight
+# after one random swap: 0.07 vs 0.50 and 1.12 ms at 36 cells, 0.33 vs 0.42
+# and 1.16 ms at 121, 0.47 vs 0.44 and 0.95 ms at 144, 1.02 vs 0.43 and
+# 2.59 ms at 196, 1.89 vs 0.43 and 1.59 ms at 256.  The crossover is near 135
+# cells at an optimum, where the optimizer spends its solves, and above 256
+# cells for random weights; 128 keeps the dense path on the small side.
 DENSE_MAX_CELLS = 128
+# Lanczos basis size of a warm-started solve; cold solves keep ARPACK's
+# default of 20.  A-solves of optimize_two on the 64-grid unit square, remark
+# classes, 8 seeds, by basis size 4/5/6/7/8/10/20: 1378/1365/1390/1396/1380/
+# 1532/2772, at the same λ to 1e-15; 6 sits in the middle of the flat stretch.
+WARM_NCV = 6
 
 
 class WeightNotPositiveAnywhere(ValueError):
@@ -116,9 +128,11 @@ def principal_positive_eigenvalue(
 
     Equivalently 1/λ₁ maximizes (uᵀMu)/(uᵀAu) over u ≠ 0.  The returned
     eigenfunction is sign-fixed to be positive and normalized to uᵀAu = 1.
-    ``u0`` warm-starts Lanczos from a nearby eigenvector; without it the
-    start vector is all ones, so repeated runs give identical bits.  Pencils
-    of at most ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
+    ``u0`` warm-starts Lanczos from a nearby eigenvector, with a
+    ``WARM_NCV``-vector basis and ARPACK stopped at ``residual_rtol / 100``;
+    without it the start vector is all ones, so repeated runs give identical
+    bits.  Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely,
+    and ignore ``u0``.
 
     Raises WeightNotPositiveAnywhere when m <= 0 on every cell, and
     NoConvergence when the solve needs more than ``max_outer`` A-solves or
@@ -161,6 +175,11 @@ def principal_positive_eigenvalue(
             LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
             k=1, M=A, Minv=LinearOperator((n, n), matvec=solve, dtype=float),
             which="LA", v0=np.ones(n) if u0 is None else u0,
+            # a warm start stops at a Ritz estimate 100x tighter than the
+            # residual checked below; a cold one runs to machine precision,
+            # which keeps the sign of a localized eigenfunction's far field
+            ncv=None if u0 is None else WARM_NCV,
+            tol=0.0 if u0 is None else residual_rtol / 100,
             maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
         )
     mu, u = float(mus[0]), vecs[:, 0]

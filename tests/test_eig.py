@@ -11,9 +11,16 @@ from weightopt.eig import (
     rayleigh,
 )
 from weightopt.grid import from_mask, make_box, make_rectangle
-from weightopt.verify import dense_lambda1
+from weightopt.verify import _batch_lambda1, dense_lambda1
 
 from conftest import rng_field
+
+
+def batch_lambda1(dom, m):
+    """λ₁ by numpy Cholesky whitening and eigvalsh, independent of the
+    scipy.linalg.eigh(M, A) that the production dense path calls."""
+    A = assemble_stiffness(dom).toarray()
+    return float(_batch_lambda1(A, m.values[None, :], dom.cell_area)[0])
 
 
 def first_cells(n_cells, width=12):
@@ -117,6 +124,12 @@ class TestPrincipalEigenvalue:
         assert capped.lambda1 == pair.lambda1
         with pytest.raises(NoConvergence):
             principal_positive_eigenvalue(dom, m, max_outer=pair.iterations - 1)
+        u0 = pair.u.values
+        warm = principal_positive_eigenvalue(dom, m, u0=u0)
+        capped = principal_positive_eigenvalue(dom, m, u0=u0, max_outer=warm.iterations)
+        assert capped.lambda1 == warm.lambda1
+        with pytest.raises(NoConvergence):
+            principal_positive_eigenvalue(dom, m, u0=u0, max_outer=warm.iterations - 1)
 
     @pytest.mark.parametrize("n_cells", [DENSE_MAX_CELLS, DENSE_MAX_CELLS + 1])
     def test_agreement_across_dense_threshold(self, n_cells):
@@ -128,6 +141,7 @@ class TestPrincipalEigenvalue:
             m = dom.field(np.where(rng.permutation(n_cells) < n_cells // 3, 1.0, -1.0))
             pair = principal_positive_eigenvalue(dom, m)
             assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+            assert pair.lambda1 == pytest.approx(batch_lambda1(dom, m), rel=1e-10)
             u = pair.u.values
             assert u.min() > 0
             Au = A @ u
@@ -158,6 +172,7 @@ class TestPrincipalEigenvalue:
                                 for row in cells for c in row if c != "."]))
         pair = principal_positive_eigenvalue(dom, m)
         assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+        assert pair.lambda1 == pytest.approx(batch_lambda1(dom, m), rel=1e-10)
 
     def test_single_cell(self):
         h, m = 0.5, 3.0
@@ -210,14 +225,21 @@ class TestPrincipalEigenvalue:
         ratio = errs[0] / errs[1]
         assert 3.6 <= ratio <= 4.4
 
-    def test_warm_start_agrees(self, small_rect):
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    def test_warm_start_agrees(self, dom_name, request):
+        dom = request.getfixturevalue(dom_name)
         rng = np.random.default_rng(5)
-        m = rng_field(small_rect, rng)
+        m = rng_field(dom, rng)
         if m.values.max() <= 0:
-            m = small_rect.constant_field(1.0)
-        cold = principal_positive_eigenvalue(small_rect, m)
-        warm = principal_positive_eigenvalue(small_rect, m, u0=cold.u.values)
+            m = dom.constant_field(1.0)
+        cold = principal_positive_eigenvalue(dom, m)
+        warm = principal_positive_eigenvalue(dom, m, u0=cold.u.values)
         assert warm.lambda1 == pytest.approx(cold.lambda1, rel=1e-9)
+        if dom.n_cells > DENSE_MAX_CELLS:
+            # a warm Lanczos start from the eigenvector itself converges
+            # within its small basis
+            assert warm.lambda1 == pytest.approx(cold.lambda1, rel=1e-12)
+            assert warm.iterations <= cold.iterations / 2
 
 
 class TestRayleigh:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightopt import optimize
 from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
@@ -116,6 +119,39 @@ class TestOptimizeSingle:
         assert lam_sym == pytest.approx(report.final.lambda1, rel=1e-9)
         center = (dom.shape[0] // 2, dom.shape[1] // 2)
         assert E[center]
+
+    def test_tied_later_seed_keeps_earlier_winner(self, monkeypatch):
+        dom = make_rectangle(6, 5, 0.5)
+        consts = (1.0, 1.0, dom.total_measure / 3.0)
+        first = optimize_single(dom, consts, seeds=1)
+        lam0 = first.final.lambda1
+
+        def run_two_seeds(later_lambda):
+            # every solve of the second seed reports later_lambda
+            seeds_started = []
+
+            def arrangement(*args):
+                seeds_started.append(None)
+                return random_arrangement(*args)
+
+            def solve(*args, **kwargs):
+                pair = principal_positive_eigenvalue(*args, **kwargs)
+                if len(seeds_started) == 1:
+                    return pair
+                return dataclasses.replace(pair, lambda1=later_lambda)
+
+            monkeypatch.setattr(optimize, "random_arrangement", arrangement)
+            monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+            return optimize_single(dom, consts, seeds=2)
+
+        # one ulp below the first seed's optimum is a tie: the first seed stays
+        tie = run_two_seeds(np.nextafter(lam0, 0.0))
+        assert tie.final.lambda1 == lam0
+        assert tie.weight.values.tobytes() == first.weight.values.tobytes()
+        # a real improvement still wins, and it is a different arrangement
+        better = run_two_seeds(lam0 * (1.0 - 1e-9))
+        assert better.final.lambda1 == lam0 * (1.0 - 1e-9)
+        assert better.weight.values.tobytes() != first.weight.values.tobytes()
 
 
 @pytest.fixture(scope="module")
