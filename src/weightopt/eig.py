@@ -14,9 +14,10 @@ with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
 below ``residual_rtol / 100``; in the optimizer, where nearly every solve is
 warm, that halves the A-solves.
 Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
-and the LU: one dense ``scipy.linalg.eigh(M, A)`` returns the top eigenpair,
-and counts as n A-solves, since it pushes all n columns through A's Cholesky
-factor.
+and the LU.  Their domain caches the dense A and W = L⁻¹, where A = LLᵀ, so
+each solve whitens the pencil to C = W M Wᵀ and takes C's top eigenpair
+(μ, y) from one LAPACK ``dsyevr`` call; u = Wᵀy.  Building W pushes all n
+columns through A's Cholesky factor, so a dense solve counts as n A-solves.
 """
 
 from __future__ import annotations
@@ -26,27 +27,38 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+from scipy.linalg.lapack import dsyevr
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grid import GridDomain, ScalarField
 
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_MAX_OUTER = 20000
-# Pencils of at most this many cells are solved by one dense eigh, which
-# skips ARPACK's per-call overhead.  Median time per solve on k x k unit-square
-# grids, one BLAS thread (AMD EPYC, 2 shared vCPUs), dense vs warm ARPACK, for
-# a swap probe at an optimize_single optimum and for a random bang-bang weight
-# after one random swap: 0.07 vs 0.50 and 1.12 ms at 36 cells, 0.33 vs 0.42
-# and 1.16 ms at 121, 0.47 vs 0.44 and 0.95 ms at 144, 1.02 vs 0.43 and
-# 2.59 ms at 196, 1.89 vs 0.43 and 1.59 ms at 256.  The crossover is near 135
-# cells at an optimum, where the optimizer spends its solves, and above 256
-# cells for random weights; 128 keeps the dense path on the small side.
+# Pencils of at most this many cells are solved by one dsyevr call on the
+# whitened pencil, which skips ARPACK's per-call overhead.  Median time per
+# solve on k x k unit-square grids, one BLAS thread (AMD EPYC, 2 shared
+# vCPUs), dense vs warm ARPACK, for a swap probe at an optimize_single
+# optimum and for a random bang-bang weight after one random swap: 0.04 vs
+# 0.36 and 0.21 ms at 36 cells, 0.23 vs 0.30 and 0.53 ms at 121, 0.31 vs 0.31
+# and 0.47 ms at 144, 0.64 vs 0.43 and 0.56 ms at 196, 1.22 vs 0.33 and
+# 0.22 ms at 256.  The crossover is near 144 cells at an optimum, where the
+# optimizer spends its solves, and near 190 cells for random weights; 128
+# keeps the dense path on the small side.
 DENSE_MAX_CELLS = 128
 # Lanczos basis size of a warm-started solve; cold solves keep ARPACK's
 # default of 20.  A-solves of optimize_two on the 64-grid unit square, remark
 # classes, 8 seeds, by basis size 4/5/6/7/8/10/20: 1378/1365/1390/1396/1380/
 # 1532/2772, at the same λ to 1e-15; 6 sits in the middle of the flat stretch.
 WARM_NCV = 6
+# A computed eigenvector whose most negative entry is at most this many
+# machine epsilons times its largest entry counts as positive, and |u| is
+# returned.  The far field of a localized eigenfunction can lie below the
+# solver's rounding error, which grows with the cell count: -min u / max u of
+# correct eigenpairs measured 2.5 ε on 128-cell strips (dense), up to 131 ε on
+# the 48- and 64-grid box and the 64-grid disk, 2.7e3 ε on the 96-grid box and
+# disk and 1.5e4 ε (3.2e-12) on the 128-grid box (cold Lanczos, random
+# bang-bang weights at favourable share 1/10 and 1/6).
+SIGN_NOISE_ULPS = 2**16
 
 
 class WeightNotPositiveAnywhere(ValueError):
@@ -135,8 +147,11 @@ def principal_positive_eigenvalue(
     and ignore ``u0``.
 
     Raises WeightNotPositiveAnywhere when m <= 0 on every cell, and
-    NoConvergence when the solve needs more than ``max_outer`` A-solves or
-    its eigenpair misses ``residual_rtol`` or is not one-signed.
+    NoConvergence when the solve needs more than ``max_outer`` A-solves,
+    LAPACK reports a failure, or the eigenpair misses ``residual_rtol`` or is
+    not one-signed.  Negative entries within ``SIGN_NOISE_ULPS`` machine
+    epsilons of zero, relative to max u, count as rounding noise: the
+    returned u is |u|, and the residual is that of |u|.
     """
     if m.domain is not domain:
         raise ValueError("weight must live on the given domain")
@@ -144,23 +159,30 @@ def principal_positive_eigenvalue(
         raise WeightNotPositiveAnywhere("need m > 0 on at least one in-domain cell")
     n = domain.n_cells
     if domain._stiffness is None:
-        # A is SPD: a symmetric fill-reducing order with no pivoting halves
-        # the fill of splu's default column order; the dense path needs no LU
         A = assemble_stiffness(domain)
-        domain._stiffness = (A, None if n <= DENSE_MAX_CELLS else splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True}))
-    A, lu = domain._stiffness
+        if n <= DENSE_MAX_CELLS:
+            A = A.toarray()
+            W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
+            domain._stiffness = (A, W)
+        else:
+            # A is SPD: a symmetric fill-reducing order with no pivoting
+            # halves the fill of splu's default column order
+            domain._stiffness = (A, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                         diag_pivot_thresh=0.0,
+                                         options={"SymmetricMode": True}))
+    A, factor = domain._stiffness
     m_diag = m.values * domain.cell_area
 
     if n <= DENSE_MAX_CELLS:
-        # eigh whitens the pencil with A's Cholesky factor, which pushes all
-        # n columns through it: n A-solves, counted against the cap up front
+        # W = L⁻¹ pushed all n columns through A's Cholesky factor: n
+        # A-solves, counted against the cap up front
         if max_outer < n:
             raise NoConvergence(f"dense solve needs {n} A-solves, cap is {max_outer}")
         solves = n
-        mus, vecs = scipy.linalg.eigh(np.diag(m_diag), A.toarray(),
-                                      subset_by_index=[n - 1, n - 1])
+        mus, y, _, _, info = dsyevr((factor * m_diag) @ factor.T, range="I", il=n, iu=n)
+        if info != 0:
+            raise NoConvergence(f"LAPACK dsyevr failed with info = {info}")
+        vecs = factor.T @ y
     else:
         solves = 0
 
@@ -169,7 +191,7 @@ def principal_positive_eigenvalue(
             solves += 1
             if solves > max_outer:
                 raise NoConvergence(f"no convergence within {max_outer} A-solves")
-            return lu.solve(x)
+            return factor.solve(x)
 
         mus, vecs = eigsh(
             LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
@@ -185,11 +207,16 @@ def principal_positive_eigenvalue(
     mu, u = float(mus[0]), vecs[:, 0]
 
     u = -u if u.sum() < 0 else u
+    u_min = float(u.min())
+    # negative entries within SIGN_NOISE_ULPS of zero are rounding noise in
+    # a positive eigenfunction's far field; a larger one rejects the pair
+    sign_changing = -u_min > SIGN_NOISE_ULPS * np.finfo(float).eps * float(u.max())
+    u = np.abs(u)
     u = u / np.sqrt(float(u @ (A @ u)))
     Au = A @ u
     resid = float(np.linalg.norm(Au - (1.0 / mu) * (m_diag * u)) / np.linalg.norm(Au))
-    if not resid <= residual_rtol or u.min() <= 0:
-        raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min u {u.min():.3g}")
+    if not resid <= residual_rtol or sign_changing or u.min() <= 0:
+        raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min u {u_min:.3g}")
     return EigenPair(1.0 / mu, ScalarField(domain, u), resid, iterations=solves)
 
 

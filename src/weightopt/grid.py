@@ -72,9 +72,10 @@ class GridDomain:
         self.cell_rows.setflags(write=False)
         self.cell_cols.setflags(write=False)
 
-        # (A, splu(A)) of the 5-point stencil, filled by weightopt.eig on the
-        # first eigensolve so every solve on this domain reuses one
-        # factorization; splu(A) is None on domains that eig solves densely
+        # The 5-point stiffness A and its factorization, filled by
+        # weightopt.eig on the first eigensolve so every solve on this domain
+        # reuses them: (dense A, L⁻¹ with A = LLᵀ) on domains that eig solves
+        # densely, (sparse A, splu(A)) above
         self._stiffness = None
 
     @property

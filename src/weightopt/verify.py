@@ -161,7 +161,8 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
 
 def dense_lambda1(domain: GridDomain, m: ScalarField) -> float:
     """Independent dense route to λ₁: smallest positive eigenvalue of the
-    pencil via a symmetric full eigendecomposition (M u = μ A u, λ = 1/μ)."""
+    pencil via LAPACK's generalized symmetric sygvd (M u = μ A u, λ = 1/μ),
+    a route that principal_positive_eigenvalue does not take."""
     A = assemble_stiffness(domain).toarray()
     M = np.diag(m.values * domain.cell_area)
     mu = scipy.linalg.eigh(M, A, eigvals_only=True)
@@ -175,7 +176,8 @@ def _batch_lambda1(A_dense: np.ndarray, m_values: np.ndarray, cell_area: float) 
     """λ₁ for a batch of weights on one small domain (rows of m_values).
 
     Whitens the pencil with one Cholesky factor of A and runs a batched
-    symmetric eigensolve; independent of principal_positive_eigenvalue.
+    symmetric eigensolve.  principal_positive_eigenvalue whitens small
+    pencils the same way, so dense_lambda1 is the route independent of it.
     """
     L = np.linalg.cholesky(A_dense)
     Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)

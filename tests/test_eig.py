@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import weightopt.eig
 from weightopt.eig import (
     DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
+    SIGN_NOISE_ULPS,
     NoConvergence,
     WeightNotPositiveAnywhere,
     assemble_stiffness,
@@ -17,10 +19,27 @@ from conftest import rng_field
 
 
 def batch_lambda1(dom, m):
-    """λ₁ by numpy Cholesky whitening and eigvalsh, independent of the
-    scipy.linalg.eigh(M, A) that the production dense path calls."""
+    """λ₁ by numpy Cholesky whitening and eigvalsh.  The production dense
+    path whitens the same way, so dense_lambda1 (generalized sygvd) is the
+    route independent of it; this one checks the whitening against it."""
     A = assemble_stiffness(dom).toarray()
     return float(_batch_lambda1(A, m.values[None, :], dom.cell_area)[0])
+
+
+def return_vector(monkeypatch, dom, u):
+    """Make the eigensolver of dom's path return u as its eigenvector."""
+    if dom.n_cells <= DENSE_MAX_CELLS:
+        # the dense path returns Wᵀy with W = L⁻¹, so y = Lᵀu gives u back
+        name, vec = "dsyevr", np.linalg.cholesky(assemble_stiffness(dom).toarray()).T @ u
+    else:
+        name, vec = "eigsh", u
+    real = getattr(weightopt.eig, name)
+
+    def solver(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return (out[0], vec[:, None], *out[2:])
+
+    monkeypatch.setattr(weightopt.eig, name, solver)
 
 
 def first_cells(n_cells, width=12):
@@ -131,9 +150,17 @@ class TestPrincipalEigenvalue:
         with pytest.raises(NoConvergence):
             principal_positive_eigenvalue(dom, m, u0=u0, max_outer=warm.iterations - 1)
 
-    @pytest.mark.parametrize("n_cells", [DENSE_MAX_CELLS, DENSE_MAX_CELLS + 1])
-    def test_agreement_across_dense_threshold(self, n_cells):
-        dom = first_cells(n_cells)
+    # 12-wide masks on either side of the threshold, and the 1 x 128 and
+    # 2 x 64 strips: the worst-conditioned A that the dense path whitens,
+    # whose far-field entries fall below rounding
+    @pytest.mark.parametrize("n_cells, width", [
+        pytest.param(DENSE_MAX_CELLS, 12, id=str(DENSE_MAX_CELLS)),
+        pytest.param(DENSE_MAX_CELLS + 1, 12, id=str(DENSE_MAX_CELLS + 1)),
+        pytest.param(DENSE_MAX_CELLS, DENSE_MAX_CELLS, id="strip-1x128"),
+        pytest.param(DENSE_MAX_CELLS, DENSE_MAX_CELLS // 2, id="strip-2x64"),
+    ])
+    def test_agreement_across_dense_threshold(self, n_cells, width):
+        dom = first_cells(n_cells, width)
         assert dom.n_cells == n_cells
         A = assemble_stiffness(dom)
         rng = np.random.default_rng(n_cells)
@@ -150,6 +177,37 @@ class TestPrincipalEigenvalue:
             assert resid / np.linalg.norm(Au) <= EIG_RESIDUAL_RTOL
             if n_cells <= DENSE_MAX_CELLS:
                 assert pair.iterations == n_cells
+
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    def test_one_negative_entry_raises(self, dom_name, request, monkeypatch):
+        # negative control of the sign-noise allowance: the largest entry is
+        # negated to -max u / 2, and the residual check is switched off, so
+        # only the sign check can reject the pair
+        dom = request.getfixturevalue(dom_name)
+        m = dom.constant_field(1.0)
+        u = principal_positive_eigenvalue(dom, m).u.values.copy()
+        k = int(np.argmax(u))
+        u[k] = -u[k] / 2
+        return_vector(monkeypatch, dom, u)
+        with pytest.raises(NoConvergence, match="min u"):
+            principal_positive_eigenvalue(dom, m, residual_rtol=np.inf)
+
+    def test_far_field_below_rounding_accepted(self):
+        # a cold Lanczos solve whose eigenfunction is localized on the
+        # favourable tenth of the 48-grid box: far-field entries fall below
+        # the solver's rounding and carry either sign
+        dom = make_box(1.0, 1.0, 48)
+        n = dom.n_cells
+        m = dom.field(np.where(np.random.default_rng(0).permutation(n) < n // 10, 1.0, -1.0))
+        pair = principal_positive_eigenvalue(dom, m)
+        u = pair.u.values
+        assert 0 < u.min() <= SIGN_NOISE_ULPS * np.finfo(float).eps * u.max()
+        assert pair.residual <= EIG_RESIDUAL_RTOL
+
+    def test_lapack_failure_raises(self, small_rect, monkeypatch):
+        monkeypatch.setattr(weightopt.eig, "dsyevr", lambda a, **kwargs: (None, None, 0, None, 1))
+        with pytest.raises(NoConvergence, match="info = 1"):
+            principal_positive_eigenvalue(small_rect, small_rect.constant_field(1.0))
 
     def test_dense_ignores_u0(self, small_rect):
         assert small_rect.n_cells <= DENSE_MAX_CELLS

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightopt.eig
 import weightopt.verify
 from weightopt.cli import TASKS, RunConfig, main, run
 from weightopt.grid import make_rectangle
@@ -400,6 +401,16 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code != 0), err
+
+
+def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a failed dense eigensolve is a solver failure, not infeasible input
+    monkeypatch.setattr(weightopt.eig, "dsyevr", lambda a, **kwargs: (None, None, 0, None, 1))
+    cfg = {**SINGLE, "domain": RECT, "output_dir": str(tmp_path / "out")}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["optimize", "--config", str(tmp_path / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: ") and len(err.splitlines()) == 1, err
 
 
 # numbers stay small and strings hold no digits, so that no reading of a size
