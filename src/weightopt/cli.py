@@ -31,6 +31,7 @@ from .optimize import (
     DEFAULT_SEEDS,
     OptimizeReport,
     compare_split_vs_merged,
+    decompose,
     optimize_single,
     optimize_two,
     random_arrangement,
@@ -212,7 +213,7 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
     return domain.constant_field(float(wc.get("value", 1.0)))
 
 
-def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
+def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) -> dict:
     defect_v = symmetry_defect(domain, report.weight) if domain.axis is not None else None
     td = transposed(domain)
     defect_h = (
@@ -226,7 +227,7 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
         "fixed_point_steps": len(report.lambda_history),
         "lambda_history": list(report.lambda_history),
         "stabilized": report.stabilized,
-        "restarts_used": report.restarts_used,
+        "restarts_used": seeds,
         "symmetry_defect_vertical": defect_v,
         "symmetry_defect_horizontal": defect_h,
     }
@@ -235,10 +236,10 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain) -> dict:
 def _run_task(cfg: RunConfig, domain: GridDomain
               ) -> tuple[dict, ScalarField | None, ScalarField | None]:
     """Run the configured task; returns (results, weight, eigenfunction)."""
-    eig_kwargs = {"residual_rtol": float(cfg.tolerances["eig_residual"])}
+    rtol = float(cfg.tolerances["eig_residual"])
     if cfg.task == "eig":
         m = _build_weight(cfg, domain)
-        pair = principal_positive_eigenvalue(domain, m, **eig_kwargs)
+        pair = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
         return {
             "task": "eig",
             "lambda": pair.lambda1,
@@ -249,36 +250,46 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         }, m, pair.u
     if cfg.task == "optimize":
         report = optimize_single(
-            domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs,
+            domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
         )
         return {
             "task": "optimize",
             "seed": cfg.seed,
             "domain_measure": domain.total_measure,
             "realized_integral": report.weight.integral(),
-            **_optimize_results(report, domain),
+            **_optimize_results(report, domain, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "optimize2":
-        omega = domain.total_measure
+        omega, area = domain.total_measure, domain.cell_area
         cls1, cls2 = (ResourceClass(p, q, l, omega) for p, q, l in cfg.classes)
-        report, bb = optimize_two(
-            domain, cls1, cls2, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs,
+        report = optimize_two(
+            domain, cls1, cls2, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
         )
+        w = report.weight.values
+        top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
+        # on G∖E the resource with the larger level set is at its maximum
+        # and the other at its minimum; written even if quantization empties G∖E
+        mid = (cls1.q - cls2.p if cls1.e > cls2.e
+               else cls2.q - cls1.p if cls1.e < cls2.e else 0.0)
+        realized = []
+        for cls, part in zip((cls1, cls2), decompose(report.weight, cls1, cls2)):
+            k = int((part.values == cls.q).sum())  # the part is q on k cells, -p elsewhere
+            realized.append(cls.q * k * area - cls.p * (omega - k * area))
         return {
             "task": "optimize2",
             "seed": cfg.seed,
             "domain_measure": omega,
-            "levels": {"top": bb.top, "mid": bb.mid, "bot": bb.bot},
-            "measure_E": float(bb.E.sum()) * domain.cell_area,
-            "measure_G": float(bb.G.sum()) * domain.cell_area,
-            "realized_integrals": list(bb.realized_integrals),
-            **_optimize_results(report, domain),
+            "levels": {"top": top, "mid": mid, "bot": bot},
+            "measure_E": float((w == top).sum()) * area,
+            "measure_G": float((w > bot).sum()) * area,
+            "realized_integrals": realized,
+            **_optimize_results(report, domain, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
-        pair_before = principal_positive_eigenvalue(domain, m, **eig_kwargs)
+        pair_before = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
         m_sym = symmetrize_function(domain, m)
-        pair_after = principal_positive_eigenvalue(domain, m_sym, **eig_kwargs)
+        pair_after = principal_positive_eigenvalue(domain, m_sym, residual_rtol=rtol)
         return {
             "task": "symmetrize",
             "seed": cfg.seed,
@@ -289,7 +300,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         }, m_sym, pair_after.u
     if cfg.task == "remark":
         report_two, report_one = compare_split_vs_merged(
-            domain, cfg.seeds, rng_seed=cfg.seed, eig_kwargs=eig_kwargs
+            domain, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol
         )
         lam_two = report_two.final.lambda1
         lam_single = report_one.final.lambda1
@@ -300,7 +311,8 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "lambda_two_resource": lam_two,
             "lambda_single": lam_single,
             "single_beats_two_resource": lam_single < lam_two,
-            **{f"single_{k}": v for k, v in _optimize_results(report_one, domain).items()},
+            **{f"single_{k}": v
+               for k, v in _optimize_results(report_one, domain, cfg.seeds).items()},
         }, report_one.weight, report_one.final.u
     checks = wverify.run_all(domain, rng_seed=cfg.seed, trials=cfg.verify_trials)
     for r in checks:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import (
+    EIG_RESIDUAL_RTOL,
     EigenPair,
     WeightNotPositiveAnywhere,
     principal_positive_eigenvalue,
@@ -39,33 +40,11 @@ class InfeasibleClassError(ValueError):
 
 
 class MismatchedClassesError(ValueError):
-    """A bang-bang weight was paired with classes it was not built from."""
+    """A weight was split along classes whose parts do not sum to it."""
 
 
 class DescentError(RuntimeError):
     """The fixed-point iteration increased λ₁ beyond the allowed slack."""
-
-
-@dataclass(frozen=True)
-class BangBangWeight:
-    """Three-level optimal weight with nested level sets E ⊆ G.
-
-    Takes ``top`` on E, ``mid`` on G∖E and ``bot`` on Ω∖G (two values when
-    E = G).  ``realized_integrals`` are the per-resource integrals actually
-    achieved after volume quantization.
-    """
-
-    domain: GridDomain
-    E: np.ndarray
-    G: np.ndarray
-    top: float
-    mid: float
-    bot: float
-    realized_integrals: tuple[float, float]
-
-    def __post_init__(self):
-        if (self.E & ~self.G).any():
-            raise ValueError("E must be contained in G")
 
 
 @dataclass(frozen=True)
@@ -76,7 +55,6 @@ class OptimizeReport:
     final: EigenPair
     weight: ScalarField
     stabilized: bool
-    restarts_used: int
 
     def __post_init__(self):
         lam = np.asarray(self.lambda_history)
@@ -149,7 +127,7 @@ def _minimize_over_class(
     profile: StepProfile,
     seeds: int,
     rng_seed: int,
-    eig_kwargs: dict | None = None,
+    residual_rtol: float,
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
@@ -162,7 +140,6 @@ def _minimize_over_class(
         raise ValueError("need at least one seed")
     if profile.values[0] <= 0:
         raise WeightNotPositiveAnywhere("class contains no weight positive anywhere")
-    kwargs = dict(eig_kwargs or {})
     # full one-swap neighborhood on desk-size problems, a rank-nearest
     # shortlist on large grids where each probe costs a full eigensolve
     pairs_per_level = domain.n_cells if domain.n_cells <= 64 else (
@@ -170,7 +147,7 @@ def _minimize_over_class(
     )
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
-        return principal_positive_eigenvalue(domain, m, u0=u0, **kwargs)
+        return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
 
     best: tuple[float, EigenPair, ScalarField, list[float], bool] | None = None
     for s in range(seeds):
@@ -248,7 +225,6 @@ def _minimize_over_class(
         final=pair,
         weight=m_final,
         stabilized=stabilized,
-        restarts_used=seeds,
     )
 
 
@@ -275,7 +251,7 @@ def optimize_single(
     seeds: int = DEFAULT_SEEDS,
     *,
     rng_seed: int = 0,
-    eig_kwargs: dict | None = None,
+    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> OptimizeReport:
     """Minimize λ₁ over {-m2 <= m <= m1, ∫m = m3, m > 0 somewhere}.
 
@@ -284,18 +260,18 @@ def optimize_single(
     random starting sets.
     """
     profile = single_class_profile(domain, constants)
-    return _minimize_over_class(domain, profile, seeds, rng_seed, eig_kwargs)
+    return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
 
 
 def combined_profile(
     domain: GridDomain, class1: ResourceClass, class2: ResourceClass
-) -> tuple[StepProfile, float, float, float]:
-    """Quantized three-level generator for the sum class, plus (γ, δ, r).
+) -> StepProfile:
+    """Quantized generator profile of the sum class.
 
-    The Hardy-Littlewood-paired generators stack into the profile
-    (q1+q2, r, -(p1+p2)) on measures (γ, δ-γ, |Ω|-δ) with γ = min(e1,e2),
-    δ = max(e1,e2) and r = q1-p2, 0 or q2-p1 according to the order of
-    e1 and e2.
+    The Hardy-Littlewood-paired generators stack into the three levels
+    (q1+q2, r, -(p1+p2)) on measures (γ, δ-γ, |Ω|-δ), with γ and δ the
+    smaller and larger quantized level-set measure and r the larger-measure
+    resource's maximum plus the other's minimum.
     """
     omega = domain.total_measure
     for cls in (class1, class2):
@@ -303,20 +279,12 @@ def combined_profile(
             raise InfeasibleClassError("resource class measure does not match the domain")
     if class1.q + class2.q <= 0:
         raise WeightNotPositiveAnywhere("q1 + q2 must be positive")
-    e1, e2 = class1.e, class2.e
-    if e1 > e2:
-        r = class1.q - class2.p
-    elif e1 < e2:
-        r = class2.q - class1.p
-    else:
-        r = 0.0
     g1, g2 = pair_family(_class_generators(domain, class1, class2))
     if g1.values[0] != class1.q or g2.values[0] != class2.q:
         raise WeightNotPositiveAnywhere(
             "combined weight is never positive after quantization"
         )
-    profile = StepProfile.from_cell_values(g1.values + g2.values, domain.cell_area)
-    return profile, min(e1, e2), max(e1, e2), r
+    return StepProfile.from_cell_values(g1.values + g2.values, domain.cell_area)
 
 
 def optimize_two(
@@ -326,60 +294,34 @@ def optimize_two(
     seeds: int = DEFAULT_SEEDS,
     *,
     rng_seed: int = 0,
-    eig_kwargs: dict | None = None,
-) -> tuple[OptimizeReport, BangBangWeight]:
+    residual_rtol: float = EIG_RESIDUAL_RTOL,
+) -> OptimizeReport:
     """Minimize λ₁ over sums f1 + f2 with f_i in two resource classes.
 
     The sum class is the rearrangement class of the stacked three-level
     generator, so the same fixed-point iteration applies; the optimum has
-    nested level sets E ⊆ G carrying (q1+q2, r, -(p1+p2)).
+    nested level sets E ⊆ G carrying (q1+q2, r, -(p1+p2)), and `decompose`
+    splits it into its two parts.
     """
-    profile, _, _, r = combined_profile(domain, class1, class2)
-    report = _minimize_over_class(domain, profile, seeds, rng_seed, eig_kwargs)
-
-    top = class1.q + class2.q
-    bot = -(class1.p + class2.p)
-    w = report.weight.values
-    area = domain.cell_area
-    omega = domain.total_measure
-
-    def realized(cls: ResourceClass, part: ScalarField) -> float:
-        k = int((part.values == cls.q).sum())
-        return cls.q * k * area - cls.p * (omega - k * area)
-
-    _, f1, f2 = pair_family([report.weight, *_class_generators(domain, class1, class2)])
-    bb = BangBangWeight(
-        domain=domain, E=domain.cells_to_mask(w == top), G=domain.cells_to_mask(w > bot),
-        top=top, mid=r, bot=bot,
-        realized_integrals=(realized(class1, f1), realized(class2, f2)),
-    )
-    return report, bb
+    profile = combined_profile(domain, class1, class2)
+    return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
 
 
 def decompose(
-    w: BangBangWeight, class1: ResourceClass, class2: ResourceClass
+    weight: ScalarField, class1: ResourceClass, class2: ResourceClass
 ) -> tuple[ScalarField, ScalarField]:
-    """Split a two-resource optimum into its per-resource components.
+    """Split a two-resource weight into its per-resource components.
 
-    Both classes' generators are Hardy-Littlewood paired onto the optimum's
-    ranking (E, then G∖E, then the rest).  So on E both components sit at
-    their maxima, outside G at their minima, and on G∖E the resource with
-    the larger level-set measure stays at its maximum and the other at its
-    minimum.  The parts sum to the weight cellwise.
+    Both classes' generators are Hardy-Littlewood paired with the weight.
+    So where the weight takes its top level (E) both components sit at
+    their maxima, where it takes its bottom level (outside G) at their
+    minima, and on G∖E the resource with the larger level-set measure stays at its
+    maximum and the other at its minimum.  Raises MismatchedClassesError
+    unless the parts sum to the weight exactly.
     """
-    domain = w.domain
-    _, gamma, delta, r = combined_profile(domain, class1, class2)
-    expected_top = class1.q + class2.q
-    expected_bot = -(class1.p + class2.p)
-    if w.top != expected_top or w.bot != expected_bot or (delta > gamma and w.mid != r):
-        raise MismatchedClassesError("weight levels do not match the classes")
-    sel_E = domain.subset_cells(w.E)
-    sel_G = domain.subset_cells(w.G)
-    ranking = ScalarField(domain, sel_E.astype(float) + sel_G)
-    _, f1, f2 = pair_family([ranking, *_class_generators(domain, class1, class2)])
-    at_max1, at_max2 = f1.values == class1.q, f2.values == class2.q
-    if not (np.array_equal(at_max1 & at_max2, sel_E) and np.array_equal(at_max1 | at_max2, sel_G)):
-        raise MismatchedClassesError("level-set measures do not match the classes")
+    _, f1, f2 = pair_family([weight, *_class_generators(weight.domain, class1, class2)])
+    if not np.array_equal(f1.values + f2.values, weight.values):
+        raise MismatchedClassesError("the classes' parts do not sum to the weight")
     return f1, f2
 
 
@@ -388,7 +330,7 @@ def compare_split_vs_merged(
     seeds: int = DEFAULT_SEEDS,
     *,
     rng_seed: int = 0,
-    eig_kwargs: dict | None = None,
+    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> tuple[OptimizeReport, OptimizeReport]:
     """Two-resource optimum vs the single merged-constraint optimum.
 
@@ -404,11 +346,12 @@ def compare_split_vs_merged(
     omega = domain.total_measure
     cls1 = ResourceClass(p=0.0, q=1.0, l=2.0 * omega / 3.0, domain_measure=omega)
     cls2 = ResourceClass(p=1.0, q=0.0, l=-omega / 2.0, domain_measure=omega)
-    report_two, _ = optimize_two(
-        domain, cls1, cls2, seeds, rng_seed=rng_seed, eig_kwargs=eig_kwargs
+    report_two = optimize_two(
+        domain, cls1, cls2, seeds, rng_seed=rng_seed, residual_rtol=residual_rtol
     )
     report_one = optimize_single(
-        domain, (1.0, 1.0, omega / 6.0), seeds, rng_seed=rng_seed, eig_kwargs=eig_kwargs
+        domain, (1.0, 1.0, omega / 6.0), seeds, rng_seed=rng_seed,
+        residual_rtol=residual_rtol,
     )
     lam_two = report_two.final.lambda1
     lam_one = report_one.final.lambda1

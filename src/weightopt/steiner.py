@@ -24,6 +24,7 @@ from .grid import GridDomain, ScalarField
 PS_SLACK = 0.05          # discrete Pólya-Szegő is diagnostic, not exact
 TRANSFORM_ATOL = 1e-9
 HL_RTOL = 1e-12
+DEFECT_FLOOR = 1e-30     # denominator floor of symmetry_defect for f = 0
 
 
 class SteinerAxisError(ValueError):
@@ -107,13 +108,13 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
     return ScalarField(domain, out[domain.cell_rows, domain.cell_cols])
 
 
-def symmetry_defect(domain: GridDomain, f: ScalarField, eps: float = 1e-30) -> float:
+def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
     """Relative L¹ distance to the Steiner symmetrization,
-    ∫|f - f♯| dx / max(∫|f| dx, eps); zero iff f is already symmetric
-    (up to the one-cell parity convention)."""
+    ∫|f - f♯| dx / max(∫|f| dx, DEFECT_FLOOR); zero iff f is already
+    symmetric (up to the one-cell parity convention)."""
     fs = symmetrize_function(domain, f)
     num = float(np.abs(f.values - fs.values).sum()) * domain.cell_area
-    den = max(float(np.abs(f.values).sum()) * domain.cell_area, eps)
+    den = max(float(np.abs(f.values).sum()) * domain.cell_area, DEFECT_FLOOR)
     return num / den
 
 

@@ -213,16 +213,22 @@ class TestRunTask:
         assert results["stabilized"] is True
 
     def test_determinism_byte_identical(self, tmp_path):
-        p = write_config(
-            tmp_path / "c.json", task="optimize",
-            domain={"shape": "rectangle", "nx": 8, "ny": 8, "h": 1 / 9},
-            single_class={"m1": 1.0, "m2": 1.0, "m3": 0.0},
-            seeds=2, seed=11,
-        )
-        assert run(p, out_dir=str(tmp_path / "a")) == 0
-        assert run(p, out_dir=str(tmp_path / "b")) == 0
-        for name in ("results.json", "weight.csv", "eigenfunction.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        domain = {"shape": "rectangle", "nx": 8, "ny": 8, "h": 1 / 9}
+        omega = 64 / 81
+        tasks = {
+            "optimize": {"single_class": {"m1": 1.0, "m2": 1.0, "m3": 0.0}},
+            "optimize2": {"classes": [{"p": 0.5, "q": 2.0, "l": omega},
+                                      {"p": 1.0, "q": 0.5, "l": -omega / 4}]},
+            "remark": {},
+        }
+        for task, fields in tasks.items():
+            p = write_config(tmp_path / f"{task}.json", task=task, domain=domain,
+                             seeds=2, seed=11, **fields)
+            a, b = tmp_path / task / "a", tmp_path / task / "b"
+            assert run(p, out_dir=str(a)) == 0
+            assert run(p, out_dir=str(b)) == 0
+            for name in ("results.json", "weight.csv", "eigenfunction.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (task, name)
 
     def test_symmetrize_run(self, tmp_path):
         p = write_config(
@@ -285,6 +291,42 @@ class TestRunTask:
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert results["levels"] == {"top": 1.0, "mid": 0.0, "bot": -1.0}
         assert results["measure_E"] <= results["measure_G"]
+
+
+# (p, q, l) of two classes on the 6 x 5 rectangle with h = 0.5, |Ω| = 7.5
+OPTIMIZE2_CLASS_PAIRS = {
+    "e1_gt_e2": ((0.5, 2.0, 8.75), (1.0, 0.5, -3.75)),     # e = 5, 2.5
+    "e1_lt_e2": ((1.0, 0.5, -3.75), (0.5, 1.5, 5.25)),     # e = 2.5, 4.5
+    "e1_eq_e2": ((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)),        # e = 3.75, 3.75
+    "quantized_tie": ((1.0, 2.0, 3 * 3.76 - 7.5), (1.0, 1.0, 0.0)),  # e = 3.76, 3.75
+}
+
+
+@pytest.mark.parametrize("pair", OPTIMIZE2_CLASS_PAIRS.values(), ids=OPTIMIZE2_CLASS_PAIRS.keys())
+def test_optimize2_levels_follow_the_classes(tmp_path, pair):
+    """levels, level-set measures and realized integrals depend only on the
+    classes and their half-up quantized cell counts, not on the arrangement.
+    The middle level is q1 - p2 when e1 > e2, q2 - p1 when e1 < e2 and 0
+    when they are equal; it is written even when quantization leaves the
+    weight two-valued (the tie: both e round to 15 cells)."""
+    area, omega = 0.25, 7.5
+    config = write_config(
+        tmp_path / "c.json", task="optimize2",
+        domain={"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5},
+        classes=[dict(zip("pql", c)) for c in pair], seeds=1,
+    )
+    assert run(config) == 0
+    results = json.loads((tmp_path / "out" / "results.json").read_text())
+    (p1, q1, l1), (p2, q2, l2) = pair
+    e1, e2 = (p1 * omega + l1) / (p1 + q1), (p2 * omega + l2) / (p2 + q2)
+    k1, k2 = (int(np.floor(e / area + 0.5)) for e in (e1, e2))
+    mid = q1 - p2 if e1 > e2 else q2 - p1 if e1 < e2 else 0.0
+    assert results["levels"] == {"top": q1 + q2, "mid": mid, "bot": -(p1 + p2)}
+    assert results["measure_E"] == min(k1, k2) * area
+    assert results["measure_G"] == max(k1, k2) * area
+    assert results["realized_integrals"] == [
+        q * k * area - p * (omega - k * area) for p, q, k in ((p1, q1, k1), (p2, q2, k2))
+    ]
 
 
 class TestVerifyTask:

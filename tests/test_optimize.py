@@ -9,7 +9,6 @@ from weightopt import optimize
 from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
-    BangBangWeight,
     InfeasibleClassError,
     MismatchedClassesError,
     combined_profile,
@@ -160,42 +159,43 @@ def remark_setup():
     omega = dom.total_measure
     cls1 = ResourceClass(0.0, 1.0, 2 * omega / 3, omega)
     cls2 = ResourceClass(1.0, 0.0, -omega / 2, omega)
-    report, bb = optimize_two(dom, cls1, cls2, seeds=3)
-    return dom, cls1, cls2, report, bb
+    report = optimize_two(dom, cls1, cls2, seeds=3)
+    return dom, cls1, cls2, report
 
 
 class TestOptimizeTwo:
 
     def test_level_constants(self, remark_setup):
-        dom, cls1, cls2, report, bb = remark_setup
+        dom, cls1, cls2, report = remark_setup
         assert cls1.e == pytest.approx(2 / 3)
         assert cls2.e == pytest.approx(1 / 2)
-        profile, gamma, delta, r = combined_profile(dom, cls1, cls2)
+        profile = combined_profile(dom, cls1, cls2)
+        gamma, delta = np.cumsum(profile.counts)[:2] * profile.cell_area
         assert (gamma, delta) == (pytest.approx(1 / 2), pytest.approx(2 / 3))
-        assert r == 0.0
-        assert (bb.top, bb.mid, bb.bot) == (1.0, 0.0, -1.0)
+        assert list(profile.values) == [1.0, 0.0, -1.0]
 
     def test_three_valued_nested(self, remark_setup):
-        dom, cls1, cls2, report, bb = remark_setup
+        dom, cls1, cls2, report = remark_setup
         w = report.weight.values
         assert set(np.unique(w)) == {1.0, 0.0, -1.0}
-        assert not (bb.E & ~bb.G).any()
+        E, G = w == 1.0, w > -1.0
+        assert not (E & ~G).any()
         area = dom.cell_area
-        assert abs(bb.E.sum() * area - 1 / 2) <= area
-        assert abs(bb.G.sum() * area - 2 / 3) <= area
+        assert abs(E.sum() * area - 1 / 2) <= area
+        assert abs(G.sum() * area - 2 / 3) <= area
 
     def test_realized_integrals(self, remark_setup):
-        dom, cls1, cls2, report, bb = remark_setup
-        l1, l2 = bb.realized_integrals
+        dom, cls1, cls2, report = remark_setup
+        l1, l2 = (part.integral() for part in decompose(report.weight, cls1, cls2))
         assert abs(l1 - cls1.l) <= (cls1.p + cls1.q) * dom.cell_area
         assert abs(l2 - cls2.l) <= (cls2.p + cls2.q) * dom.cell_area
 
     def test_decompose_matches_closed_form(self, remark_setup):
-        dom, cls1, cls2, report, bb = remark_setup
-        f1, f2 = decompose(bb, cls1, cls2)
+        dom, cls1, cls2, report = remark_setup
+        f1, f2 = decompose(report.weight, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, report.weight.values)
-        selG = dom.subset_cells(bb.G)
-        selE = dom.subset_cells(bb.E)
+        selG = report.weight.values > -1.0
+        selE = report.weight.values == 1.0
         # e1 > e2: first resource maxed on all of G, second only on E
         assert np.all(f1.values[selG] == cls1.q)
         assert np.all(f1.values[~selG] == -cls1.p)
@@ -203,24 +203,26 @@ class TestOptimizeTwo:
         assert np.all(f2.values[~selE] == -cls2.p)
 
     def test_decompose_rejects_wrong_classes(self, remark_setup):
-        dom, cls1, cls2, report, bb = remark_setup
+        dom, cls1, cls2, report = remark_setup
         omega = dom.total_measure
         other = ResourceClass(0.5, 1.0, 0.25 * omega, omega)
         with pytest.raises(MismatchedClassesError):
-            decompose(bb, other, cls2)
+            decompose(report.weight, other, cls2)
 
     def test_equal_measures_two_valued(self):
         dom = make_rectangle(8, 8, 0.25)
         omega = dom.total_measure
         cls1 = ResourceClass(1.0, 1.0, 0.0, omega)  # e = |Omega|/2
         cls2 = ResourceClass(2.0, 2.0, 0.0, omega)  # e = |Omega|/2
-        report, bb = optimize_two(dom, cls1, cls2, seeds=2)
-        assert np.array_equal(bb.E, bb.G)
+        report = optimize_two(dom, cls1, cls2, seeds=2)
+        w = report.weight.values
+        E, G = w == 3.0, w > -3.0
+        assert np.array_equal(E, G)
         assert set(np.unique(report.weight.values)) == {3.0, -3.0}
-        assert bb.E.sum() == dom.n_cells // 2
-        f1, f2 = decompose(bb, cls1, cls2)
+        assert E.sum() == dom.n_cells // 2
+        f1, f2 = decompose(report.weight, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, report.weight.values)
-        selE = dom.subset_cells(bb.E)
+        selE = E
         assert np.all(f1.values[selE] == 1.0) and np.all(f2.values[selE] == 2.0)
 
     def test_infeasible_positivity(self):
@@ -239,7 +241,7 @@ class TestOptimizeTwo:
         omega = dom.total_measure
         cls1 = ResourceClass(1.0, 1.0, 0.0, omega)
         cls2 = ResourceClass(0.5, 0.5, 0.0, omega)
-        report2, _ = optimize_two(dom, cls1, cls2, seeds=4)
+        report2 = optimize_two(dom, cls1, cls2, seeds=4)
         report1 = optimize_single(dom, (1.5, 1.5, 0.0), seeds=4)
         assert report2.final.lambda1 == pytest.approx(report1.final.lambda1, rel=1e-8)
 
@@ -250,8 +252,8 @@ def quantized_cells(domain, measure):
 
 
 def stacked_profile(domain, cls1, cls2):
-    """Reference for combined_profile, stacked level by level: (profile, r),
-    or None when the sum class has no weight positive anywhere.
+    """Reference for combined_profile, stacked level by level, or None when
+    the sum class has no weight positive anywhere.
 
     The profile is (q1+q2, r, -(p1+p2)) on (n_γ, n_δ - n_γ, n - n_δ) cells,
     empty steps dropped and equal neighbours merged."""
@@ -272,7 +274,7 @@ def stacked_profile(domain, cls1, cls2):
         else:
             values.append(v)
             counts.append(c)
-    return StepProfile(np.array(values), np.array(counts), domain.cell_area), r
+    return StepProfile(np.array(values), np.array(counts), domain.cell_area)
 
 
 eighths = st.integers(-8, 16).map(lambda k: k / 8)
@@ -304,19 +306,11 @@ class TestPairedGenerators:
             with pytest.raises(WeightNotPositiveAnywhere):
                 combined_profile(dom, cls1, cls2)
             return
-        expected_profile, expected_r = expected
-        profile, gamma, delta, r = combined_profile(dom, cls1, cls2)
-        assert profile.same_as(expected_profile)
-        assert (gamma, delta, r) == (min(cls1.e, cls2.e), max(cls1.e, cls2.e), expected_r)
+        profile = combined_profile(dom, cls1, cls2)
+        assert profile.same_as(expected)
 
         m = random_arrangement(profile, dom, np.random.default_rng(seed))
-        top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
-        w = BangBangWeight(
-            domain=dom, E=dom.cells_to_mask(m.values == top),
-            G=dom.cells_to_mask(m.values > bot), top=top, mid=r, bot=bot,
-            realized_integrals=(cls1.l, cls2.l),
-        )
-        f1, f2 = decompose(w, cls1, cls2)
+        f1, f2 = decompose(m, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, m.values)
         for part, cls in ((f1, cls1), (f2, cls2)):
             k = quantized_cells(dom, cls.e)
@@ -350,5 +344,5 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             OptimizeReport(
                 lambda_history=[1.0, 2.0],
-                final=pair, weight=m, stabilized=True, restarts_used=1,
+                final=pair, weight=m, stabilized=True,
             )
