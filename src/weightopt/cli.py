@@ -30,12 +30,13 @@ from .grid import GridDomain, ScalarField, transpose_field, transposed
 from .optimize import (
     DEFAULT_SEEDS,
     OptimizeReport,
+    combined_profile,
     compare_split_vs_merged,
     decompose,
     optimize_single,
     optimize_two,
     random_arrangement,
-    single_class_profile,
+    single_class,
 )
 from .rearrange import ResourceClass
 from .steiner import symmetrize_function, symmetry_defect
@@ -208,8 +209,9 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
     if wc["kind"] == "csv":
         return wio.read_field_csv(cfg.base_dir / wc["path"], domain)
     if wc["kind"] == "bang_bang":
-        profile = single_class_profile(domain, (wc["m1"], wc["m2"], wc["m3"]))
-        return random_arrangement(profile, domain, np.random.default_rng([cfg.seed, 0xBB]))
+        cls = single_class(domain, (wc["m1"], wc["m2"], wc["m3"]))
+        return random_arrangement(combined_profile(domain, cls), domain,
+                                  np.random.default_rng([cfg.seed, 0xBB]))
     return domain.constant_field(float(wc.get("value", 1.0)))
 
 
@@ -261,28 +263,30 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         }, report.weight, report.final.u
     if cfg.task == "optimize2":
         omega, area = domain.total_measure, domain.cell_area
-        cls1, cls2 = (ResourceClass(p, q, l, omega) for p, q, l in cfg.classes)
+        classes = [ResourceClass(p, q, l, omega) for p, q, l in cfg.classes]
         report = optimize_two(
-            domain, cls1, cls2, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
+            domain, *classes, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
         )
         w = report.weight.values
-        top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
-        # on G∖E the resource with the larger level set is at its maximum
-        # and the other at its minimum; written even if quantization empties G∖E
-        mid = (cls1.q - cls2.p if cls1.e > cls2.e
-               else cls2.q - cls1.p if cls1.e < cls2.e else 0.0)
-        realized = []
-        for cls, part in zip((cls1, cls2), decompose(report.weight, cls1, cls2)):
-            k = int((part.values == cls.q).sum())  # the part is q on k cells, -p elsewhere
-            realized.append(cls.q * k * area - cls.p * (omega - k * area))
+        # E: every part at its maximum, G: some part at its maximum
+        at_max = np.array([part.values == cls.q
+                           for part, cls in zip(decompose(report.weight, *classes), classes)])
+        E, G = at_max.all(axis=0), at_max.any(axis=0)
+
+        def level(cells: np.ndarray) -> float | None:
+            """The weight's value on a level set, None where quantization empties it."""
+            return float(w[cells][0]) if cells.any() else None
+
         return {
             "task": "optimize2",
             "seed": cfg.seed,
             "domain_measure": omega,
-            "levels": {"top": top, "mid": mid, "bot": bot},
-            "measure_E": float((w == top).sum()) * area,
-            "measure_G": float((w > bot).sum()) * area,
-            "realized_integrals": realized,
+            "levels": {"top": level(E), "mid": level(G & ~E), "bot": level(~G)},
+            "measure_E": float(E.sum()) * area,
+            "measure_G": float(G.sum()) * area,
+            # each part is q on k cells and -p elsewhere
+            "realized_integrals": [cls.q * k * area - cls.p * (omega - k * area)
+                                   for cls, k in zip(classes, at_max.sum(axis=1))],
             **_optimize_results(report, domain, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "symmetrize":

@@ -38,10 +38,12 @@ class GridDomain:
     """Bounded open set discretized into uniform square cells.
 
     In-domain cells are ``mask == True``; their row-major order defines the
-    cell indexing used by :class:`ScalarField`.
+    cell indexing used by :class:`ScalarField`.  ``axis`` is the grid's
+    vertical center line when the mask is reflection-symmetric across it,
+    else None.
     """
 
-    def __init__(self, mask: np.ndarray, h: float, axis: VerticalAxis | None = None):
+    def __init__(self, mask: np.ndarray, h: float):
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("mask must be 2D")
@@ -51,16 +53,12 @@ class GridDomain:
             raise ValueError("domain has no in-domain cells")
         if mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any():
             raise ValueError("in-domain cells must stay >= 1 cell away from the grid edge")
-        if axis is not None:
-            if axis.center2 != mask.shape[1] - 1:
-                raise ValueError("axis must be the vertical center line of the grid")
-            if not np.array_equal(mask, mask[:, ::-1]):
-                raise ValueError("mask is not reflection-symmetric across the axis")
 
         mask.setflags(write=False)
         self.mask = mask
         self.h = float(h)
-        self.axis = axis
+        self.axis = (VerticalAxis(center2=mask.shape[1] - 1)
+                     if np.array_equal(mask, mask[:, ::-1]) else None)
 
         index_map = -np.ones(mask.shape, dtype=np.int64)
         rows, cols = np.nonzero(mask)
@@ -182,7 +180,7 @@ def make_rectangle(width_cells: int, height_cells: int, h: float) -> GridDomain:
     """Full rectangular domain of width_cells x height_cells cells.
 
     The stored grid is padded by one Dirichlet ring on each side; the
-    symmetry axis is set through/between the center columns by parity.
+    symmetry axis runs through/between the center columns by parity.
     """
     if width_cells < 3 or height_cells < 3:
         raise ValueError("rectangle needs at least 3x3 cells")
@@ -190,8 +188,7 @@ def make_rectangle(width_cells: int, height_cells: int, h: float) -> GridDomain:
         raise ValueError("cell spacing h must be positive")
     mask = np.zeros((height_cells + 2, width_cells + 2), dtype=bool)
     mask[1:-1, 1:-1] = True
-    axis = VerticalAxis(center2=mask.shape[1] - 1)
-    return GridDomain(mask, h, axis)
+    return GridDomain(mask, h)
 
 
 def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> GridDomain:
@@ -220,8 +217,7 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
     mask = (u * h / (2 * a)) ** 2 + (v * h / (2 * b)) ** 2 < 1.0
     if not mask.any():
         raise ValueError("ellipse contains no cell centers at this resolution")
-    axis = VerticalAxis(center2=nx - 1)
-    return GridDomain(mask, h, axis)
+    return GridDomain(mask, h)
 
 
 def make_box(width: float, height: float, n: int) -> GridDomain:
@@ -240,12 +236,10 @@ def make_box(width: float, height: float, n: int) -> GridDomain:
     return make_rectangle(nx, ny, h)
 
 
-def from_mask(mask: np.ndarray, h: float, set_axis: bool = True) -> GridDomain:
+def from_mask(mask: np.ndarray, h: float) -> GridDomain:
     """Domain from a user-supplied boolean mask (nonzero = in-domain).
 
-    Pads by one Dirichlet ring when the mask touches the array border.  The
-    vertical center axis is recorded only when the (padded) mask is
-    reflection-symmetric across it.
+    Pads by one Dirichlet ring when the mask touches the array border.
     """
     mask = np.asarray(mask).astype(bool)
     if mask.ndim != 2:
@@ -254,10 +248,7 @@ def from_mask(mask: np.ndarray, h: float, set_axis: bool = True) -> GridDomain:
         mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any()
     ):
         mask = np.pad(mask, 1, mode="constant", constant_values=False)
-    axis = None
-    if set_axis and np.array_equal(mask, mask[:, ::-1]):
-        axis = VerticalAxis(center2=mask.shape[1] - 1)
-    return GridDomain(mask, h, axis)
+    return GridDomain(mask, h)
 
 
 def transposed(domain: GridDomain) -> GridDomain:

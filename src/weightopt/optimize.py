@@ -14,6 +14,7 @@ Multi-start over random initial arrangements guards against local minima.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,7 +25,14 @@ from .eig import (
     principal_positive_eigenvalue,
 )
 from .grid import GridDomain, ScalarField
-from .rearrange import ResourceClass, StepProfile, comonotone, hl_pairing, pair_family
+from .rearrange import (
+    InfeasibleClassError,
+    ResourceClass,
+    StepProfile,
+    comonotone,
+    hl_pairing,
+    pair_family,
+)
 
 DESCENT_RTOL = 1e-9
 # λ values closer than this (relative) are a tie: a polish swap must beat it
@@ -33,10 +41,6 @@ DESCENT_RTOL = 1e-9
 LAMBDA_TIE_RTOL = 1e-12
 MAX_FIXED_POINT_ITERS = 500
 DEFAULT_SEEDS = 8
-
-
-class InfeasibleClassError(ValueError):
-    """Constraint constants admit no weight, or no positive weight."""
 
 
 class MismatchedClassesError(ValueError):
@@ -90,6 +94,11 @@ def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[Scala
     return out
 
 
+def _sum_of(fields: list[ScalarField]) -> np.ndarray:
+    """Cell-wise f1 + f2 + ...; one field comes back as it is, -0.0 kept."""
+    return reduce(np.add, (f.values for f in fields))
+
+
 def random_arrangement(profile: StepProfile, domain: GridDomain,
                        rng: np.random.Generator) -> ScalarField:
     """The profile's values on a uniformly random permutation of the cells."""
@@ -138,8 +147,6 @@ def _minimize_over_class(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    if profile.values[0] <= 0:
-        raise WeightNotPositiveAnywhere("class contains no weight positive anywhere")
     # full one-swap neighborhood on desk-size problems, a rank-nearest
     # shortlist on large grids where each probe costs a full eigensolve
     pairs_per_level = domain.n_cells if domain.n_cells <= 64 else (
@@ -228,21 +235,32 @@ def _minimize_over_class(
     )
 
 
-def single_class_profile(domain: GridDomain, constants: tuple[float, float, float]) -> StepProfile:
-    """Quantized bang-bang generator profile for the class
-    {-m2 <= m <= m1, ∫m = m3} (values m1 and -m2 on e and |Ω|-e)."""
+def single_class(domain: GridDomain, constants: tuple[float, float, float]) -> ResourceClass:
+    """The class {-m2 <= m <= m1, ∫m = m3} on the domain, from (m1, m2, m3)."""
     m1, m2, m3 = (float(c) for c in constants)
+    return ResourceClass(p=m2, q=m1, l=m3, domain_measure=domain.total_measure)
+
+
+def combined_profile(domain: GridDomain, *classes: ResourceClass) -> StepProfile:
+    """Quantized generator profile of the sum class of one or more classes.
+
+    The Hardy-Littlewood-paired generators stack into nested level sets;
+    for one class the profile is its own generator (q on e, -p elsewhere),
+    for two the levels are (q1+q2, the larger-measure resource's maximum
+    plus the other's minimum, -(p1+p2)).  Raises WeightNotPositiveAnywhere
+    unless the top level Σq is positive and every class keeps its maximum
+    after quantization.
+    """
     omega = domain.total_measure
-    if m1 <= 0:
-        raise InfeasibleClassError("need m1 > 0")
-    if not (-m2 * omega < m3 < m1 * omega):
-        raise InfeasibleClassError(
-            f"infeasible constants: need {-m2 * omega} < m3={m3} < {m1 * omega}"
-        )
-    (generator,) = _class_generators(domain, ResourceClass(m2, m1, m3, omega))
-    if generator.values[0] != m1:
-        raise InfeasibleClassError("quantized favourable set is empty")
-    return StepProfile.from_cell_values(generator.values, domain.cell_area)
+    for cls in classes:
+        if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
+            raise InfeasibleClassError("resource class measure does not match the domain")
+    if sum(cls.q for cls in classes) <= 0:
+        raise WeightNotPositiveAnywhere("the classes' maxima q must sum to a positive value")
+    parts = pair_family(_class_generators(domain, *classes))
+    if any(g.values[0] != cls.q for g, cls in zip(parts, classes)):
+        raise WeightNotPositiveAnywhere("a class's level set rounds to no cell")
+    return StepProfile.from_cell_values(_sum_of(parts), domain.cell_area)
 
 
 def optimize_single(
@@ -259,32 +277,8 @@ def optimize_single(
     and -m2 elsewhere, reached by the fixed-point iteration from `seeds`
     random starting sets.
     """
-    profile = single_class_profile(domain, constants)
+    profile = combined_profile(domain, single_class(domain, constants))
     return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
-
-
-def combined_profile(
-    domain: GridDomain, class1: ResourceClass, class2: ResourceClass
-) -> StepProfile:
-    """Quantized generator profile of the sum class.
-
-    The Hardy-Littlewood-paired generators stack into the three levels
-    (q1+q2, r, -(p1+p2)) on measures (γ, δ-γ, |Ω|-δ), with γ and δ the
-    smaller and larger quantized level-set measure and r the larger-measure
-    resource's maximum plus the other's minimum.
-    """
-    omega = domain.total_measure
-    for cls in (class1, class2):
-        if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
-            raise InfeasibleClassError("resource class measure does not match the domain")
-    if class1.q + class2.q <= 0:
-        raise WeightNotPositiveAnywhere("q1 + q2 must be positive")
-    g1, g2 = pair_family(_class_generators(domain, class1, class2))
-    if g1.values[0] != class1.q or g2.values[0] != class2.q:
-        raise WeightNotPositiveAnywhere(
-            "combined weight is never positive after quantization"
-        )
-    return StepProfile.from_cell_values(g1.values + g2.values, domain.cell_area)
 
 
 def optimize_two(
@@ -300,29 +294,25 @@ def optimize_two(
 
     The sum class is the rearrangement class of the stacked three-level
     generator, so the same fixed-point iteration applies; the optimum has
-    nested level sets E ⊆ G carrying (q1+q2, r, -(p1+p2)), and `decompose`
-    splits it into its two parts.
+    nested level sets E ⊆ G, and `decompose` splits it into its two parts.
     """
     profile = combined_profile(domain, class1, class2)
     return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
 
 
-def decompose(
-    weight: ScalarField, class1: ResourceClass, class2: ResourceClass
-) -> tuple[ScalarField, ScalarField]:
-    """Split a two-resource weight into its per-resource components.
+def decompose(weight: ScalarField, *classes: ResourceClass) -> list[ScalarField]:
+    """Split a weight of the sum class into one part per class.
 
-    Both classes' generators are Hardy-Littlewood paired with the weight.
-    So where the weight takes its top level (E) both components sit at
-    their maxima, where it takes its bottom level (outside G) at their
-    minima, and on G∖E the resource with the larger level-set measure stays at its
-    maximum and the other at its minimum.  Raises MismatchedClassesError
-    unless the parts sum to the weight exactly.
+    Every class's generator is Hardy-Littlewood paired with the weight, so
+    all parts sit at their maxima where the weight takes its top level and
+    at their minima where it takes its bottom level; a part is at its
+    maximum on a larger set the larger its class's level-set measure.
+    Raises MismatchedClassesError unless the parts sum to the weight exactly.
     """
-    _, f1, f2 = pair_family([weight, *_class_generators(weight.domain, class1, class2)])
-    if not np.array_equal(f1.values + f2.values, weight.values):
+    _, *parts = pair_family([weight, *_class_generators(weight.domain, *classes)])
+    if not np.array_equal(_sum_of(parts), weight.values):
         raise MismatchedClassesError("the classes' parts do not sum to the weight")
-    return f1, f2
+    return parts
 
 
 def compare_split_vs_merged(

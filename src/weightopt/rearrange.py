@@ -27,6 +27,10 @@ class MeasureMismatchError(ValueError):
     """Operands live on measure spaces of different total measure."""
 
 
+class InfeasibleClassError(ValueError):
+    """Constraint constants admit no weight, or no positive weight."""
+
+
 def _check_same_measure(a_measure: float, b_measure: float) -> None:
     tol = INTEGRAL_RTOL * max(1.0, abs(a_measure), abs(b_measure))
     if abs(a_measure - b_measure) > tol:
@@ -139,11 +143,11 @@ class ResourceClass:
 
     def __post_init__(self):
         if self.domain_measure <= 0:
-            raise ValueError("domain measure must be positive")
+            raise InfeasibleClassError("domain measure must be positive")
         if self.p + self.q <= 0:
-            raise ValueError("need p + q > 0 for a non-degenerate class")
+            raise InfeasibleClassError("need p + q > 0 for a non-degenerate class")
         if not (-self.p * self.domain_measure < self.l < self.q * self.domain_measure):
-            raise ValueError(
+            raise InfeasibleClassError(
                 f"infeasible constants: need {-self.p * self.domain_measure} < l="
                 f"{self.l} < {self.q * self.domain_measure}"
             )

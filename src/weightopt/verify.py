@@ -20,7 +20,7 @@ import scipy.linalg
 from . import rearrange
 from .eig import assemble_stiffness
 from .grid import GridDomain, ScalarField, from_mask, make_rectangle
-from .optimize import optimize_single, single_class_profile, is_fixed_point
+from .optimize import combined_profile, is_fixed_point, optimize_single, single_class
 from .rearrange import (
     decreasing_rearrangement,
     equimeasurable,
@@ -107,7 +107,7 @@ def check_descent(domain: GridDomain, constants: tuple[float, float, float],
     lam = np.asarray(report.lambda_history)
     monotone = bool((np.diff(lam) <= 1e-9 * np.abs(lam[:-1])).all())
     fixed_pt = is_fixed_point(report.weight, report.final.u)
-    profile = single_class_profile(domain, constants)
+    profile = combined_profile(domain, single_class(domain, constants))
     preserved = decreasing_rearrangement(report.weight).same_as(profile)
     return [
         CheckResult("descent_lambda_history", monotone),

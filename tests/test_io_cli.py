@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import weightopt.eig
 import weightopt.verify
 from weightopt.cli import TASKS, RunConfig, main, run
-from weightopt.grid import make_rectangle
+from weightopt.grid import from_mask, make_ellipse, make_rectangle
 from weightopt.io import (
     domain_from_config,
     heatmap_image,
@@ -60,6 +60,15 @@ class TestFieldCsv:
         assert lines[1] == "5,5,1.0"
         assert lines[2] == "nan"  # padded corner cell
         assert sum(1 for s in lines[2:] if s != "nan") == dom.n_cells
+
+    def test_domain_axis_follows_the_nan_pattern(self, tmp_path):
+        p = tmp_path / "f.csv"
+        write_field_csv(p, make_ellipse(9, 7, 0.5, (2.0, 1.5)).constant_field(1.0))
+        assert read_field_csv(p).domain.axis is not None
+        mask = np.zeros((5, 6), dtype=bool)
+        mask[1:4, 1:3] = True
+        write_field_csv(p, from_mask(mask, 0.5).constant_field(1.0))
+        assert read_field_csv(p).domain.axis is None
 
     def test_domain_mismatch_rejected(self, tmp_path):
         dom = make_rectangle(3, 3, 1.0)
@@ -293,22 +302,26 @@ class TestRunTask:
         assert results["measure_E"] <= results["measure_G"]
 
 
-# (p, q, l) of two classes on the 6 x 5 rectangle with h = 0.5, |Ω| = 7.5
+# (p, q, l) of two classes on the 6 x 5 rectangle with h = 0.5, |Ω| = 7.5,
+# and the levels whose set quantization leaves empty
 OPTIMIZE2_CLASS_PAIRS = {
-    "e1_gt_e2": ((0.5, 2.0, 8.75), (1.0, 0.5, -3.75)),     # e = 5, 2.5
-    "e1_lt_e2": ((1.0, 0.5, -3.75), (0.5, 1.5, 5.25)),     # e = 2.5, 4.5
-    "e1_eq_e2": ((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)),        # e = 3.75, 3.75
-    "quantized_tie": ((1.0, 2.0, 3 * 3.76 - 7.5), (1.0, 1.0, 0.0)),  # e = 3.76, 3.75
+    "e1_gt_e2": (((0.5, 2.0, 8.75), (1.0, 0.5, -3.75)), ()),     # e = 5, 2.5
+    "e1_lt_e2": (((1.0, 0.5, -3.75), (0.5, 1.5, 5.25)), ()),     # e = 2.5, 4.5
+    "e1_eq_e2": (((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)), ("mid",)),  # e = 3.75, 3.75
+    "quantized_tie": (((1.0, 2.0, 3 * 3.76 - 7.5), (1.0, 1.0, 0.0)), ("mid",)),  # e = 3.76, 3.75
+    "saturated": (((1, 1, 7.4), (1, 1, 0)), ("bot",)),            # e = 7.45, 3.75
 }
 
 
-@pytest.mark.parametrize("pair", OPTIMIZE2_CLASS_PAIRS.values(), ids=OPTIMIZE2_CLASS_PAIRS.keys())
-def test_optimize2_levels_follow_the_classes(tmp_path, pair):
+@pytest.mark.parametrize("pair, empty", OPTIMIZE2_CLASS_PAIRS.values(),
+                         ids=OPTIMIZE2_CLASS_PAIRS.keys())
+def test_optimize2_levels_follow_the_classes(tmp_path, pair, empty):
     """levels, level-set measures and realized integrals depend only on the
     classes and their half-up quantized cell counts, not on the arrangement.
-    The middle level is q1 - p2 when e1 > e2, q2 - p1 when e1 < e2 and 0
-    when they are equal; it is written even when quantization leaves the
-    weight two-valued (the tie: both e round to 15 cells)."""
+    The middle level is q1 - p2 when e1 > e2 and q2 - p1 when e1 < e2; a
+    level is null where quantization leaves its set empty: G∖E when both e
+    round to the same cell count (equal e, and the tie: both round to 15
+    cells), Ω∖G when a level set rounds to every cell (saturated)."""
     area, omega = 0.25, 7.5
     config = write_config(
         tmp_path / "c.json", task="optimize2",
@@ -321,7 +334,8 @@ def test_optimize2_levels_follow_the_classes(tmp_path, pair):
     e1, e2 = (p1 * omega + l1) / (p1 + q1), (p2 * omega + l2) / (p2 + q2)
     k1, k2 = (int(np.floor(e / area + 0.5)) for e in (e1, e2))
     mid = q1 - p2 if e1 > e2 else q2 - p1 if e1 < e2 else 0.0
-    assert results["levels"] == {"top": q1 + q2, "mid": mid, "bot": -(p1 + p2)}
+    levels = {"top": q1 + q2, "mid": mid, "bot": -(p1 + p2)}
+    assert results["levels"] == {**levels, **dict.fromkeys(empty)}
     assert results["measure_E"] == min(k1, k2) * area
     assert results["measure_G"] == max(k1, k2) * area
     assert results["realized_integrals"] == [
@@ -414,6 +428,15 @@ EXIT_CASES = {
     "heatmap-as-string": ({"heatmap": "no"}, [], 1),
     "infeasible-constants": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0, "m3": 100.0}},
                              [], 2),
+    # e = 0.05 rounds to no cell of the one class, or of the first of two
+    "optimize-empty-level-set": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0,
+                                                             "m3": -7.4}}, [], 2),
+    "optimize2-empty-level-set": ({"task": "optimize2", "seeds": 1,
+                                   "classes": [{"p": 1.0, "q": 1.0, "l": -7.4},
+                                               {"p": 1.0, "q": 1.0, "l": 0.0}]}, [], 2),
+    "optimize2-sum-q-not-positive": ({"task": "optimize2", "seeds": 1,
+                                      "classes": [{"p": 1.0, "q": 0.0, "l": -3.75},
+                                                  {"p": 1.0, "q": 0.0, "l": -2.5}]}, [], 2),
     "remark-without-axis": ({"task": "remark", "seeds": 1,
                              "domain": {"shape": "mask_file", "mask_path": "lopsided.pgm",
                                         "h": 0.5}}, [], 2),

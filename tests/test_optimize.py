@@ -19,7 +19,7 @@ from weightopt.optimize import (
     optimize_two,
     random_arrangement,
     rearrangement_step,
-    single_class_profile,
+    single_class,
 )
 from weightopt.rearrange import (
     ResourceClass,
@@ -78,7 +78,7 @@ class TestOptimizeSingle:
         n_top = int((report.weight.values == 1.0).sum())
         assert n_top == round(7 * dom.n_cells / 12)
         assert report.stabilized
-        prof = single_class_profile(dom, (1.0, 1.0, omega / 6.0))
+        prof = combined_profile(dom, single_class(dom, (1.0, 1.0, omega / 6.0)))
         assert decreasing_rearrangement(report.weight).same_as(prof)
 
     def test_saturated_constraint_single_arrangement(self):
@@ -280,6 +280,8 @@ def stacked_profile(domain, cls1, cls2):
 eighths = st.integers(-8, 16).map(lambda k: k / 8)
 class_bounds = st.tuples(eighths, eighths).filter(lambda pq: pq[0] + pq[1] > 0)
 level_fraction = st.integers(1, 15).map(lambda k: k / 16)
+# fine enough that a level set can round to no cell or to every cell
+fine_fraction = st.integers(1, 255).map(lambda k: k / 256)
 
 
 def class_with_level_fraction(p, q, t, omega):
@@ -317,6 +319,30 @@ class TestPairedGenerators:
             generator = dom.field(np.repeat([cls.q, -cls.p], [k, dom.n_cells - k]))
             assert equimeasurable(part, generator)
         assert comonotone(f1, f2) and comonotone(f2, f1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nx=st.integers(3, 12), ny=st.integers(3, 12), h=st.sampled_from([0.5, 0.25, 0.1]),
+           pq=class_bounds, t=fine_fraction, seed=st.integers(0, 2**32 - 1))
+    def test_one_class_is_its_own_generator(self, nx, ny, h, pq, t, seed):
+        dom = make_rectangle(nx, ny, h)
+        cls = class_with_level_fraction(*pq, t, dom.total_measure)
+        k = quantized_cells(dom, cls.e)
+        if cls.q <= 0 or k < 1:
+            with pytest.raises(WeightNotPositiveAnywhere):
+                combined_profile(dom, cls)
+            return
+        # q on k cells and -p on the rest, an empty step dropped
+        steps = [(v, c) for v, c in ((cls.q, k), (-cls.p, dom.n_cells - k)) if c > 0]
+        values, counts = zip(*steps)
+        expected = StepProfile(np.array(values), np.array(counts), dom.cell_area)
+        profile = combined_profile(dom, cls)
+        assert profile.same_as(expected)
+        # bit for bit: -p is -0.0 for p = 0, and weight.csv writes it so
+        assert profile.values.tobytes() == expected.values.tobytes()
+
+        m = random_arrangement(profile, dom, np.random.default_rng(seed))
+        (part,) = decompose(m, cls)
+        assert np.array_equal(part.values, m.values)
 
 
 class TestCompareSplitVsMerged:
