@@ -1,6 +1,6 @@
 """weightopt: bang-bang minimization of the principal Dirichlet eigenvalue
 λ₁(m) of -Δu = λ m u over rearrangement classes of bounded weights, with
-the rearrangement calculus and Steiner symmetrization checks behind it."""
+the rearrangement calculus and Steiner symmetrization behind it."""
 
 from .eig import (
     EigenPair,
@@ -8,7 +8,6 @@ from .eig import (
     WeightNotPositiveAnywhere,
     assemble_stiffness,
     principal_positive_eigenvalue,
-    rayleigh,
 )
 from .grid import (
     GridDomain,
@@ -18,8 +17,6 @@ from .grid import (
     make_box,
     make_ellipse,
     make_rectangle,
-    measure,
-    reflect_field,
     transpose_field,
     transposed,
 )
@@ -44,16 +41,12 @@ from .rearrange import (
     equimeasurable,
     hl_inner,
     hl_pairing,
-    in_closure,
     pair_family,
     precedes,
-    scale_class_generator,
 )
 from .steiner import (
     AxisSection,
     SteinerAxisError,
-    SymmetrizationReport,
-    check_ps_hl,
     row_sections,
     symmetrize_function,
     symmetrize_set,
@@ -76,11 +69,9 @@ __all__ = [
     "ScalarField",
     "SteinerAxisError",
     "StepProfile",
-    "SymmetrizationReport",
     "VerticalAxis",
     "WeightNotPositiveAnywhere",
     "assemble_stiffness",
-    "check_ps_hl",
     "comonotone",
     "compare_split_vs_merged",
     "decompose",
@@ -89,22 +80,17 @@ __all__ = [
     "from_mask",
     "hl_inner",
     "hl_pairing",
-    "in_closure",
     "is_fixed_point",
     "make_box",
     "make_ellipse",
     "make_rectangle",
-    "measure",
     "optimize_single",
     "optimize_two",
     "pair_family",
     "precedes",
     "principal_positive_eigenvalue",
-    "rayleigh",
     "rearrangement_step",
-    "reflect_field",
     "row_sections",
-    "scale_class_generator",
     "symmetrize_function",
     "symmetrize_set",
     "symmetry_defect",

@@ -218,15 +218,3 @@ def principal_positive_eigenvalue(
     if not resid <= residual_rtol or sign_changing or u.min() <= 0:
         raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min u {u_min:.3g}")
     return EigenPair(1.0 / mu, ScalarField(domain, u), resid, iterations=solves)
-
-
-def rayleigh(u: ScalarField, m: ScalarField, A: sparse.csr_matrix) -> float:
-    """(uᵀMu)/(uᵀAu); equals 1/λ₁ at the converged eigenpair."""
-    if u.domain is not m.domain:
-        raise ValueError("fields must share a domain")
-    v = u.values
-    vAv = float(v @ (A @ v))
-    if vAv == 0.0:
-        raise ValueError("u must be nonzero")
-    m_diag = m.values * u.domain.cell_area
-    return float(v @ (m_diag * v)) / vAv

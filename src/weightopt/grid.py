@@ -29,10 +29,6 @@ class VerticalAxis:
 
     center2: int
 
-    @property
-    def through_column(self) -> bool:
-        return self.center2 % 2 == 0
-
 
 class GridDomain:
     """Bounded open set discretized into uniform square cells.
@@ -44,7 +40,8 @@ class GridDomain:
     """
 
     def __init__(self, mask: np.ndarray, h: float):
-        mask = np.asarray(mask, dtype=bool)
+        # a copy, so freezing it below leaves the caller's array writable
+        mask = np.array(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("mask must be 2D")
         if h <= 0:
@@ -85,10 +82,6 @@ class GridDomain:
         return self.mask.shape[0]
 
     @property
-    def width(self) -> int:
-        return self.mask.shape[1]
-
-    @property
     def n_cells(self) -> int:
         return self.cell_rows.size
 
@@ -105,13 +98,6 @@ class GridDomain:
 
     def constant_field(self, value: float) -> "ScalarField":
         return ScalarField(self, np.full(self.n_cells, float(value)))
-
-    def indicator(self, subset_mask: np.ndarray) -> "ScalarField":
-        """Characteristic function of a cell subset as a ScalarField."""
-        sel = self.subset_cells(subset_mask)
-        values = np.zeros(self.n_cells)
-        values[sel] = 1.0
-        return ScalarField(self, values)
 
     def subset_cells(self, subset_mask: np.ndarray) -> np.ndarray:
         """Boolean per-cell selector for a 2D subset mask; validates containment."""
@@ -160,20 +146,8 @@ class ScalarField:
     def integral(self) -> float:
         return float(self.values.sum() * self.domain.cell_area)
 
-    def ess_sup(self) -> float:
-        return float(self.values.max())
-
-    def ess_inf(self) -> float:
-        return float(self.values.min())
-
     def to_grid(self, fill: float = np.nan) -> np.ndarray:
         return self.domain.grid_of(self.values, fill=fill)
-
-
-def measure(domain: GridDomain, subset_mask: np.ndarray) -> float:
-    """Lebesgue measure of a cell subset: (cell count) * h**2."""
-    sel = domain.subset_cells(subset_mask)
-    return float(sel.sum()) * domain.cell_area
 
 
 def make_rectangle(width_cells: int, height_cells: int, h: float) -> GridDomain:
@@ -263,12 +237,3 @@ def transpose_field(f: ScalarField, tdomain: GridDomain | None = None) -> Scalar
     if td.shape != grid.shape:
         raise ValueError("transposed domain does not match the field's grid")
     return ScalarField(td, grid[td.cell_rows, td.cell_cols])
-
-
-def reflect_field(f: ScalarField) -> ScalarField:
-    """Mirror a field across the domain's vertical axis."""
-    domain = f.domain
-    if domain.axis is None:
-        raise ValueError("domain has no symmetry axis")
-    grid = f.to_grid()[:, ::-1]
-    return ScalarField(domain, grid[domain.cell_rows, domain.cell_cols])

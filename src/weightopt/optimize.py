@@ -247,20 +247,19 @@ def combined_profile(domain: GridDomain, *classes: ResourceClass) -> StepProfile
     The Hardy-Littlewood-paired generators stack into nested level sets;
     for one class the profile is its own generator (q on e, -p elsewhere),
     for two the levels are (q1+q2, the larger-measure resource's maximum
-    plus the other's minimum, -(p1+p2)).  Raises WeightNotPositiveAnywhere
-    unless the top level Σq is positive and every class keeps its maximum
-    after quantization.
+    plus the other's minimum, -(p1+p2)).  A level set that rounds to no
+    cell drops its level.  Raises WeightNotPositiveAnywhere unless the
+    profile's top level is positive.
     """
     omega = domain.total_measure
     for cls in classes:
         if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
             raise InfeasibleClassError("resource class measure does not match the domain")
-    if sum(cls.q for cls in classes) <= 0:
-        raise WeightNotPositiveAnywhere("the classes' maxima q must sum to a positive value")
     parts = pair_family(_class_generators(domain, *classes))
-    if any(g.values[0] != cls.q for g, cls in zip(parts, classes)):
-        raise WeightNotPositiveAnywhere("a class's level set rounds to no cell")
-    return StepProfile.from_cell_values(_sum_of(parts), domain.cell_area)
+    profile = StepProfile.from_cell_values(_sum_of(parts), domain.cell_area)
+    if profile.values[0] <= 0:
+        raise WeightNotPositiveAnywhere("the classes' quantized sum is never positive")
+    return profile
 
 
 def optimize_single(

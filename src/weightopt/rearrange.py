@@ -2,7 +2,7 @@
 
 Implements decreasing rearrangements f*, equimeasurability, the precedence
 order g ≺ f (cumulative integrals of g* never exceed those of f*, totals
-equal), membership in the constraint class {-p <= f <= q, ∫f = l}, and the
+equal), the constraint class {-p <= f <= q, ∫f = l}, and the
 Hardy-Littlewood inequality with its equality-attaining pairing.
 
 All cells have equal area, so a decreasing rearrangement is a step function
@@ -178,10 +178,7 @@ def precedes(g: ScalarField, f: ScalarField) -> bool:
     at the union of both breakpoint sets is exhaustive.
     """
     _check_same_measure(g.domain.total_measure, f.domain.total_measure)
-    return profile_precedes(decreasing_rearrangement(g), decreasing_rearrangement(f))
-
-
-def profile_precedes(gp: StepProfile, fp: StepProfile) -> bool:
+    gp, fp = decreasing_rearrangement(g), decreasing_rearrangement(f)
     total_g = gp.total_integral()
     total_f = fp.total_integral()
     tol = INTEGRAL_RTOL * max(1.0, abs(total_g), abs(total_f))
@@ -192,20 +189,6 @@ def profile_precedes(gp: StepProfile, fp: StepProfile) -> bool:
     cf = np.atleast_1d(fp.cumulative(ts))
     scale = np.maximum(1.0, np.maximum(np.abs(cg), np.abs(cf)))
     return bool(np.all(cg <= cf + INTEGRAL_RTOL * scale))
-
-
-def in_closure(f: ScalarField, cls: ResourceClass) -> bool:
-    """Membership of f in the closure of the class generated by cls.
-
-    On a fixed grid the weak* closure coincides with the explicit
-    characterization -p <= f <= q and ∫f = l, which is checked directly
-    (bounds exactly, the integral to 1e-12 relative).
-    """
-    _check_same_measure(f.domain.total_measure, cls.domain_measure)
-    if f.values.min() < -cls.p or f.values.max() > cls.q:
-        return False
-    tol = INTEGRAL_RTOL * max(1.0, abs(cls.l))
-    return abs(f.integral() - cls.l) <= tol
 
 
 def hl_inner(f: ScalarField, g: ScalarField) -> tuple[float, float]:
@@ -250,11 +233,6 @@ def pair_family(fields: list[ScalarField]) -> list[ScalarField]:
     if not fields:
         raise ValueError("need at least one field")
     return [hl_pairing(fields[0], f) for f in fields]
-
-
-def scale_class_generator(f: ScalarField, alpha: float) -> ScalarField:
-    """alpha*f; the rearrangement class closure scales the same way."""
-    return ScalarField(f.domain, alpha * f.values)
 
 
 def comonotone(f: ScalarField | np.ndarray, g: ScalarField | np.ndarray) -> bool:

@@ -17,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grid import GridDomain, ScalarField
 
-PS_SLACK = 0.05          # discrete Pólya-Szegő is diagnostic, not exact
-TRANSFORM_ATOL = 1e-9
-HL_RTOL = 1e-12
 DEFECT_FLOOR = 1e-30     # denominator floor of symmetry_defect for f = 0
 
 
@@ -116,53 +112,3 @@ def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
     num = float(np.abs(f.values - fs.values).sum()) * domain.cell_area
     den = max(float(np.abs(f.values).sum()) * domain.cell_area, DEFECT_FLOOR)
     return num / den
-
-
-@dataclass(frozen=True)
-class SymmetrizationReport:
-    """Numerical checks of the symmetrization inequalities for one (u, m) pair."""
-
-    gradient_energy: float          # uᵀAu
-    gradient_energy_symmetrized: float
-    weighted_mass: float            # ∫ m u² dx
-    weighted_mass_symmetrized: float
-    transform_max_diff: float       # ‖ψ(u♯) - (ψ(u))♯‖_∞ for ψ(t) = 2t + 1
-    polya_szego_ok: bool
-    hardy_littlewood_ok: bool
-    transform_ok: bool
-
-
-def check_ps_hl(domain: GridDomain, u: ScalarField, m: ScalarField,
-                A: sparse.csr_matrix) -> SymmetrizationReport:
-    """Check the three symmetrization properties used by the symmetry proof.
-
-    Gradient energy should not increase (Pólya-Szegő, checked with a 5%
-    slack since the discrete 5-point form is not exact), the weighted mass
-    ∫ m u² should not decrease, and symmetrization must commute with the
-    increasing transform ψ(t) = 2t + 1 exactly.
-    """
-    if u.values.min() < 0:
-        raise ValueError("u must be nonnegative")
-    area = domain.cell_area
-    us = symmetrize_function(domain, u)
-    ms = symmetrize_function(domain, m)
-
-    grad_before = float(u.values @ (A @ u.values))
-    grad_after = float(us.values @ (A @ us.values))
-    mass_before = float(m.values @ (u.values**2)) * area
-    mass_after = float(ms.values @ (us.values**2)) * area
-
-    psi_after = symmetrize_function(domain, ScalarField(domain, 2.0 * u.values + 1.0))
-    transform_diff = float(np.abs((2.0 * us.values + 1.0) - psi_after.values).max())
-
-    return SymmetrizationReport(
-        gradient_energy=grad_before,
-        gradient_energy_symmetrized=grad_after,
-        weighted_mass=mass_before,
-        weighted_mass_symmetrized=mass_after,
-        transform_max_diff=transform_diff,
-        polya_szego_ok=grad_after <= grad_before * (1.0 + PS_SLACK),
-        hardy_littlewood_ok=mass_before
-        <= mass_after + HL_RTOL * max(1.0, abs(mass_before), abs(mass_after)),
-        transform_ok=transform_diff <= TRANSFORM_ATOL,
-    )

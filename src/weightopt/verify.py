@@ -36,7 +36,6 @@ from .steiner import symmetrize_function, symmetrize_set
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
 
 
 def _random_field(domain: GridDomain, rng: np.random.Generator) -> ScalarField:

@@ -17,3 +17,15 @@ def small_rect():
 def rng_field(domain, rng, lo=-16, hi=17, denom=8.0):
     """Random field with dyadic-rational values (exact float arithmetic)."""
     return domain.field(rng.integers(lo, hi, domain.n_cells) / denom)
+
+
+def indicator(domain, subset_mask):
+    """Characteristic function of a cell subset as a field on the domain."""
+    return domain.field(domain.subset_cells(subset_mask).astype(float))
+
+
+def reflect_field(f):
+    """Mirror a field across its domain's vertical axis."""
+    domain = f.domain
+    assert domain.axis is not None
+    return domain.field(f.to_grid()[:, ::-1][domain.cell_rows, domain.cell_cols])

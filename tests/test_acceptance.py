@@ -47,6 +47,8 @@ from weightopt.verify import (
     random_connected_mask,
 )
 
+from conftest import indicator
+
 EIG_RESIDUAL_TOL = 1e-8
 SYMMETRY_DEFECT_TOL = 0.02
 
@@ -170,7 +172,7 @@ def test_criterion_4_steiner_symmetry_n128(symmetric_optima_n128):
             cls1, cls2 = remark_classes(dom)
             w = report.weight.values
             for cells in (w == cls1.q + cls2.q, w > -(cls1.p + cls2.p)):  # E and G
-                chi = dom.indicator(dom.cells_to_mask(cells))
+                chi = indicator(dom, dom.cells_to_mask(cells))
                 defects.append(symmetry_defect(dom, chi))
                 defects.append(symmetry_defect(td, transpose_field(chi, td)))
         assert max(defects) <= SYMMETRY_DEFECT_TOL, (name, defects)

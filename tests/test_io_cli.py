@@ -222,22 +222,42 @@ class TestRunTask:
         assert results["stabilized"] is True
 
     def test_determinism_byte_identical(self, tmp_path):
-        domain = {"shape": "rectangle", "nx": 8, "ny": 8, "h": 1 / 9}
-        omega = 64 / 81
-        tasks = {
-            "optimize": {"single_class": {"m1": 1.0, "m2": 1.0, "m3": 0.0}},
-            "optimize2": {"classes": [{"p": 0.5, "q": 2.0, "l": omega},
-                                      {"p": 1.0, "q": 0.5, "l": -omega / 4}]},
-            "remark": {},
-        }
-        for task, fields in tasks.items():
-            p = write_config(tmp_path / f"{task}.json", task=task, domain=domain,
-                             seeds=2, seed=11, **fields)
-            a, b = tmp_path / task / "a", tmp_path / task / "b"
-            assert run(p, out_dir=str(a)) == 0
-            assert run(p, out_dir=str(b)) == 0
-            for name in ("results.json", "weight.csv", "eigenfunction.csv"):
-                assert (a / name).read_bytes() == (b / name).read_bytes(), (task, name)
+        # 8 x 8 cells solve densely, 12 x 12 by Lanczos
+        assert 8 * 8 <= weightopt.eig.DENSE_MAX_CELLS < 12 * 12
+        for n in (8, 12):
+            domain = {"shape": "rectangle", "nx": n, "ny": n, "h": 1 / (n + 1)}
+            omega = n * n / (n + 1) ** 2
+            tasks = {
+                "optimize": {"single_class": {"m1": 1.0, "m2": 1.0, "m3": 0.0}},
+                "optimize2": {"classes": [{"p": 0.5, "q": 2.0, "l": omega},
+                                          {"p": 1.0, "q": 0.5, "l": -omega / 4}]},
+                "remark": {},
+            }
+            for task, fields in tasks.items():
+                p = write_config(tmp_path / f"{task}{n}.json", task=task, domain=domain,
+                                 seeds=2, seed=11, **fields)
+                a, b = tmp_path / f"{task}{n}" / "a", tmp_path / f"{task}{n}" / "b"
+                assert run(p, out_dir=str(a)) == 0
+                assert run(p, out_dir=str(b)) == 0
+                for name in ("results.json", "weight.csv", "eigenfunction.csv"):
+                    assert (a / name).read_bytes() == (b / name).read_bytes(), (n, task, name)
+
+    def test_constant_weight_class_optimizes(self, tmp_path):
+        # e = 0.02 rounds to no cell, so every cell takes -m2 = 0.5 > 0: the
+        # class holds one constant weight, whose λ is the optimum
+        p = write_config(
+            tmp_path / "c.json", task="optimize",
+            domain={"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5},
+            single_class={"m1": 1.0, "m2": -0.5, "m3": 3.76}, seeds=2,
+        )
+        assert run(p) == 0
+        out = tmp_path / "out"
+        results = json.loads((out / "results.json").read_text())
+        dom = make_rectangle(6, 5, 0.5)
+        weight = read_field_csv(out / "weight.csv", dom)
+        assert np.array_equal(weight.values, np.full(dom.n_cells, 0.5))
+        lam = weightopt.verify.dense_lambda1(dom, dom.constant_field(0.5))
+        assert results["lambda"] == pytest.approx(lam, rel=1e-10)
 
     def test_symmetrize_run(self, tmp_path):
         p = write_config(

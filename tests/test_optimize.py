@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightopt import optimize
@@ -29,6 +29,8 @@ from weightopt.rearrange import (
     equimeasurable,
 )
 from weightopt.steiner import symmetrize_function, symmetry_defect
+
+from conftest import indicator
 
 
 def toy_profile(values, counts, area=1.0):
@@ -112,7 +114,7 @@ class TestOptimizeSingle:
         dom = make_ellipse(33, 33, 1 / 32, (0.5, 0.5))
         report = optimize_single(dom, (1.0, 1.0, 0.0), seeds=3)
         E = dom.cells_to_mask(report.weight.values == 1.0)
-        assert symmetry_defect(dom, dom.indicator(E)) <= 0.03
+        assert symmetry_defect(dom, indicator(dom, E)) <= 0.03
         w_sym = symmetrize_function(dom, report.weight)
         lam_sym = principal_positive_eigenvalue(dom, w_sym).lambda1
         assert lam_sym == pytest.approx(report.final.lambda1, rel=1e-9)
@@ -253,7 +255,7 @@ def quantized_cells(domain, measure):
 
 def stacked_profile(domain, cls1, cls2):
     """Reference for combined_profile, stacked level by level, or None when
-    the sum class has no weight positive anywhere.
+    the profile's top level is not positive.
 
     The profile is (q1+q2, r, -(p1+p2)) on (n_γ, n_δ - n_γ, n - n_δ) cells,
     empty steps dropped and equal neighbours merged."""
@@ -263,8 +265,6 @@ def stacked_profile(domain, cls1, cls2):
     n_gamma = quantized_cells(domain, min(e1, e2))
     n_delta = quantized_cells(domain, max(e1, e2))
     top, bot = cls1.q + cls2.q, -(cls1.p + cls2.p)
-    if top <= 0 or n_gamma < 1:
-        return None
     values, counts = [], []
     for v, c in ((top, n_gamma), (r, n_delta - n_gamma), (bot, n - n_delta)):
         if c <= 0:
@@ -274,6 +274,8 @@ def stacked_profile(domain, cls1, cls2):
         else:
             values.append(v)
             counts.append(c)
+    if values[0] <= 0:
+        return None
     return StepProfile(np.array(values), np.array(counts), domain.cell_area)
 
 
@@ -323,17 +325,19 @@ class TestPairedGenerators:
     @settings(max_examples=100, deadline=None)
     @given(nx=st.integers(3, 12), ny=st.integers(3, 12), h=st.sampled_from([0.5, 0.25, 0.1]),
            pq=class_bounds, t=fine_fraction, seed=st.integers(0, 2**32 - 1))
+    # the level set rounds to no cell and -p = 0.5 > 0: one constant weight
+    @example(nx=6, ny=5, h=0.5, pq=(-0.5, 1.0), t=1 / 256, seed=0)
     def test_one_class_is_its_own_generator(self, nx, ny, h, pq, t, seed):
         dom = make_rectangle(nx, ny, h)
         cls = class_with_level_fraction(*pq, t, dom.total_measure)
         k = quantized_cells(dom, cls.e)
-        if cls.q <= 0 or k < 1:
-            with pytest.raises(WeightNotPositiveAnywhere):
-                combined_profile(dom, cls)
-            return
         # q on k cells and -p on the rest, an empty step dropped
         steps = [(v, c) for v, c in ((cls.q, k), (-cls.p, dom.n_cells - k)) if c > 0]
         values, counts = zip(*steps)
+        if values[0] <= 0:
+            with pytest.raises(WeightNotPositiveAnywhere):
+                combined_profile(dom, cls)
+            return
         expected = StepProfile(np.array(values), np.array(counts), dom.cell_area)
         profile = combined_profile(dom, cls)
         assert profile.same_as(expected)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightopt.grid import from_mask, make_rectangle, reflect_field
+from weightopt.grid import from_mask, make_rectangle
 from weightopt.rearrange import (
     MeasureMismatchError,
     ResourceClass,
@@ -13,13 +13,11 @@ from weightopt.rearrange import (
     equimeasurable,
     hl_inner,
     hl_pairing,
-    in_closure,
     pair_family,
     precedes,
-    scale_class_generator,
 )
 
-from conftest import rng_field
+from conftest import reflect_field, rng_field
 
 
 def line_domain(n, h=1.0):
@@ -63,8 +61,8 @@ class TestDecreasingRearrangement:
         f = dom.field(values)
         prof = decreasing_rearrangement(f)
         assert prof.total_integral() == pytest.approx(f.integral(), abs=1e-12)
-        assert prof.values[0] == f.ess_sup()
-        assert prof.values[-1] == f.ess_inf()
+        assert prof.values[0] == f.values.max()
+        assert prof.values[-1] == f.values.min()
         assert (np.diff(prof.values) < 0).all()
 
 
@@ -145,28 +143,6 @@ class TestPrecedes:
 
 
 class TestInClosure:
-    def test_generator_and_mean(self):
-        dom = make_rectangle(4, 4, 0.5)  # |Omega| = 4, 16 cells
-        cls = ResourceClass(p=1.0, q=1.0, l=0.0, domain_measure=dom.total_measure)
-        sel = np.zeros(dom.n_cells, dtype=bool)
-        sel[:8] = True  # e = 2.0 -> exactly 8 cells
-        gen = dom.field(np.where(sel, 1.0, -1.0))
-        assert in_closure(gen, cls)
-        assert in_closure(dom.constant_field(0.0), cls)
-
-    def test_bound_violation(self):
-        dom = make_rectangle(4, 4, 0.5)
-        cls = ResourceClass(p=1.0, q=1.0, l=0.0, domain_measure=dom.total_measure)
-        vals = np.zeros(dom.n_cells)
-        vals[3] = 1.5
-        vals[4] = -1.5
-        assert not in_closure(dom.field(vals), cls)
-
-    def test_integral_violation(self):
-        dom = make_rectangle(4, 4, 0.5)
-        cls = ResourceClass(p=1.0, q=1.0, l=0.0, domain_measure=dom.total_measure)
-        assert not in_closure(dom.constant_field(0.25), cls)
-
     def test_resource_class_validation(self):
         with pytest.raises(ValueError):
             ResourceClass(p=1.0, q=1.0, l=3.0, domain_measure=2.0)  # l = q|Omega| + 1
@@ -273,15 +249,6 @@ class TestPairFamily:
 
 
 class TestScaleAndComonotone:
-    def test_scale(self):
-        dom = line_domain(2)
-        f = dom.field([1.0, 2.0])
-        assert np.array_equal(scale_class_generator(f, 1.0).values, f.values)
-        assert np.array_equal(scale_class_generator(f, 0.0).values, [0.0, 0.0])
-        neg = scale_class_generator(f, -1.0)
-        prof = decreasing_rearrangement(neg)
-        assert np.array_equal(prof.values, [-1.0, -2.0])
-
     def test_comonotone(self):
         assert comonotone(np.array([3.0, 2.0, 1.0]), np.array([5.0, 5.0, 0.0]))
         assert not comonotone(np.array([3.0, 2.0, 1.0]), np.array([0.0, 5.0, 5.0]))

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightopt.eig import assemble_stiffness
-from weightopt.grid import from_mask, make_ellipse, make_rectangle, reflect_field
+from weightopt.grid import from_mask, make_ellipse, make_rectangle
 from weightopt.steiner import (
     SteinerAxisError,
-    check_ps_hl,
     row_sections,
     symmetrize_function,
     symmetrize_set,
     symmetry_defect,
 )
 
-from conftest import rng_field
+from conftest import indicator, reflect_field, rng_field
 
 
 def line(n):
@@ -78,10 +76,10 @@ class TestSymmetrizeFunction:
         rng = np.random.default_rng(1)
         for _ in range(20):
             sel = rng.random(ellipse.n_cells) < 0.5
-            chi = ellipse.indicator(ellipse.cells_to_mask(sel))
+            chi = indicator(ellipse, ellipse.cells_to_mask(sel))
             via_fun = symmetrize_function(ellipse, chi)
             via_set = symmetrize_set(ellipse, ellipse.cells_to_mask(sel))
-            assert np.array_equal(via_fun.values, ellipse.indicator(via_set).values)
+            assert np.array_equal(via_fun.values, indicator(ellipse, via_set).values)
 
     def test_row_unimodal_with_axis_peak(self, ellipse):
         rng = np.random.default_rng(2)
@@ -129,8 +127,8 @@ class TestSymmetryDefect:
 
     def test_left_half_vs_centered_band(self):
         dom = make_rectangle(8, 6, 0.5)
-        left = dom.indicator(dom.cells_to_mask(dom.cell_cols <= 4))
-        band = dom.indicator(dom.cells_to_mask(
+        left = indicator(dom, dom.cells_to_mask(dom.cell_cols <= 4))
+        band = indicator(dom, dom.cells_to_mask(
             (dom.cell_cols >= 3) & (dom.cell_cols <= 6)))
         assert symmetry_defect(dom, band) == 0.0
         assert symmetry_defect(dom, left) > 0.0
@@ -146,41 +144,6 @@ class TestSymmetryDefect:
             / max(np.abs(f.values).sum() * ellipse.cell_area, 1e-30)
         )
         assert abs(d1 - d2) <= slack
-
-
-class TestCheckPsHl:
-    def test_symmetric_input_equalities(self, ellipse):
-        A = assemble_stiffness(ellipse)
-        rng = np.random.default_rng(6)
-        u = symmetrize_function(ellipse, ellipse.field(np.abs(rng_field(ellipse, rng).values)))
-        m = symmetrize_function(ellipse, rng_field(ellipse, rng))
-        rep = check_ps_hl(ellipse, u, m, A)
-        assert rep.gradient_energy_symmetrized == pytest.approx(rep.gradient_energy, rel=1e-14)
-        assert rep.weighted_mass_symmetrized == pytest.approx(rep.weighted_mass, rel=1e-12, abs=1e-14)
-        assert rep.transform_ok and rep.hardy_littlewood_ok and rep.polya_szego_ok
-
-    def test_transform_commutes_exactly(self, ellipse):
-        A = assemble_stiffness(ellipse)
-        rng = np.random.default_rng(7)
-        u = ellipse.field(np.abs(rng_field(ellipse, rng).values))
-        m = rng_field(ellipse, rng)
-        rep = check_ps_hl(ellipse, u, m, A)
-        assert rep.transform_max_diff == 0.0
-
-    def test_hl_holds_for_nonnegative_m(self, ellipse):
-        A = assemble_stiffness(ellipse)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            u = ellipse.field(np.abs(rng_field(ellipse, rng).values))
-            m = ellipse.field(np.abs(rng_field(ellipse, rng).values))
-            rep = check_ps_hl(ellipse, u, m, A)
-            assert rep.hardy_littlewood_ok
-
-    def test_rejects_negative_u(self, ellipse):
-        A = assemble_stiffness(ellipse)
-        with pytest.raises(ValueError):
-            check_ps_hl(ellipse, ellipse.constant_field(-1.0),
-                        ellipse.constant_field(1.0), A)
 
 
 class TestRowSections:
