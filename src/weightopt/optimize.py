@@ -19,10 +19,13 @@ from functools import reduce
 import numpy as np
 
 from .eig import (
+    DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
     EigenPair,
     WeightNotPositiveAnywhere,
     principal_positive_eigenvalue,
+    second_mu_bound,
+    temple_swap_bound,
 )
 from .grid import GridDomain, ScalarField
 from .rearrange import (
@@ -144,6 +147,12 @@ def _minimize_over_class(
     stabilizes (or cycles), then a greedy one-swap polish around the best
     iterate; every accepted swap strictly lowers λ₁ and the descent loop
     resumes from it.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
+
+    On Lanczos-sized domains a polish probe is first screened by Temple's
+    bound (``temple_swap_bound``): a swap whose bound on 1/λ₁ lies below
+    1/λ₀ by the tie tolerance cannot lower λ₁ and is rejected without a
+    solve.  A screened probe counts against the cap like a solved one, so
+    the screen changes no result, only the number of solves.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -152,6 +161,11 @@ def _minimize_over_class(
     pairs_per_level = domain.n_cells if domain.n_cells <= 64 else (
         8 if domain.n_cells <= 400 else 2
     )
+
+    # β bounds μ₂ of every arrangement of the profile; dense pencils probe
+    # directly, where one dsyevr call costs about what the screen costs
+    beta = (second_mu_bound(domain, float(profile.values[0]))
+            if domain.n_cells > DENSE_MAX_CELLS else np.inf)
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
@@ -201,16 +215,21 @@ def _minimize_over_class(
             # accepted swap strictly lowers lambda, so revisiting a seen
             # arrangement afterwards is impossible and descent can resume
             lam0, pair0, m0 = seed_best
+            mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
+            # a finite bound exceeds β, so none falls below μ₀ <= β
+            screen = 1.0 / lam0 > beta
             accepted = None
             for i, j in _swap_candidates(m0.values, pair0.u.values,
                                          profile.values, pairs_per_level):
                 if evals >= MAX_FIXED_POINT_ITERS:
                     break
+                evals += 1
+                if screen and temple_swap_bound(domain, m0, pair0, i, j, beta) < mu_cut:
+                    continue  # certified: the swap cannot lower λ₁
                 trial_values = m0.values.copy()
                 trial_values[i], trial_values[j] = trial_values[j], trial_values[i]
                 m_trial = ScalarField(domain, trial_values)
                 pair_trial = solve(m_trial, pair0.u.values)
-                evals += 1
                 if pair_trial.lambda1 < lam0 * (1.0 - LAMBDA_TIE_RTOL):
                     accepted = (m_trial, pair_trial)
                     break

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weightopt.eig
 from weightopt.eig import (
@@ -10,9 +13,12 @@ from weightopt.eig import (
     WeightNotPositiveAnywhere,
     assemble_stiffness,
     principal_positive_eigenvalue,
+    second_mu_bound,
+    temple_swap_bound,
 )
 from weightopt.grid import from_mask, make_box, make_rectangle
-from weightopt.verify import _batch_lambda1, dense_lambda1
+from weightopt.optimize import LAMBDA_TIE_RTOL
+from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
 from conftest import rng_field
 
@@ -307,3 +313,84 @@ class TestRayleigh:
         u = pair.u.values
         quotient = (u @ (m.values * small_rect.cell_area * u)) / (u @ (A @ u))
         assert quotient == pytest.approx(1.0 / pair.lambda1, rel=1e-8)
+
+
+def swapped(m, i, j):
+    values = m.values.copy()
+    values[i], values[j] = values[j], values[i]
+    return m.domain.field(values)
+
+
+def certified(bound, pair):
+    """The optimizer's rule: a swap is rejected without a solve when its
+    bound on 1/λ₁ lies below 1/λ₀ by the tie tolerance."""
+    return bound < (1.0 - LAMBDA_TIE_RTOL) / pair.lambda1
+
+
+eighths = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+class TestTempleSwapBound:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), big=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           levels=st.lists(eighths, min_size=2, max_size=3, unique=True)
+           .filter(lambda levels: max(levels) > 0))
+    def test_sound_for_random_swaps(self, data, big, seed, levels):
+        rng = np.random.default_rng(seed)
+        if big:
+            dom = first_cells(data.draw(st.integers(DENSE_MAX_CELLS + 1, 180)))
+        else:
+            dom = from_mask(random_connected_mask(rng, data.draw(st.integers(2, 10))), 0.5)
+        n = dom.n_cells
+        levels = sorted(levels, reverse=True)
+        values = rng.choice(levels, n)
+        values[rng.permutation(n)[:2]] = levels[:2]  # the top level and one more
+        m = dom.field(values)
+        i = data.draw(st.integers(0, n - 1))
+        j = int(data.draw(st.sampled_from(np.flatnonzero(values != values[i]).tolist())))
+        m_swap = swapped(m, i, j)
+
+        pair = principal_positive_eigenvalue(dom, m)
+        beta = second_mu_bound(dom, float(values.max()))
+        bound = temple_swap_bound(dom, m, pair, i, j, beta)
+        A = assemble_stiffness(dom).toarray()
+        mu = scipy.linalg.eigh(np.diag(m_swap.values * dom.cell_area), A, eigvals_only=True)
+        assert beta >= mu[-2] - 1e-12 * abs(mu[-2])
+        if np.isfinite(bound):
+            assert bound >= (1.0 - 1e-12) / dense_lambda1(dom, m_swap)
+        if not big:
+            lam0, lam_swap = _batch_lambda1(A, np.stack([values, m_swap.values]), dom.cell_area)
+            if lam_swap < lam0 * (1.0 - LAMBDA_TIE_RTOL):
+                assert not certified(bound, pair)
+
+    def test_every_swap_on_oracle_domains(self):
+        # all cross-level swaps of random weights on small domains: a swap
+        # that lowers λ₁ is never certified, and the bound does certify some
+        rng = np.random.default_rng(3)
+        lowering = certified_count = 0
+        for _ in range(30):
+            dom = from_mask(random_connected_mask(rng, int(rng.integers(4, 11))), 0.5)
+            n = dom.n_cells
+            values = rng.choice([1.0, 0.0, -1.0], n, p=[0.6, 0.2, 0.2])
+            values[0] = 1.0
+            m = dom.field(values)
+            pair = principal_positive_eigenvalue(dom, m)
+            beta = second_mu_bound(dom, 1.0)
+            A = assemble_stiffness(dom).toarray()
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if values[i] != values[j]]
+            batch = np.stack([values] + [swapped(m, i, j).values for i, j in pairs])
+            lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
+            for (i, j), lam in zip(pairs, lams):
+                is_certified = certified(temple_swap_bound(dom, m, pair, i, j, beta), pair)
+                if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
+                    lowering += 1
+                    assert not is_certified
+                certified_count += is_certified
+        assert lowering > 0 and certified_count > 0
+
+    @pytest.mark.parametrize("nx, ny", [(1, 2), (1, 7), (5, 1), (6, 5), (13, 11)])
+    def test_beta_on_rectangles(self, nx, ny):
+        # on a full rectangle A = A_R, so β is m_max h² / λ₂(A) exactly
+        dom = from_mask(np.ones((ny, nx)), 0.5)
+        lam2 = np.linalg.eigvalsh(assemble_stiffness(dom).toarray())[1]
+        assert second_mu_bound(dom, 2.0) == pytest.approx(2.0 * 0.25 / lam2, rel=1e-12)

@@ -155,12 +155,16 @@ class TestOptimizeSingle:
         assert better.weight.values.tobytes() != first.weight.values.tobytes()
 
 
+def remark_classes(dom):
+    omega = dom.total_measure
+    return (ResourceClass(0.0, 1.0, 2 * omega / 3, omega),
+            ResourceClass(1.0, 0.0, -omega / 2, omega))
+
+
 @pytest.fixture(scope="module")
 def remark_setup():
     dom = make_rectangle(24, 24, 1 / 24)  # |Omega| = 1 exactly
-    omega = dom.total_measure
-    cls1 = ResourceClass(0.0, 1.0, 2 * omega / 3, omega)
-    cls2 = ResourceClass(1.0, 0.0, -omega / 2, omega)
+    cls1, cls2 = remark_classes(dom)
     report = optimize_two(dom, cls1, cls2, seeds=3)
     return dom, cls1, cls2, report
 
@@ -376,3 +380,53 @@ class TestReportInvariants:
                 lambda_history=[1.0, 2.0],
                 final=pair, weight=m, stabilized=True,
             )
+
+
+def run_counting_probes(monkeypatch, dom, screen, seeds, cap=None):
+    """optimize_two on the remark classes with the Temple screen on or off,
+    under MAX_FIXED_POINT_ITERS = cap if given; returns the report and the
+    number of warm solves it ran."""
+    warm = []
+
+    def solve(*args, **kwargs):
+        warm.append(kwargs.get("u0") is not None)
+        return principal_positive_eigenvalue(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "principal_positive_eigenvalue", solve)
+        if not screen:
+            mp.setattr(optimize, "temple_swap_bound", lambda *args: np.inf)
+        if cap is not None:
+            mp.setattr(optimize, "MAX_FIXED_POINT_ITERS", cap)
+        report = optimize_two(dom, *remark_classes(dom), seeds=seeds)
+    return report, sum(warm)
+
+
+def same_run(a, b):
+    return (a.weight.values.tobytes() == b.weight.values.tobytes()
+            and a.lambda_history == b.lambda_history
+            and a.final.lambda1 == b.final.lambda1)
+
+
+class TestTempleScreen:
+    @pytest.mark.parametrize("dom", [make_rectangle(12, 12, 1 / 12), make_box(1.0, 1.0, 16)],
+                             ids=["rect12", "box16"])
+    def test_screen_changes_only_the_solve_count(self, monkeypatch, dom):
+        off, probes_off = run_counting_probes(monkeypatch, dom, screen=False, seeds=4)
+        on, probes_on = run_counting_probes(monkeypatch, dom, screen=True, seeds=4)
+        assert same_run(on, off)
+        assert probes_on < probes_off
+
+    def test_screened_probe_counts_against_the_cap(self, monkeypatch):
+        # every cap up to a full run's solve count; this run's first polish
+        # round accepts a swap after 16 screened rejections, so the caps
+        # that stop inside those rejections decide whether it gets there
+        dom = make_rectangle(12, 12, 1 / 12)
+        _, total = run_counting_probes(monkeypatch, dom, screen=False, seeds=1)
+        fewer = 0
+        for cap in range(1, total + 2):
+            off, probes_off = run_counting_probes(monkeypatch, dom, False, 1, cap)
+            on, probes_on = run_counting_probes(monkeypatch, dom, True, 1, cap)
+            assert same_run(on, off), cap
+            fewer += probes_on < probes_off
+        assert fewer > 0

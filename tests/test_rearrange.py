@@ -142,7 +142,7 @@ class TestPrecedes:
         assert precedes(c, f)
 
 
-class TestInClosure:
+class TestResourceClass:
     def test_resource_class_validation(self):
         with pytest.raises(ValueError):
             ResourceClass(p=1.0, q=1.0, l=3.0, domain_measure=2.0)  # l = q|Omega| + 1
@@ -248,7 +248,7 @@ class TestPairFamily:
                 assert actual == pytest.approx(bound, abs=1e-12)
 
 
-class TestScaleAndComonotone:
+class TestComonotone:
     def test_comonotone(self):
         assert comonotone(np.array([3.0, 2.0, 1.0]), np.array([5.0, 5.0, 0.0]))
         assert not comonotone(np.array([3.0, 2.0, 1.0]), np.array([0.0, 5.0, 5.0]))
