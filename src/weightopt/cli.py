@@ -345,11 +345,12 @@ def _write_artifacts(outdir: Path, cfg: RunConfig, results: dict,
 # the subclasses (ConfigError and FileFormatError are ValueErrors,
 # NoConvergence a RuntimeError) come before their bases.  A RuntimeError
 # past NoConvergence is a checked property that failed: a verify suite,
-# the remark's strict ordering or the optimizer's descent.
+# the remark's strict ordering or the optimizer's descent.  A MemoryError
+# is a domain too large to allocate.
 EXIT_CODES = (
     ((ConfigError, wio.FileFormatError, OSError), 1, "error"),
     (NoConvergence, 3, "no convergence"),
-    (ValueError, 2, "infeasible"),
+    ((ValueError, MemoryError), 2, "infeasible"),
     (RuntimeError, 4, "verification failed"),
 )
 
@@ -373,7 +374,7 @@ def run(config_path: str | Path, out_dir: str | None = None,
         failed = [name for name, passed in results.get("checks", {}).items() if not passed]
         if failed:
             raise RuntimeError(", ".join(failed))
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         code, label = next((c, lbl) for types, c, lbl in EXIT_CODES if isinstance(exc, types))
         print(f"{label}: {exc}", file=sys.stderr)
         return code

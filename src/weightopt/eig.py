@@ -6,41 +6,44 @@ A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
 eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
 by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
 Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
-per domain and cached on it; each Lanczos step costs one solve with the
-factors, and the solver's iteration count is the number of those A-solves.
+per domain and cached here, weakly keyed by the domain so that the factor
+dies with it; each Lanczos step costs one solve with the factors, and the
+solver's iteration count is the number of those A-solves.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
 below ``residual_rtol / 100``; in the optimizer, where nearly every solve is
 warm, that halves the A-solves.
 Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
-and the LU.  Their domain caches the dense A and W = L⁻¹, where A = LLᵀ, so
+and the LU.  Their cache holds the dense A and W = L⁻¹, where A = LLᵀ, so
 each solve whitens the pencil to C = W M Wᵀ and takes C's top eigenpair
 (μ, y) from one LAPACK ``dsyevr`` call; u = Wᵀy.  Building W pushes all n
 columns through A's Cholesky factor, so a dense solve counts as n A-solves.
 
-The optimizer screens each polish swap before solving for it.  From the
-current eigenpair (u, 1/μ₀), ``temple_swap_bound`` takes one inverse-iteration
-step v = μ₀u + A⁻¹Du, D = M′ - M, and bounds the swapped pencil's top μ by
-Temple's inequality μ₁ <= ρ + η²/(ρ - β) (G. Temple, 1928; B. N. Parlett,
-*The Symmetric Eigenvalue Problem*, SIAM 1998, §10), where ρ is v's Rayleigh
-quotient and η its A-norm residual: two solves with the cached factor, about
-a tenth of a warm solve.  ``second_mu_bound`` gives β = max(m) h² / λ₂(A_R)
-for every weight of the class at no cost: M′ <= max(m) h² I, so
-Courant-Fischer gives μ₂ <= max(m) h² / λ₂(A); A is a principal submatrix of
-the 5-point matrix A_R of the domain's bounding rectangle, so Cauchy
-interlacing gives λ₂(A) >= λ₂(A_R), which is known in closed form.
+The optimizer screens each polish swap, on every pencil size, before solving
+for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bound`` takes
+one inverse-iteration step v = μ₀u + A⁻¹Du, D = M′ - M, and bounds the
+swapped pencil's top μ by Temple's inequality μ₁ <= ρ + η²/(ρ - β)
+(G. Temple, 1928; B. N. Parlett, *The Symmetric Eigenvalue Problem*, SIAM
+1998, §10), where ρ is v's Rayleigh quotient and η its A-norm residual: two
+solves with the cached factor, about a tenth of a warm solve.
+``second_mu_bound`` gives β = max(m) h² / λ₂(A_R) for every weight of the
+class at no cost: M′ <= max(m) h² I, so Courant-Fischer gives
+μ₂ <= max(m) h² / λ₂(A); A is a principal submatrix of the 5-point matrix
+A_R of the domain's bounding rectangle, so Cauchy interlacing gives
+λ₂(A) >= λ₂(A_R), which is known in closed form.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 from scipy.linalg.lapack import dsyevr
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .grid import GridDomain, ScalarField
 
@@ -140,23 +143,27 @@ def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
     return 1.1 * m_diag_bound / lam_min
 
 
+# domain -> its (A, W, A⁻¹); no value refers to its domain, so an entry dies with it
+_FACTORS = weakref.WeakKeyDictionary()
+
+
 def _factored_stiffness(domain: GridDomain):
-    """The domain's cached (A, factor): (dense A, W = L⁻¹ with A = LLᵀ) up
-    to ``DENSE_MAX_CELLS`` cells, (sparse A, splu(A)) above."""
-    if domain._stiffness is None:
+    """The domain's cached (A, W, x -> A⁻¹x): (dense A, L⁻¹ with A = LLᵀ,
+    Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None, splu(A).solve) above."""
+    if domain not in _FACTORS:
         n = domain.n_cells
         A = assemble_stiffness(domain)
         if n <= DENSE_MAX_CELLS:
             A = A.toarray()
             W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
-            domain._stiffness = (A, W)
+            _FACTORS[domain] = (A, W, lambda x: W.T @ (W @ x))
         else:
             # A is SPD: a symmetric fill-reducing order with no pivoting
             # halves the fill of splu's default column order
-            domain._stiffness = (A, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                         diag_pivot_thresh=0.0,
-                                         options={"SymmetricMode": True}))
-    return domain._stiffness
+            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+            _FACTORS[domain] = (A, None, lu.solve)
+    return _FACTORS[domain]
 
 
 def principal_positive_eigenvalue(
@@ -177,20 +184,24 @@ def principal_positive_eigenvalue(
     bits.  Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely,
     and ignore ``u0``.
 
-    Raises WeightNotPositiveAnywhere when m <= 0 on every cell, and
+    Raises ValueError when m h² overflows on some cell,
+    WeightNotPositiveAnywhere when m h² <= 0 on every cell, and
     NoConvergence when the solve needs more than ``max_outer`` A-solves,
-    LAPACK reports a failure, or the eigenpair misses ``residual_rtol`` or is
-    not one-signed.  Negative entries within ``SIGN_NOISE_ULPS`` machine
-    epsilons of zero, relative to max u, count as rounding noise: the
-    returned u is |u|, and the residual is that of |u|.
+    LAPACK or ARPACK reports a failure, λ₁ = 1/μ is not a finite double, or
+    the eigenpair misses ``residual_rtol`` or is not one-signed.  Negative
+    entries within ``SIGN_NOISE_ULPS`` machine epsilons of zero, relative to
+    max u, count as rounding noise: the returned u is |u|, and the residual
+    is that of |u|.
     """
     if m.domain is not domain:
         raise ValueError("weight must live on the given domain")
-    if m.values.max() <= 0.0:
-        raise WeightNotPositiveAnywhere("need m > 0 on at least one in-domain cell")
-    n = domain.n_cells
-    A, factor = _factored_stiffness(domain)
+    if not float(np.abs(m.values).max()) * domain.cell_area < np.inf:
+        raise ValueError("m h² overflows a double on some cell")
     m_diag = m.values * domain.cell_area
+    if m_diag.max() <= 0.0:
+        raise WeightNotPositiveAnywhere("need m h² > 0 on at least one in-domain cell")
+    n = domain.n_cells
+    A, W, solve_a = _factored_stiffness(domain)
 
     if n <= DENSE_MAX_CELLS:
         # W = L⁻¹ pushed all n columns through A's Cholesky factor: n
@@ -198,10 +209,10 @@ def principal_positive_eigenvalue(
         if max_outer < n:
             raise NoConvergence(f"dense solve needs {n} A-solves, cap is {max_outer}")
         solves = n
-        mus, y, _, _, info = dsyevr((factor * m_diag) @ factor.T, range="I", il=n, iu=n)
+        mus, y, _, _, info = dsyevr((W * m_diag) @ W.T, range="I", il=n, iu=n)
         if info != 0:
             raise NoConvergence(f"LAPACK dsyevr failed with info = {info}")
-        vecs = factor.T @ y
+        vecs = W.T @ y
     else:
         solves = 0
 
@@ -210,20 +221,25 @@ def principal_positive_eigenvalue(
             solves += 1
             if solves > max_outer:
                 raise NoConvergence(f"no convergence within {max_outer} A-solves")
-            return factor.solve(x)
+            return solve_a(x)
 
-        mus, vecs = eigsh(
-            LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
-            k=1, M=A, Minv=LinearOperator((n, n), matvec=solve, dtype=float),
-            which="LA", v0=np.ones(n) if u0 is None else u0,
-            # a warm start stops at a Ritz estimate 100x tighter than the
-            # residual checked below; a cold one runs to machine precision,
-            # which keeps the sign of a localized eigenfunction's far field
-            ncv=None if u0 is None else WARM_NCV,
-            tol=0.0 if u0 is None else residual_rtol / 100,
-            maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
-        )
+        try:
+            mus, vecs = eigsh(
+                LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
+                k=1, M=A, Minv=LinearOperator((n, n), matvec=solve, dtype=float),
+                which="LA", v0=np.ones(n) if u0 is None else u0,
+                # a warm start stops at a Ritz estimate 100x tighter than the
+                # residual checked below; a cold one runs to machine precision,
+                # which keeps the sign of a localized eigenfunction's far field
+                ncv=None if u0 is None else WARM_NCV,
+                tol=0.0 if u0 is None else residual_rtol / 100,
+                maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
+            )
+        except ArpackError as exc:
+            raise NoConvergence(str(exc)) from exc
     mu, u = float(mus[0]), vecs[:, 0]
+    if not (mu > 0.0 and 1.0 / mu < np.inf):
+        raise NoConvergence(f"λ₁ = 1/μ is not a finite double for μ = {mu:.3g}")
 
     u = -u if u.sum() < 0 else u
     u_min = float(u.min())
@@ -267,12 +283,7 @@ def temple_swap_bound(domain: GridDomain, m: ScalarField, pair: EigenPair,
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
     ρ > β.  Two solves with the cached factor of A; inf when ρ <= β.
     """
-    A, factor = _factored_stiffness(domain)
-    if domain.n_cells <= DENSE_MAX_CELLS:
-        def solve(x: np.ndarray) -> np.ndarray:
-            return factor.T @ (factor @ x)
-    else:
-        solve = factor.solve
+    A, _, solve = _factored_stiffness(domain)
     h2 = domain.cell_area
     u = pair.u.values
     swapped = m.values.copy()

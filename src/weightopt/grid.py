@@ -44,8 +44,9 @@ class GridDomain:
         mask = np.array(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("mask must be 2D")
-        if h <= 0:
-            raise ValueError("cell spacing h must be positive")
+        h = float(h)
+        if not (h > 0 and 0.0 < h * h < np.inf):  # every measure is a cell count times h²
+            raise ValueError(f"cell spacing h = {h!r}: need h > 0 with h² > 0 and finite")
         if not mask.any():
             raise ValueError("domain has no in-domain cells")
         if mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any():
@@ -53,7 +54,7 @@ class GridDomain:
 
         mask.setflags(write=False)
         self.mask = mask
-        self.h = float(h)
+        self.h = h
         self.axis = (VerticalAxis(center2=mask.shape[1] - 1)
                      if np.array_equal(mask, mask[:, ::-1]) else None)
 
@@ -66,12 +67,6 @@ class GridDomain:
         self.cell_cols = cols
         self.cell_rows.setflags(write=False)
         self.cell_cols.setflags(write=False)
-
-        # The 5-point stiffness A and its factorization, filled by
-        # weightopt.eig on the first eigensolve so every solve on this domain
-        # reuses them: (dense A, L⁻¹ with A = LLᵀ) on domains that eig solves
-        # densely, (sparse A, splu(A)) above
-        self._stiffness = None
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -19,7 +19,6 @@ from functools import reduce
 import numpy as np
 
 from .eig import (
-    DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
     EigenPair,
     WeightNotPositiveAnywhere,
@@ -148,11 +147,12 @@ def _minimize_over_class(
     iterate; every accepted swap strictly lowers λ₁ and the descent loop
     resumes from it.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
 
-    On Lanczos-sized domains a polish probe is first screened by Temple's
-    bound (``temple_swap_bound``): a swap whose bound on 1/λ₁ lies below
-    1/λ₀ by the tie tolerance cannot lower λ₁ and is rejected without a
-    solve.  A screened probe counts against the cap like a solved one, so
-    the screen changes no result, only the number of solves.
+    Every polish probe is first screened by Temple's bound
+    (``temple_swap_bound``), two solves with the domain's cached factor of
+    A on every pencil size: a swap whose bound on 1/λ₁ lies below 1/λ₀ by
+    the tie tolerance cannot lower λ₁ and is rejected without an eigensolve.
+    A screened probe counts against the cap like a solved one, so the screen
+    changes no result, only the number of eigensolves.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -162,10 +162,8 @@ def _minimize_over_class(
         8 if domain.n_cells <= 400 else 2
     )
 
-    # β bounds μ₂ of every arrangement of the profile; dense pencils probe
-    # directly, where one dsyevr call costs about what the screen costs
-    beta = (second_mu_bound(domain, float(profile.values[0]))
-            if domain.n_cells > DENSE_MAX_CELLS else np.inf)
+    # β bounds μ₂ of every arrangement of the profile
+    beta = second_mu_bound(domain, float(profile.values[0]))
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -224,6 +227,15 @@ class TestPrincipalEigenvalue:
         assert warm.lambda1 == cold.lambda1
         assert warm.u.values.tobytes() == cold.u.values.tobytes()
         assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
+
+    @pytest.mark.parametrize("width", [6, DENSE_MAX_CELLS // 10 + 1], ids=["dense", "lanczos"])
+    def test_factor_cache_lets_the_domain_die(self, width):
+        dom = make_rectangle(width, 10, 0.5)
+        principal_positive_eigenvalue(dom, dom.constant_field(1.0))
+        alive = weakref.ref(dom)
+        del dom
+        gc.collect()
+        assert alive() is None
 
     def test_clustered_spectrum_converges(self):
         # 8 cells, h = 0.5 ('.' outside); positive pencil eigenvalues

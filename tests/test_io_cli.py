@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackError
 
 import weightopt.eig
 import weightopt.verify
@@ -410,6 +411,19 @@ class TestCliEntry:
         assert proc.returncode == 1  # a usage error is malformed input
         assert proc.stderr.count("\n") == 1
 
+    def test_unrepresentable_lambda_prints_one_line(self, tmp_path):
+        # m h² = 2.5e-323 leaves 1/μ beyond the doubles; warnings, which the
+        # in-process exit-code table does not see, would add stderr lines
+        p = write_config(tmp_path / "c.json", domain=RECT,
+                         weight={"kind": "constant", "value": 1e-322})
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "weightopt.cli", "eig", "--config", str(p)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("no convergence: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     @pytest.mark.parametrize("argv, code", [
         (["eig", "--config", "c.json", "--seed", "x"], 1),
         (["eig"], 1),
@@ -460,7 +474,21 @@ EXIT_CASES = {
     "remark-without-axis": ({"task": "remark", "seeds": 1,
                              "domain": {"shape": "mask_file", "mask_path": "lopsided.pgm",
                                         "h": 0.5}}, [], 2),
+    "h-squared-underflows": ({"domain": {**RECT, "h": 1e-200}}, [], 2),
+    "h-squared-overflows": ({"domain": {**RECT, "h": 1e200}}, [], 2),
+    "grid-too-large-to-allocate": ({}, ["--grid", "2147483648"], 2),
+    "weight-times-cell-area-overflows": ({"domain": {**RECT, "h": 1e150},
+                                          "weight": {"kind": "constant", "value": 1e300}},
+                                         [], 2),
+    # m h² rounds to 0 on every cell
+    "weight-times-cell-area-underflows": ({"weight": {"kind": "constant", "value": 5e-324}},
+                                          [], 2),
     "unreachable-eig-residual": ({"tolerances": {"eig_residual": 1e-300}}, [], 3),
+    # m h² = 2.5e-323, so λ₁ = 1/μ overflows
+    "lambda-not-a-finite-double": ({"weight": {"kind": "constant", "value": 1e-322}}, [], 3),
+    # m h² = 2.5e-321 is too small for ARPACK's start vector to survive
+    "arpack-starting-vector-zero": ({"domain": {**RECT, "nx": 20, "ny": 20, "h": 0.05},
+                                     "weight": {"kind": "constant", "value": 1e-318}}, [], 3),
     "remark-ordering-fails": ({"task": "remark", "seeds": 2,
                                "domain": {"shape": "rectangle", "nx": 3, "ny": 3, "h": 0.1}},
                               [], 4),
@@ -488,10 +516,20 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
     assert len(err.splitlines()) == (code != 0), err
 
 
-def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # a failed dense eigensolve is a solver failure, not infeasible input
-    monkeypatch.setattr(weightopt.eig, "dsyevr", lambda a, **kwargs: (None, None, 0, None, 1))
-    cfg = {**SINGLE, "domain": RECT, "output_dir": str(tmp_path / "out")}
+def _raise_arpack_error(*args, **kwargs):
+    raise ArpackError(-9)
+
+
+@pytest.mark.parametrize("name, replacement, nx", [
+    ("dsyevr", lambda a, **kwargs: (None, None, 0, None, 1), 6),
+    ("eigsh", _raise_arpack_error, 26),
+], ids=["dsyevr", "eigsh"])
+def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement, nx):
+    # a failed dense or Lanczos eigensolve is a solver failure, not
+    # infeasible input
+    assert (nx * RECT["ny"] > weightopt.eig.DENSE_MAX_CELLS) == (name == "eigsh")
+    monkeypatch.setattr(weightopt.eig, name, replacement)
+    cfg = {**SINGLE, "domain": {**RECT, "nx": nx}, "output_dir": str(tmp_path / "out")}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["optimize", "--config", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err

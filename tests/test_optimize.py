@@ -409,19 +409,22 @@ def same_run(a, b):
 
 
 class TestTempleScreen:
-    @pytest.mark.parametrize("dom", [make_rectangle(12, 12, 1 / 12), make_box(1.0, 1.0, 16)],
-                             ids=["rect12", "box16"])
+    @pytest.mark.parametrize("dom", [make_rectangle(12, 12, 1 / 12), make_box(1.0, 1.0, 16),
+                                     make_rectangle(6, 5, 0.5), make_box(1.0, 1.0, 8)],
+                             ids=["rect12", "box16", "rect6x5", "box8"])
     def test_screen_changes_only_the_solve_count(self, monkeypatch, dom):
         off, probes_off = run_counting_probes(monkeypatch, dom, screen=False, seeds=4)
         on, probes_on = run_counting_probes(monkeypatch, dom, screen=True, seeds=4)
         assert same_run(on, off)
         assert probes_on < probes_off
 
-    def test_screened_probe_counts_against_the_cap(self, monkeypatch):
-        # every cap up to a full run's solve count; this run's first polish
-        # round accepts a swap after 16 screened rejections, so the caps
-        # that stop inside those rejections decide whether it gets there
-        dom = make_rectangle(12, 12, 1 / 12)
+    @pytest.mark.parametrize("dom", [make_rectangle(12, 12, 1 / 12), make_rectangle(6, 5, 0.5)],
+                             ids=["rect12", "rect6x5"])
+    def test_screened_probe_counts_against_the_cap(self, monkeypatch, dom):
+        # every cap up to a full run's solve count; the caps that stop inside
+        # a polish round's screened rejections decide whether the run reaches
+        # the swap that round accepts (16 rejections first on the 12 x 12
+        # rectangle)
         _, total = run_counting_probes(monkeypatch, dom, screen=False, seeds=1)
         fewer = 0
         for cap in range(1, total + 2):
