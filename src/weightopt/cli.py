@@ -389,17 +389,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+# built once, at import; each main() call only parses
+_PARSER = _ArgumentParser(
+    prog="weightopt",
+    description="Minimize the principal Dirichlet eigenvalue over weight rearrangements",
+)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON run config")
+_PARSER.add_argument("--out", default=None, help="output directory (overrides config)")
+_PARSER.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+_PARSER.add_argument("--grid", type=int, default=None, help="grid resolution override")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _ArgumentParser(
-        prog="weightopt",
-        description="Minimize the principal Dirichlet eigenvalue over weight rearrangements",
-    )
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-    parser.add_argument("--grid", type=int, default=None, help="grid resolution override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return run(args.config, out_dir=args.out, seed=args.seed, grid_n=args.grid,
                task=args.task)
 

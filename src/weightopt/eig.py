@@ -8,7 +8,13 @@ by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
 Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
 per domain and cached here, weakly keyed by the domain so that the factor
 dies with it; each Lanczos step costs one solve with the factors, and the
-solver's iteration count is the number of those A-solves.
+solver's iteration count is the number of those A-solves.  A is built in
+canonical CSR form directly, and ARPACK's reverse-communication loop calls
+m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
+per-call checks.  Lanczos runs on m h² divided by the power of two 2^e that
+brings max |m h²| into [1/2, 1), and μ is multiplied back by 2^e: the
+scaling is exact, so any weight whose λ₁ is a finite double solves, and a
+weight times 2^k gives the same eigenvector bits.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
@@ -21,12 +27,14 @@ each solve whitens the pencil to C = W M Wᵀ and takes C's top eigenpair
 columns through A's Cholesky factor, so a dense solve counts as n A-solves.
 
 The optimizer screens each polish swap, on every pencil size, before solving
-for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bound`` takes
-one inverse-iteration step v = μ₀u + A⁻¹Du, D = M′ - M, and bounds the
-swapped pencil's top μ by Temple's inequality μ₁ <= ρ + η²/(ρ - β)
+for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bounds`` takes
+one inverse-iteration step v = μ₀u + A⁻¹Du, D = M′ - M, per swap and bounds
+the swapped pencil's top μ by Temple's inequality μ₁ <= ρ + η²/(ρ - β)
 (G. Temple, 1928; B. N. Parlett, *The Symmetric Eigenvalue Problem*, SIAM
-1998, §10), where ρ is v's Rayleigh quotient and η its A-norm residual: two
-solves with the cached factor, about a tenth of a warm solve.
+1998, §10), where ρ is v's Rayleigh quotient and η its A-norm residual.  A
+whole polish round costs two block solves with the cached factor, one
+column per swap: W-products on dense pencils, one multi-column SuperLU
+solve above ``DENSE_MAX_CELLS``.
 ``second_mu_bound`` gives β = max(m) h² / λ₂(A_R) for every weight of the
 class at no cost: M′ <= max(m) h² I, so Courant-Fischer gives
 μ₂ <= max(m) h² / λ₂(A); A is a principal submatrix of the 5-point matrix
@@ -111,25 +119,19 @@ def assemble_stiffness(domain: GridDomain) -> sparse.csr_matrix:
     """5-point Dirichlet stiffness matrix over the in-domain cells.
 
     Diagonal 4 and -1 per in-domain neighbor (Dirichlet rows eliminated);
-    symmetric positive definite.
+    symmetric positive definite.  Built in canonical CSR form directly: in
+    row-major cell order a cell's up, left, own, right and down neighbors
+    have increasing indices, so each row's columns come out sorted.
     """
     idx = domain.index_map
-    n = domain.n_cells
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    data = [np.full(n, 4.0)]
     r, c = domain.cell_rows, domain.cell_cols
-    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb = idx[r + dr, c + dc]
-        has = nb >= 0
-        rows.append(idx[r[has], c[has]])
-        cols.append(nb[has])
-        data.append(np.full(int(has.sum()), -1.0))
-    A = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsr()
+    cols = np.stack([idx[r - 1, c], idx[r, c - 1], idx[r, c], idx[r, c + 1], idx[r + 1, c]],
+                    axis=1)
+    has = cols >= 0
+    data = np.broadcast_to([-1.0, -1.0, 4.0, -1.0, -1.0], cols.shape)[has]
+    indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1))])
+    n = domain.n_cells
+    return sparse.csr_matrix((data, cols[has], indptr), shape=(n, n))
 
 
 def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
@@ -159,11 +161,25 @@ def _factored_stiffness(domain: GridDomain):
             _FACTORS[domain] = (A, W, lambda x: W.T @ (W @ x))
         else:
             # A is SPD: a symmetric fill-reducing order with no pivoting
-            # halves the fill of splu's default column order
-            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            # halves the fill of splu's default column order; A is symmetric,
+            # so its transpose, a CSC view of the same arrays, is A itself
+            lu = splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
             _FACTORS[domain] = (A, None, lu.solve)
     return _FACTORS[domain]
+
+
+class _Raw(LinearOperator):
+    """n x n operator whose ``matvec`` is the given callable itself, so
+    ARPACK's reverse-communication loop calls it without LinearOperator's
+    per-call shape checks and reshapes."""
+
+    def __init__(self, n: int, matvec):
+        super().__init__(float, (n, n))
+        self.matvec = matvec
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matvec(x)
 
 
 def principal_positive_eigenvalue(
@@ -223,10 +239,13 @@ def principal_positive_eigenvalue(
                 raise NoConvergence(f"no convergence within {max_outer} A-solves")
             return solve_a(x)
 
+        # exact power-of-two scaling to max |m h²| in [1/2, 1); ldexp, since
+        # a product with 2.0**-e overflows for subnormal m h²
+        e = int(np.frexp(np.abs(m_diag).max())[1])
+        m_scaled = np.ldexp(m_diag, -e)
         try:
             mus, vecs = eigsh(
-                LinearOperator((n, n), matvec=lambda x: m_diag * x, dtype=float),
-                k=1, M=A, Minv=LinearOperator((n, n), matvec=solve, dtype=float),
+                _Raw(n, lambda x: m_scaled * x), k=1, M=_Raw(n, A.dot), Minv=_Raw(n, solve),
                 which="LA", v0=np.ones(n) if u0 is None else u0,
                 # a warm start stops at a Ritz estimate 100x tighter than the
                 # residual checked below; a cold one runs to machine precision,
@@ -237,6 +256,7 @@ def principal_positive_eigenvalue(
             )
         except ArpackError as exc:
             raise NoConvergence(str(exc)) from exc
+        mus = np.ldexp(mus, e)
     mu, u = float(mus[0]), vecs[:, 0]
     if not (mu > 0.0 and 1.0 / mu < np.inf):
         raise NoConvergence(f"λ₁ = 1/μ is not a finite double for μ = {mu:.3g}")
@@ -272,30 +292,36 @@ def second_mu_bound(domain: GridDomain, m_max: float) -> float:
     return m_max * domain.cell_area / lam2
 
 
-def temple_swap_bound(domain: GridDomain, m: ScalarField, pair: EigenPair,
-                      i: int, j: int, beta: float) -> float:
-    """Upper bound on μ₁ = 1/λ₁ of the weight m with cells i and j swapped.
+def temple_swap_bounds(domain: GridDomain, m: ScalarField, pair: EigenPair,
+                       swaps: list[tuple[int, int]], beta: float) -> np.ndarray:
+    """Upper bounds on μ₁ = 1/λ₁ of the weight m with cells i and j swapped,
+    one per (i, j) in ``swaps``.
 
-    ``pair`` is m's principal eigenpair (u, 1/μ₀) and ``beta`` >= μ₂ of the
-    swapped pencil M′ (see ``second_mu_bound``).  The trial vector is one
+    ``pair`` is m's principal eigenpair (u, 1/μ₀) and ``beta`` >= μ₂ of every
+    swapped pencil M′ (see ``second_mu_bound``).  Each trial vector is one
     inverse-iteration step from u, v = μ₀u + A⁻¹Du ≈ A⁻¹M′u with
     D = M′ - M; with ρ = vᵀM′v / vᵀAv and η² = rᵀAr / vᵀAv for the residual
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
-    ρ > β.  Two solves with the cached factor of A; inf when ρ <= β.
+    ρ > β, and the bound is inf when ρ <= β.  The whole list costs two block
+    solves with the cached factor of A, one column per swap.
     """
     A, _, solve = _factored_stiffness(domain)
-    h2 = domain.cell_area
+    i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
+    cols = np.arange(i.size)
+    w = m.values * domain.cell_area
     u = pair.u.values
-    swapped = m.values.copy()
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    du = np.zeros(domain.n_cells)
-    du[[i, j]] = (swapped[[i, j]] - m.values[[i, j]]) * h2 * u[[i, j]]
-    v = u / pair.lambda1 + solve(du)
-    v_a = float(v @ (A @ v))
-    m_v = swapped * h2 * v
-    rho = float(v @ m_v) / v_a
-    if not rho > beta:
-        return np.inf
-    r = solve(m_v) - rho * v
-    eta2 = float(r @ (A @ r)) / v_a
-    return rho + eta2 / (rho - beta)
+    du = np.zeros((domain.n_cells, i.size))
+    du[i, cols] = (w[j] - w[i]) * u[i]
+    du[j, cols] = (w[i] - w[j]) * u[j]
+    v = u[:, None] / pair.lambda1 + solve(du)
+    v_a = np.einsum("ij,ij->j", v, A @ v)
+    m_v = w[:, None] * v
+    m_v[i, cols] = w[j] * v[i, cols]
+    m_v[j, cols] = w[i] * v[j, cols]
+    rho = np.einsum("ij,ij->j", v, m_v) / v_a
+    bounds = np.full(i.size, np.inf)
+    ok = rho > beta
+    r = solve(m_v[:, ok]) - rho[ok] * v[:, ok]
+    eta2 = np.einsum("ij,ij->j", r, A @ r) / v_a[ok]
+    bounds[ok] = rho[ok] + eta2 / (rho[ok] - beta)
+    return bounds

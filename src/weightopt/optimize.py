@@ -24,7 +24,7 @@ from .eig import (
     WeightNotPositiveAnywhere,
     principal_positive_eigenvalue,
     second_mu_bound,
-    temple_swap_bound,
+    temple_swap_bounds,
 )
 from .grid import GridDomain, ScalarField
 from .rearrange import (
@@ -147,10 +147,11 @@ def _minimize_over_class(
     iterate; every accepted swap strictly lowers λ₁ and the descent loop
     resumes from it.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
 
-    Every polish probe is first screened by Temple's bound
-    (``temple_swap_bound``), two solves with the domain's cached factor of
-    A on every pencil size: a swap whose bound on 1/λ₁ lies below 1/λ₀ by
-    the tie tolerance cannot lower λ₁ and is rejected without an eigensolve.
+    Every polish probe is first screened by Temple's bound: one
+    ``temple_swap_bounds`` call per polish round bounds all its candidates
+    with two block solves with the domain's cached factor of A, on every
+    pencil size.  A swap whose bound on 1/λ₁ lies below 1/λ₀ by the tie
+    tolerance cannot lower λ₁ and is rejected without an eigensolve.
     A screened probe counts against the cap like a solved one, so the screen
     changes no result, only the number of eigensolves.
     """
@@ -217,12 +218,15 @@ def _minimize_over_class(
             # a finite bound exceeds β, so none falls below μ₀ <= β
             screen = 1.0 / lam0 > beta
             accepted = None
-            for i, j in _swap_candidates(m0.values, pair0.u.values,
-                                         profile.values, pairs_per_level):
+            swaps = _swap_candidates(m0.values, pair0.u.values, profile.values,
+                                     pairs_per_level)
+            bounds = (temple_swap_bounds(domain, m0, pair0, swaps, beta) if screen
+                      else np.full(len(swaps), np.inf))
+            for (i, j), bound in zip(swaps, bounds):
                 if evals >= MAX_FIXED_POINT_ITERS:
                     break
                 evals += 1
-                if screen and temple_swap_bound(domain, m0, pair0, i, j, beta) < mu_cut:
+                if bound < mu_cut:
                     continue  # certified: the swap cannot lower λ₁
                 trial_values = m0.values.copy()
                 trial_values[i], trial_values[j] = trial_values[j], trial_values[i]

@@ -17,13 +17,15 @@ from weightopt.eig import (
     assemble_stiffness,
     principal_positive_eigenvalue,
     second_mu_bound,
-    temple_swap_bound,
+    temple_swap_bounds,
 )
-from weightopt.grid import from_mask, make_box, make_rectangle
-from weightopt.optimize import LAMBDA_TIE_RTOL
+from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
+from weightopt.io import domain_from_config, write_pgm
+from weightopt.optimize import LAMBDA_TIE_RTOL, _swap_candidates, rearrangement_step
+from weightopt.rearrange import StepProfile
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
-from conftest import rng_field
+from conftest import coo_stiffness, rng_field
 
 
 def batch_lambda1(dom, m):
@@ -97,6 +99,20 @@ class TestAssembly:
         # faces on the outer boundary of the padded ring are zero-zero
         assert u @ (A @ u) == pytest.approx(energy, rel=1e-12)
 
+    def test_csr_arrays_match_coo_assembly(self, tmp_path):
+        mask = np.ones((7, 9), dtype=np.uint8)
+        mask[3, 3:5] = 0  # a hole: interior cells with Dirichlet neighbors
+        write_pgm(tmp_path / "holed.pgm", mask)
+        holed = domain_from_config({"shape": "mask_file", "mask_path": "holed.pgm", "h": 0.5},
+                                   tmp_path)
+        assert holed.n_cells == 61
+        for dom in (make_rectangle(6, 5, 0.5), make_ellipse(17, 13, 0.25, (1.5, 1.0)), holed):
+            A, ref = assemble_stiffness(dom), coo_stiffness(dom)
+            assert A.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(A, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
 
 class TestPrincipalEigenvalue:
     def test_unit_square(self, unit_square_64):
@@ -123,6 +139,28 @@ class TestPrincipalEigenvalue:
         lam = principal_positive_eigenvalue(small_rect, m).lambda1
         lam3 = principal_positive_eigenvalue(small_rect, small_rect.field(3.0 * m_vals)).lambda1
         assert lam3 == pytest.approx(lam / 3.0, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [-1000, -900, 900, 1000])
+    def test_weight_times_power_of_two(self, k):
+        # the Lanczos path solves on m h² divided by a power of two, so a
+        # weight 2^k times as large gives λ₁ / 2^k and the same u and
+        # residual to the bit, however far 2^k moves m h² from 1
+        dom = make_rectangle(20, 20, 0.05)
+        assert dom.n_cells > DENSE_MAX_CELLS
+        rng = np.random.default_rng(7)
+        m_vals = np.where(rng.random(dom.n_cells) < 0.4, 1.0, -0.5)
+        pair = principal_positive_eigenvalue(dom, dom.field(m_vals))
+        scaled = principal_positive_eigenvalue(dom, dom.field(np.ldexp(m_vals, k)))
+        assert scaled.lambda1 == np.ldexp(pair.lambda1, -k)
+        assert scaled.u.values.tobytes() == pair.u.values.tobytes()
+        assert scaled.residual == pair.residual
+
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    def test_extreme_constant_weights_solve(self, value):
+        dom = make_rectangle(20, 20, 0.05)
+        lam = principal_positive_eigenvalue(dom, dom.constant_field(1.0)).lambda1
+        pair = principal_positive_eigenvalue(dom, dom.constant_field(value))
+        assert pair.lambda1 * value == pytest.approx(lam, rel=1e-12)
 
     def test_sign_changing_raises_lambda(self, small_rect):
         lam_pos = principal_positive_eigenvalue(
@@ -342,12 +380,18 @@ def certified(bound, pair):
 eighths = st.integers(-16, 16).map(lambda k: k / 8)
 
 
+def pairs_per_level(n):
+    """The optimizer's candidates per level pair on an n-cell domain."""
+    return n if n <= 64 else (8 if n <= 400 else 2)
+
+
 class TestTempleSwapBound:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), big=st.booleans(), seed=st.integers(0, 2**32 - 1),
            levels=st.lists(eighths, min_size=2, max_size=3, unique=True)
            .filter(lambda levels: max(levels) > 0))
     def test_sound_for_random_swaps(self, data, big, seed, levels):
+        # a random swap inside a polish round's full candidate list
         rng = np.random.default_rng(seed)
         if big:
             dom = first_cells(data.draw(st.integers(DENSE_MAX_CELLS + 1, 180)))
@@ -364,20 +408,30 @@ class TestTempleSwapBound:
 
         pair = principal_positive_eigenvalue(dom, m)
         beta = second_mu_bound(dom, float(values.max()))
-        bound = temple_swap_bound(dom, m, pair, i, j, beta)
+        swaps = _swap_candidates(values, pair.u.values, np.array(levels), pairs_per_level(n))
+        at = data.draw(st.integers(0, len(swaps)))
+        swaps.insert(at, (i, j))
+        bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
+        assert bounds.shape == (len(swaps),)
+        bound = bounds[at]
         A = assemble_stiffness(dom).toarray()
         mu = scipy.linalg.eigh(np.diag(m_swap.values * dom.cell_area), A, eigvals_only=True)
         assert beta >= mu[-2] - 1e-12 * abs(mu[-2])
         if np.isfinite(bound):
             assert bound >= (1.0 - 1e-12) / dense_lambda1(dom, m_swap)
         if not big:
-            lam0, lam_swap = _batch_lambda1(A, np.stack([values, m_swap.values]), dom.cell_area)
-            if lam_swap < lam0 * (1.0 - LAMBDA_TIE_RTOL):
-                assert not certified(bound, pair)
+            # every swap of the round: none that lowers λ₁ is certified
+            batch = np.stack([values] + [swapped(m, a, b).values for a, b in swaps])
+            lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
+            for b, lam in zip(bounds, lams):
+                assert lam * b >= 1.0 - 1e-12
+                if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
+                    assert not certified(b, pair)
 
     def test_every_swap_on_oracle_domains(self):
-        # all cross-level swaps of random weights on small domains: a swap
-        # that lowers λ₁ is never certified, and the bound does certify some
+        # all cross-level swaps of random weights on small domains, bounded
+        # as one round: a swap that lowers λ₁ is never certified, and the
+        # bound does certify some
         rng = np.random.default_rng(3)
         lowering = certified_count = 0
         for _ in range(30):
@@ -392,13 +446,39 @@ class TestTempleSwapBound:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if values[i] != values[j]]
             batch = np.stack([values] + [swapped(m, i, j).values for i, j in pairs])
             lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
-            for (i, j), lam in zip(pairs, lams):
-                is_certified = certified(temple_swap_bound(dom, m, pair, i, j, beta), pair)
+            bounds = temple_swap_bounds(dom, m, pair, pairs, beta)
+            for bound, lam in zip(bounds, lams):
+                is_certified = certified(bound, pair)
                 if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
                     lowering += 1
                     assert not is_certified
                 certified_count += is_certified
         assert lowering > 0 and certified_count > 0
+
+    @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_box(1.0, 1.0, 12),
+                                     make_rectangle(12, 12, 0.5), make_box(1.0, 1.0, 24)],
+                             ids=["dense-rect", "dense-box", "lanczos-rect", "lanczos-box"])
+    def test_block_matches_one_swap_calls(self, dom):
+        # columns of the block solves do not mix: each bound of a polish
+        # round equals the bound of its swap alone.  The weight is comonotone
+        # with the constant weight's eigenfunction, near the optimum where
+        # the optimizer screens and most bounds are finite
+        rng = np.random.default_rng(11)
+        n = dom.n_cells
+        profile = StepProfile.from_cell_values(
+            rng.choice([1.0, 0.0, -1.0], n, p=[0.3, 0.3, 0.4]), dom.cell_area)
+        m = rearrangement_step(profile, principal_positive_eigenvalue(
+            dom, dom.constant_field(1.0)).u)
+        pair = principal_positive_eigenvalue(dom, m)
+        beta = second_mu_bound(dom, 1.0)
+        swaps = _swap_candidates(m.values, pair.u.values, profile.values, 8)
+        bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
+        one = np.array([temple_swap_bounds(dom, m, pair, [s], beta)[0] for s in swaps])
+        assert np.isfinite(one).sum() > len(swaps) // 2
+        assert np.array_equal(np.isinf(bounds), np.isinf(one))
+        finite = np.isfinite(one)
+        np.testing.assert_allclose(bounds[finite], one[finite], rtol=1e-12, atol=0)
+        assert temple_swap_bounds(dom, m, pair, [], beta).shape == (0,)
 
     @pytest.mark.parametrize("nx, ny", [(1, 2), (1, 7), (5, 1), (6, 5), (13, 11)])
     def test_beta_on_rectangles(self, nx, ny):

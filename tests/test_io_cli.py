@@ -486,7 +486,8 @@ EXIT_CASES = {
     "unreachable-eig-residual": ({"tolerances": {"eig_residual": 1e-300}}, [], 3),
     # m h² = 2.5e-323, so λ₁ = 1/μ overflows
     "lambda-not-a-finite-double": ({"weight": {"kind": "constant", "value": 1e-322}}, [], 3),
-    # m h² = 2.5e-321 is too small for ARPACK's start vector to survive
+    # m h² = 2.5e-321 solves after scaling, but μ = 5.6e-320 is subnormal,
+    # so λ₁ = 1/μ overflows
     "arpack-starting-vector-zero": ({"domain": {**RECT, "nx": 20, "ny": 20, "h": 0.05},
                                      "weight": {"kind": "constant", "value": 1e-318}}, [], 3),
     "remark-ordering-fails": ({"task": "remark", "seeds": 2,

@@ -395,7 +395,8 @@ def run_counting_probes(monkeypatch, dom, screen, seeds, cap=None):
     with monkeypatch.context() as mp:
         mp.setattr(optimize, "principal_positive_eigenvalue", solve)
         if not screen:
-            mp.setattr(optimize, "temple_swap_bound", lambda *args: np.inf)
+            mp.setattr(optimize, "temple_swap_bounds",
+                       lambda domain, m, pair, swaps, beta: np.full(len(swaps), np.inf))
         if cap is not None:
             mp.setattr(optimize, "MAX_FIXED_POINT_ITERS", cap)
         report = optimize_two(dom, *remark_classes(dom), seeds=seeds)

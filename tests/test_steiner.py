@@ -12,7 +12,7 @@ from weightopt.steiner import (
     symmetry_defect,
 )
 
-from conftest import indicator, reflect_field, rng_field
+from conftest import indicator, reflect_field, rng_field, steiner_reference
 
 
 def line(n):
@@ -66,6 +66,31 @@ class TestSymmetrizeFunction:
         dom = line(3)
         out = symmetrize_function(dom, dom.field([0.0, 2.0, 1.0]))
         assert np.array_equal(out.values, [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("values, expected", [([0.0, -0.0, 1.0], [0.0, 1.0, -0.0]),
+                                                  ([-0.0, 0.0, 1.0], [-0.0, 1.0, 0.0])])
+    def test_signed_zeros_keep_column_order(self, values, expected):
+        # +0.0 and -0.0 are equal values: the leftmost takes the place nearer
+        # the axis, here the left one of the pair beside the peak
+        dom = line(3)
+        out = symmetrize_function(dom, dom.field(values))
+        assert out.values.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), ellipse=st.booleans(), nx=st.integers(3, 16),
+           ny=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_by_row_reference(self, data, ellipse, nx, ny, seed):
+        # odd and even nx put the axis on a cell column and between two;
+        # five values, +0.0 and -0.0 among them, give most rows ties
+        if ellipse:
+            a, b = (data.draw(st.floats(0.5, 1.0)) * (k - 1) * 0.25 / 2 for k in (nx, ny))
+            dom = make_ellipse(nx, ny, 0.25, (a, b))
+        else:
+            dom = make_rectangle(nx, ny, 0.25)
+        rng = np.random.default_rng(seed)
+        f = dom.field(rng.choice(np.array([1.0, 0.5, 0.0, -0.0, -1.0]), dom.n_cells))
+        out = symmetrize_function(dom, f)
+        assert out.values.tobytes() == steiner_reference(dom, f).values.tobytes()
 
     def test_symmetric_decreasing_unchanged(self):
         dom = line(5)
