@@ -45,9 +45,7 @@ from .rearrange import (
     precedes,
 )
 from .steiner import (
-    AxisSection,
     SteinerAxisError,
-    row_sections,
     symmetrize_function,
     symmetrize_set,
     symmetry_defect,
@@ -56,7 +54,6 @@ from .steiner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisSection",
     "DescentError",
     "EigenPair",
     "GridDomain",
@@ -90,7 +87,6 @@ __all__ = [
     "precedes",
     "principal_positive_eigenvalue",
     "rearrangement_step",
-    "row_sections",
     "symmetrize_function",
     "symmetrize_set",
     "symmetry_defect",

@@ -218,10 +218,8 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
 def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) -> dict:
     defect_v = symmetry_defect(domain, report.weight) if domain.axis is not None else None
     td = transposed(domain)
-    defect_h = (
-        symmetry_defect(td, transpose_field(report.weight, td))
-        if td.axis is not None else None
-    )
+    defect_h = (symmetry_defect(td, transpose_field(report.weight))
+                if td.axis is not None else None)
     return {
         "lambda": report.final.lambda1,
         "eig_iterations": report.final.iterations,
@@ -291,8 +289,8 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         }, report.weight, report.final.u
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
+        m_sym = symmetrize_function(domain, m)  # first: a domain without an axis solves nothing
         pair_before = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
-        m_sym = symmetrize_function(domain, m)
         pair_after = principal_positive_eigenvalue(domain, m_sym, residual_rtol=rtol)
         return {
             "task": "symmetrize",

@@ -35,8 +35,9 @@ class GridDomain:
 
     In-domain cells are ``mask == True``; their row-major order defines the
     cell indexing used by :class:`ScalarField`.  ``axis`` is the grid's
-    vertical center line when the mask is reflection-symmetric across it,
-    else None.
+    vertical center line when the domain is Steiner-symmetric about it (the
+    mask is reflection-symmetric across it and every nonempty row is one
+    interval, so every row is centered on it), else None.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
@@ -55,8 +56,12 @@ class GridDomain:
         mask.setflags(write=False)
         self.mask = mask
         self.h = h
-        self.axis = (VerticalAxis(center2=mask.shape[1] - 1)
-                     if np.array_equal(mask, mask[:, ::-1]) else None)
+        # Steiner-symmetric: mirror-symmetric, and no row starts a second
+        # interval (the out-of-domain ring puts a gap before each start)
+        steiner = (np.array_equal(mask, mask[:, ::-1])
+                   and ((mask[:, 1:] & ~mask[:, :-1]).sum(axis=1) <= 1).all())
+        self.axis = VerticalAxis(center2=mask.shape[1] - 1) if steiner else None
+        self._transposed = None  # built by transposed()
 
         index_map = -np.ones(mask.shape, dtype=np.int64)
         rows, cols = np.nonzero(mask)
@@ -221,14 +226,17 @@ def from_mask(mask: np.ndarray, h: float) -> GridDomain:
 
 
 def transposed(domain: GridDomain) -> GridDomain:
-    """Domain with rows and columns swapped (for horizontal-axis checks)."""
-    return from_mask(domain.mask.T, domain.h)
+    """Domain with rows and columns swapped (for horizontal-axis checks).
+
+    Built once and kept on `domain`; it keeps no reference back, so no
+    cycle holds a dead domain (and its cached factor) alive.
+    """
+    if domain._transposed is None:
+        domain._transposed = GridDomain(domain.mask.T, domain.h)
+    return domain._transposed
 
 
-def transpose_field(f: ScalarField, tdomain: GridDomain | None = None) -> ScalarField:
-    """Carry a field onto the transposed domain."""
-    td = tdomain if tdomain is not None else transposed(f.domain)
-    grid = f.to_grid().T
-    if td.shape != grid.shape:
-        raise ValueError("transposed domain does not match the field's grid")
-    return ScalarField(td, grid[td.cell_rows, td.cell_cols])
+def transpose_field(f: ScalarField) -> ScalarField:
+    """Carry a field onto its domain's transposed domain."""
+    td = transposed(f.domain)
+    return ScalarField(td, f.to_grid().T[td.cell_rows, td.cell_cols])

@@ -41,6 +41,9 @@ DESCENT_RTOL = 1e-9
 # to be accepted, and a later seed must beat it to replace the winner, so the
 # written arrangement does not hinge on the eigensolver's last bits
 LAMBDA_TIE_RTOL = 1e-12
+# a level-set size e / h² within this (relative) of a half-integer rounds as
+# that half-integer, so its cell count does not follow float noise
+LEVEL_HALF_RTOL = 1e-12
 MAX_FIXED_POINT_ITERS = 500
 DEFAULT_SEEDS = 8
 
@@ -86,12 +89,13 @@ def rearrangement_step(m0_profile: StepProfile, u: ScalarField) -> ScalarField:
 
 def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[ScalarField]:
     """Each class's quantized bang-bang generator: q on its first k cells in
-    cell order and -p on the rest, k = e / h² rounded half up and clamped
-    to [0, n]."""
+    cell order and -p on the rest, k = e / h² rounded half up (within
+    LEVEL_HALF_RTOL of a half counts as the half) and clamped to [0, n]."""
     n = domain.n_cells
     out = []
     for cls in classes:
-        k = min(max(int(np.floor(cls.e / domain.cell_area + 0.5)), 0), n)
+        x = cls.e / domain.cell_area
+        k = min(max(int(np.floor(x + 0.5 + LEVEL_HALF_RTOL * abs(x))), 0), n)
         out.append(ScalarField(domain, np.repeat([cls.q, -cls.p], [k, n - k])))
     return out
 

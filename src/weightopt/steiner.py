@@ -11,11 +11,13 @@ When exact centering is impossible (row width and cell count of opposite
 parity) the extra cell always goes to the lower column index; the same
 rule in both the set and function operations is what keeps superlevel
 consistency cell-exact.
+
+Both need a Steiner-symmetric domain.  ``GridDomain`` checks that once,
+at construction, and sets ``axis`` only then; here a missing axis raises
+:class:`SteinerAxisError`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,57 +27,25 @@ DEFECT_FLOOR = 1e-30     # denominator floor of symmetry_defect for f = 0
 
 
 class SteinerAxisError(ValueError):
-    """Domain lacks an axis or is not row-convex around it."""
+    """Domain is not Steiner-symmetric: it has no vertical axis (``axis`` is None)."""
 
 
-@dataclass(frozen=True)
-class AxisSection:
-    """One grid row's in-domain interval [col_start, col_stop)."""
-
-    row: int
-    col_start: int
-    col_stop: int
-
-    @property
-    def width(self) -> int:
-        return self.col_stop - self.col_start
-
-
-def row_sections(domain: GridDomain) -> list[AxisSection]:
-    """Per-row in-domain intervals of a Steiner-symmetric domain.
-
-    Requires every nonempty row to be a single interval centered on the
-    domain's vertical axis.
-    """
+def _center2(domain: GridDomain) -> int:
     if domain.axis is None:
-        raise SteinerAxisError("domain has no symmetry axis")
-    center2 = domain.axis.center2
-    sections = []
-    for r in range(domain.height):
-        cols = np.flatnonzero(domain.mask[r])
-        if cols.size == 0:
-            continue
-        lo, hi = int(cols[0]), int(cols[-1])
-        if hi - lo + 1 != cols.size:
-            raise SteinerAxisError(f"row {r} is not a single interval")
-        if lo + hi != center2:
-            raise SteinerAxisError(f"row {r} is not centered on the axis")
-        sections.append(AxisSection(r, lo, hi + 1))
-    return sections
+        raise SteinerAxisError("domain is not Steiner-symmetric about its vertical center line")
+    return domain.axis.center2
 
 
 def symmetrize_set(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
     """Steiner symmetrization of a cell subset: per row, the same number of
     cells re-centered on the axis.  Preserves measure cell-exactly."""
     sel = domain.subset_cells(mask)  # validates containment
-    mask = domain.cells_to_mask(sel)
-    out = np.zeros_like(mask)
-    for sec in row_sections(domain):
-        k = int(mask[sec.row, sec.col_start:sec.col_stop].sum())
-        # extra cell to the lower column index on parity mismatch
-        start = sec.col_start + (sec.width - k) // 2
-        out[sec.row, start:start + k] = True
-    return out
+    rows = domain.cell_rows
+    k = np.bincount(rows[sel], minlength=domain.height)[rows]  # the row's count per cell
+    # keep the k cells at 2c - center2 in [-k, k): centered, and on a parity
+    # mismatch the extra cell is the one at the lower column index
+    d = 2 * domain.cell_cols - _center2(domain)
+    return domain.cells_to_mask((-k <= d) & (d < k))
 
 
 def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
@@ -89,12 +59,12 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
     """
     if f.domain is not domain:
         raise ValueError("field must live on the given domain")
-    row_sections(domain)  # validates the domain
+    center2 = _center2(domain)
     rows, cols = domain.cell_rows, domain.cell_cols
     # one stable sort of all cells by (row, value descending), scattered
     # into the cells ordered by (row, distance to the axis, column)
     source = np.lexsort((-f.values, rows))
-    target = np.lexsort((cols, np.abs(2 * cols - domain.axis.center2), rows))
+    target = np.lexsort((cols, np.abs(2 * cols - center2), rows))
     out = np.empty(domain.n_cells)
     out[target] = f.values[source]
     return ScalarField(domain, out)

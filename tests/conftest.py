@@ -3,7 +3,6 @@ import pytest
 from scipy import sparse
 
 from weightopt.grid import make_box, make_rectangle
-from weightopt.steiner import row_sections
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +55,17 @@ def coo_stiffness(domain):
     return A.tocsr()
 
 
+def row_intervals(domain):
+    """(row, first column, last column + 1) of each nonempty row, read off
+    the mask; asserts the row is one interval."""
+    out = []
+    for r in np.flatnonzero(domain.mask.any(axis=1)):
+        cols = np.flatnonzero(domain.mask[r])
+        assert cols[-1] - cols[0] + 1 == cols.size, f"row {r} is not one interval"
+        out.append((int(r), int(cols[0]), int(cols[-1]) + 1))
+    return out
+
+
 def steiner_reference(domain, f):
     """Steiner symmetrization of a field row by row: the reference for
     steiner.symmetrize_function.  Each row's values are sorted descending,
@@ -65,9 +75,22 @@ def steiner_reference(domain, f):
     center2 = domain.axis.center2
     grid = f.to_grid()
     out = np.empty_like(grid)
-    for sec in row_sections(domain):
-        row_vals = grid[sec.row, sec.col_start:sec.col_stop]
-        cols = np.arange(sec.col_start, sec.col_stop)
+    for row, start, stop in row_intervals(domain):
+        row_vals = grid[row, start:stop]
+        cols = np.arange(start, stop)
         order = cols[np.lexsort((cols, np.abs(2 * cols - center2)))]
-        out[sec.row, order] = row_vals[np.argsort(-row_vals, kind="stable")]
+        out[row, order] = row_vals[np.argsort(-row_vals, kind="stable")]
     return domain.field(out[domain.cell_rows, domain.cell_cols])
+
+
+def steiner_set_reference(domain, mask):
+    """Steiner symmetrization of a cell subset row by row: the reference for
+    steiner.symmetrize_set.  A row's k cells are re-placed as one run
+    starting (width - k) // 2 cells into the row's interval, which puts the
+    extra cell of a parity mismatch at the lower column."""
+    out = np.zeros(domain.shape, dtype=bool)
+    for row, start, stop in row_intervals(domain):
+        k = int(mask[row, start:stop].sum())
+        first = start + (stop - start - k) // 2
+        out[row, first:first + k] = True
+    return out

@@ -166,7 +166,7 @@ def test_criterion_4_steiner_symmetry_n128(symmetric_optima_n128):
         td = transposed(dom)
         defects = [
             symmetry_defect(dom, report.weight),
-            symmetry_defect(td, transpose_field(report.weight, td)),
+            symmetry_defect(td, transpose_field(report.weight)),
         ]
         if name == "disk":
             cls1, cls2 = remark_classes(dom)
@@ -174,7 +174,7 @@ def test_criterion_4_steiner_symmetry_n128(symmetric_optima_n128):
             for cells in (w == cls1.q + cls2.q, w > -(cls1.p + cls2.p)):  # E and G
                 chi = indicator(dom, dom.cells_to_mask(cells))
                 defects.append(symmetry_defect(dom, chi))
-                defects.append(symmetry_defect(td, transpose_field(chi, td)))
+                defects.append(symmetry_defect(td, transpose_field(chi)))
         assert max(defects) <= SYMMETRY_DEFECT_TOL, (name, defects)
         reportable[name] = max(defects)
     print(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -118,9 +121,25 @@ def test_transpose_roundtrip():
     dom = make_box(2.0, 1.0, 8)
     rng = np.random.default_rng(2)
     f = dom.field(rng.normal(size=dom.n_cells))
-    td = transposed(dom)
-    back = transpose_field(transpose_field(f, td), dom)
+    tf = transpose_field(f)
+    assert tf.domain is transposed(dom)
+    back = transpose_field(tf)
+    assert np.array_equal(back.domain.mask, dom.mask)
     assert np.array_equal(back.values, f.values)
+
+
+def test_transposed_domain_does_not_keep_its_source_alive():
+    dom = make_box(2.0, 1.0, 8)
+    td = transposed(dom)
+    assert transposed(dom) is td  # built once
+    assert td.axis is not None and transposed(td) is not dom
+    ref, tref = weakref.ref(dom), weakref.ref(td)
+    gc.disable()  # freed by reference counts alone: no cycle
+    try:
+        del dom, td
+        assert ref() is None and tref() is None
+    finally:
+        gc.enable()
 
 
 def test_make_box_unit_square_cells():

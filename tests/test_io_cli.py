@@ -23,7 +23,8 @@ from weightopt.io import (
     write_field_csv,
     write_pgm,
 )
-from weightopt.steiner import row_sections
+
+from conftest import row_intervals
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -364,6 +365,52 @@ def test_optimize2_levels_follow_the_classes(tmp_path, pair, empty):
     ]
 
 
+def annulus_config(tmp_path: Path, task: str, **fields) -> Path:
+    """The 15 x 15 annulus of radii 2.5 to 6, h = 0.1: mirror-symmetric about
+    both center lines, but its middle rows and columns are split in two."""
+    i = np.arange(15) - 7
+    r = np.hypot(i[:, None], i[None, :])
+    write_pgm(tmp_path / "annulus.pgm", np.where((2.5 <= r) & (r <= 6), 255, 0))
+    domain = {"shape": "mask_file", "mask_path": "annulus.pgm", "h": 0.1}
+    return write_config(tmp_path / f"{task}.json", task=task, domain=domain, seeds=2, **fields)
+
+
+class TestAnnulus:
+    """A mirror-symmetric domain that is not Steiner-symmetric has no axis."""
+
+    def test_domain_has_no_axis(self, tmp_path):
+        dom = domain_from_config(json.loads(annulus_config(tmp_path, "eig").read_text())["domain"],
+                                 tmp_path)
+        assert np.array_equal(dom.mask, dom.mask[:, ::-1])
+        assert np.array_equal(dom.mask, dom.mask.T)
+        assert dom.axis is None
+
+    def test_optimize_writes_null_defects(self, tmp_path):
+        p = annulus_config(tmp_path, "optimize",
+                           single_class={"m1": 1.0, "m2": 1.0, "m3": 0.1})
+        assert run(p) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["symmetry_defect_vertical"] is None
+        assert results["symmetry_defect_horizontal"] is None
+        assert (tmp_path / "out" / "weight.csv").exists()
+
+    @pytest.mark.parametrize("task, target", [
+        ("symmetrize", "weightopt.cli.principal_positive_eigenvalue"),
+        ("remark", "weightopt.optimize.optimize_two"),
+    ])
+    def test_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, task, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved on a domain without an axis")
+
+        monkeypatch.setattr(target, refuse)
+        p = annulus_config(tmp_path, task,
+                           weight={"kind": "bang_bang", "m1": 1.0, "m2": 1.0, "m3": 0.1})
+        assert run(p) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerifyTask:
     def test_verify_passes(self, tmp_path):
         p = write_config(tmp_path / "c.json", task="verify", verify_trials=15)
@@ -376,10 +423,10 @@ class TestVerifyTask:
             # the extra cell of a parity mismatch goes to the higher column
             # index, against the rule symmetrize_function follows
             out = np.zeros_like(mask)
-            for sec in row_sections(domain):
-                k = int(mask[sec.row, sec.col_start:sec.col_stop].sum())
-                start = sec.col_start + (sec.width - k + 1) // 2
-                out[sec.row, start:start + k] = True
+            for row, start, stop in row_intervals(domain):
+                k = int(mask[row, start:stop].sum())
+                first = start + (stop - start - k + 1) // 2
+                out[row, first:first + k] = True
             return out
 
         monkeypatch.setattr(weightopt.verify, "symmetrize_set", right_biased_symmetrize_set)

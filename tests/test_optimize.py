@@ -161,6 +161,16 @@ def remark_classes(dom):
             ResourceClass(1.0, 0.0, -omega / 2, omega))
 
 
+def test_level_set_rounding_ignores_float_noise():
+    # on the 11 x 11 box the remark's f2 class has e / h² = 60.49999999999999,
+    # a half up to rounding, so rounded half up it takes 61 cells
+    dom = make_box(1.0, 1.0, 11)
+    f2 = remark_classes(dom)[1]
+    assert f2.e / dom.cell_area == 60.49999999999999
+    (generator,) = optimize._class_generators(dom, f2)
+    assert (generator.values == f2.q).sum() == 61
+
+
 @pytest.fixture(scope="module")
 def remark_setup():
     dom = make_rectangle(24, 24, 1 / 24)  # |Omega| = 1 exactly
@@ -253,8 +263,13 @@ class TestOptimizeTwo:
 
 
 def quantized_cells(domain, measure):
-    """round(measure / h²), halves away from zero, clamped to [0, n]."""
-    return min(max(int(np.floor(measure / domain.cell_area + 0.5)), 0), domain.n_cells)
+    """measure / h² rounded half up, clamped to [0, n]; a value within a
+    relative 1e-12 of a half-integer is first snapped to it."""
+    x = measure / domain.cell_area
+    half = np.floor(x) + 0.5
+    if abs(x - half) <= 1e-12 * abs(x):
+        x = half
+    return min(max(int(np.floor(x + 0.5)), 0), domain.n_cells)
 
 
 def stacked_profile(domain, cls1, cls2):

@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weightopt.grid import from_mask, make_ellipse, make_rectangle
 from weightopt.steiner import (
     SteinerAxisError,
-    row_sections,
     symmetrize_function,
     symmetrize_set,
     symmetry_defect,
 )
 
-from conftest import indicator, reflect_field, rng_field, steiner_reference
+from conftest import (
+    indicator,
+    reflect_field,
+    rng_field,
+    row_intervals,
+    steiner_reference,
+    steiner_set_reference,
+)
 
 
 def line(n):
@@ -110,8 +117,8 @@ class TestSymmetrizeFunction:
         rng = np.random.default_rng(2)
         f = rng_field(ellipse, rng)
         out = symmetrize_function(ellipse, f).to_grid()
-        for sec in row_sections(ellipse):
-            row = out[sec.row, sec.col_start:sec.col_stop]
+        for r, start, stop in row_intervals(ellipse):
+            row = out[r, start:stop]
             k = int(np.argmax(row))
             assert (np.diff(row[: k + 1]) >= 0).all()
             assert (np.diff(row[k:]) <= 0).all()
@@ -163,7 +170,7 @@ class TestSymmetryDefect:
         f = rng_field(ellipse, rng)
         d1 = symmetry_defect(ellipse, f)
         d2 = symmetry_defect(ellipse, reflect_field(f))
-        n_rows = len(row_sections(ellipse))
+        n_rows = len(row_intervals(ellipse))
         slack = (
             2.0 * n_rows * ellipse.cell_area * np.abs(f.values).max()
             / max(np.abs(f.values).sum() * ellipse.cell_area, 1e-30)
@@ -173,13 +180,35 @@ class TestSymmetryDefect:
 
 class TestRowSections:
     def test_centered_intervals(self, ellipse):
-        for sec in row_sections(ellipse):
-            assert sec.col_start + (sec.col_stop - 1) == ellipse.axis.center2
+        for _, start, stop in row_intervals(ellipse):
+            assert start + (stop - 1) == ellipse.axis.center2
 
     def test_rejects_split_rows(self):
         mask = np.zeros((3, 8), dtype=bool)
         mask[1, [1, 2, 5, 6]] = True  # symmetric but not a single interval
         dom = from_mask(mask, 1.0)
-        assert dom.axis is not None
+        assert dom.axis is None
         with pytest.raises(SteinerAxisError):
-            row_sections(dom)
+            symmetrize_function(dom, dom.constant_field(1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(half=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6))),
+           runs=st.booleans(), odd=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_axis_iff_rows_are_intervals(self, half, runs, odd, seed):
+        # a random left half mirrored about its last column (odd row widths)
+        # or about its right edge (even); with `runs`, each half-row is
+        # pushed against the axis, so every row is one interval
+        if runs:
+            half = np.arange(half.shape[1]) >= half.shape[1] - half.sum(axis=1, keepdims=True)
+        if not half.any():
+            return
+        dom = from_mask(np.hstack([half, half[:, -1 - odd::-1]]), 1.0)
+        intervals = all(np.ptp(c) + 1 == c.size for c in map(np.flatnonzero, dom.mask) if c.size)
+        assert (dom.axis is not None) == intervals
+        assert intervals or not runs
+        if dom.axis is None:
+            return
+        rng = np.random.default_rng(seed)
+        for p in (0.0, 0.3, 0.7, 1.0, rng.random()):
+            sub = dom.cells_to_mask(rng.random(dom.n_cells) < p)
+            assert np.array_equal(symmetrize_set(dom, sub), steiner_set_reference(dom, sub))
