@@ -35,7 +35,6 @@ from .rearrange import (
     InfeasibleClassError,
     MeasureMismatchError,
     ResourceClass,
-    StepProfile,
     comonotone,
     decreasing_rearrangement,
     equimeasurable,
@@ -65,7 +64,6 @@ __all__ = [
     "ResourceClass",
     "ScalarField",
     "SteinerAxisError",
-    "StepProfile",
     "VerticalAxis",
     "WeightNotPositiveAnywhere",
     "assemble_stiffness",

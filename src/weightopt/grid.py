@@ -169,9 +169,11 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
     """Ellipse mask by strict center-inclusion on an nx x ny grid.
 
     The ellipse is centered on the grid; cells whose centers lie strictly
-    inside belong to the domain.  The inclusion test is evaluated through
-    the integer offsets 2*i+1-nx, so the mask is exactly symmetric under
-    both center-line reflections.
+    inside belong to the domain, and a center on the ellipse within a
+    relative 1e-12 (float rounding) counts as outside.  The inclusion test
+    is evaluated through the integer offsets 2*i+1-nx, so the mask is
+    exactly symmetric under both center-line reflections.  An ellipse that
+    reaches the grid's outer ring is rejected by GridDomain.
     """
     a, b = float(semi_axes[0]), float(semi_axes[1])
     if nx < 3 or ny < 3:
@@ -180,15 +182,13 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
         raise ValueError("cell spacing h must be positive")
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
-    if a > (nx - 1) * h / 2 or b > (ny - 1) * h / 2:
-        raise ValueError("ellipse exceeds the grid (needs >= 1 cell margin)")
 
     j = np.arange(ny)[:, None]
     i = np.arange(nx)[None, :]
     # offsets of cell centers from the grid center, in units of h/2
     u = 2 * i + 1 - nx
     v = 2 * j + 1 - ny
-    mask = (u * h / (2 * a)) ** 2 + (v * h / (2 * b)) ** 2 < 1.0
+    mask = (u * h / (2 * a)) ** 2 + (v * h / (2 * b)) ** 2 < 1.0 - 1e-12
     if not mask.any():
         raise ValueError("ellipse contains no cell centers at this resolution")
     return GridDomain(mask, h)

@@ -30,8 +30,8 @@ from .grid import GridDomain, ScalarField
 from .rearrange import (
     InfeasibleClassError,
     ResourceClass,
-    StepProfile,
     comonotone,
+    decreasing_rearrangement,
     hl_pairing,
     pair_family,
 )
@@ -71,20 +71,18 @@ class OptimizeReport:
             raise ValueError("lambda history is not non-increasing")
 
 
-def rearrangement_step(m0_profile: StepProfile, u: ScalarField) -> ScalarField:
+def rearrangement_step(m0_profile: np.ndarray, u: ScalarField) -> ScalarField:
     """The element of the class of m0 comonotone with u.
 
-    The profile's values are Hardy-Littlewood paired with u (cells ranked
+    ``m0_profile`` is m0*, one value per cell of u's domain in descending
+    order.  Its values are Hardy-Littlewood paired with u (cells ranked
     by u descending, ties by cell index ascending); this maximizes ∫ m u² dx
     over the class and is the discrete realization of m̌ = ψ(u_m̌) for an
     increasing ψ.
     """
-    domain = u.domain
     if u.values.min() <= 0:
         raise ValueError("eigenfunction must be positive on the domain")
-    if m0_profile.n_cells != domain.n_cells or m0_profile.cell_area != domain.cell_area:
-        raise ValueError("profile measure space does not match the domain")
-    return hl_pairing(u, ScalarField(domain, m0_profile.cell_values()))
+    return hl_pairing(u, ScalarField(u.domain, m0_profile))
 
 
 def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[ScalarField]:
@@ -105,11 +103,11 @@ def _sum_of(fields: list[ScalarField]) -> np.ndarray:
     return reduce(np.add, (f.values for f in fields))
 
 
-def random_arrangement(profile: StepProfile, domain: GridDomain,
+def random_arrangement(profile: np.ndarray, domain: GridDomain,
                        rng: np.random.Generator) -> ScalarField:
     """The profile's values on a uniformly random permutation of the cells."""
     values = np.empty(domain.n_cells)
-    values[rng.permutation(domain.n_cells)] = profile.cell_values()
+    values[rng.permutation(domain.n_cells)] = profile
     return ScalarField(domain, values)
 
 
@@ -139,7 +137,7 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray, levels: np.ndarray,
 
 def _minimize_over_class(
     domain: GridDomain,
-    profile: StepProfile,
+    profile: np.ndarray,
     seeds: int,
     rng_seed: int,
     residual_rtol: float,
@@ -167,8 +165,9 @@ def _minimize_over_class(
         8 if domain.n_cells <= 400 else 2
     )
 
+    levels = np.unique(profile)[::-1]
     # β bounds μ₂ of every arrangement of the profile
-    beta = second_mu_bound(domain, float(profile.values[0]))
+    beta = second_mu_bound(domain, float(profile[0]))
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
@@ -222,8 +221,7 @@ def _minimize_over_class(
             # a finite bound exceeds β, so none falls below μ₀ <= β
             screen = 1.0 / lam0 > beta
             accepted = None
-            swaps = _swap_candidates(m0.values, pair0.u.values, profile.values,
-                                     pairs_per_level)
+            swaps = _swap_candidates(m0.values, pair0.u.values, levels, pairs_per_level)
             bounds = (temple_swap_bounds(domain, m0, pair0, swaps, beta) if screen
                       else np.full(len(swaps), np.inf))
             for (i, j), bound in zip(swaps, bounds):
@@ -266,23 +264,25 @@ def single_class(domain: GridDomain, constants: tuple[float, float, float]) -> R
     return ResourceClass(p=m2, q=m1, l=m3, domain_measure=domain.total_measure)
 
 
-def combined_profile(domain: GridDomain, *classes: ResourceClass) -> StepProfile:
+def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
     """Quantized generator profile of the sum class of one or more classes.
 
-    The Hardy-Littlewood-paired generators stack into nested level sets;
-    for one class the profile is its own generator (q on e, -p elsewhere),
-    for two the levels are (q1+q2, the larger-measure resource's maximum
-    plus the other's minimum, -(p1+p2)).  A level set that rounds to no
-    cell drops its level.  Raises WeightNotPositiveAnywhere unless the
-    profile's top level is positive.
+    The profile is the decreasing rearrangement of the Hardy-Littlewood-paired
+    generators' sum: one value per cell, descending and read-only.  The
+    paired generators stack into nested level sets; for one class the
+    profile is its own generator (q on e, -p elsewhere), for two the levels
+    are (q1+q2, the larger-measure resource's maximum plus the other's
+    minimum, -(p1+p2)).  A level set that rounds to no cell drops its level.
+    Raises WeightNotPositiveAnywhere unless the profile's top level is
+    positive.
     """
     omega = domain.total_measure
     for cls in classes:
         if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
             raise InfeasibleClassError("resource class measure does not match the domain")
     parts = pair_family(_class_generators(domain, *classes))
-    profile = StepProfile.from_cell_values(_sum_of(parts), domain.cell_area)
-    if profile.values[0] <= 0:
+    profile = decreasing_rearrangement(ScalarField(domain, _sum_of(parts)))
+    if profile[0] <= 0:
         raise WeightNotPositiveAnywhere("the classes' quantized sum is never positive")
     return profile
 

@@ -5,9 +5,11 @@ order g ≺ f (cumulative integrals of g* never exceed those of f*, totals
 equal), the constraint class {-p <= f <= q, ∫f = l}, and the
 Hardy-Littlewood inequality with its equality-attaining pairing.
 
-All cells have equal area, so a decreasing rearrangement is a step function
-whose breakpoints are integer cell counts; profile comparisons are
-cell-exact.  Only cumulative-integral comparisons carry a float tolerance.
+All cells have equal area, so f* is f's cell values sorted in descending
+order, one entry per cell: a read-only array, not a step-function object.
+Fields compare only on one measure space (the same cell count and cell
+area), where profile comparisons are cell-exact; only cumulative-integral
+comparisons carry a float tolerance.
 """
 
 from __future__ import annotations
@@ -24,107 +26,20 @@ INTEGRAL_RTOL = 1e-12
 
 
 class MeasureMismatchError(ValueError):
-    """Operands live on measure spaces of different total measure."""
+    """Operands live on different measure spaces (cell count or cell area)."""
 
 
 class InfeasibleClassError(ValueError):
     """Constraint constants admit no weight, or no positive weight."""
 
 
-def _check_same_measure(a_measure: float, b_measure: float) -> None:
-    tol = INTEGRAL_RTOL * max(1.0, abs(a_measure), abs(b_measure))
-    if abs(a_measure - b_measure) > tol:
+def _check_same_space(f: ScalarField, g: ScalarField) -> None:
+    a, b = f.domain, g.domain
+    if a.n_cells != b.n_cells or a.cell_area != b.cell_area:
         raise MeasureMismatchError(
-            f"total measures differ: {a_measure!r} vs {b_measure!r}"
+            f"measure spaces differ: {a.n_cells} cells of area {a.cell_area!r} vs "
+            f"{b.n_cells} cells of area {b.cell_area!r}"
         )
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """Decreasing rearrangement f* as a right-continuous step function.
-
-    ``values[k]`` is taken on the k-th step, whose width is ``counts[k]``
-    cells of area ``cell_area``; values strictly decrease and the counts sum
-    to the whole measure space.
-    """
-
-    values: np.ndarray
-    counts: np.ndarray
-    cell_area: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if values.ndim != 1 or counts.shape != values.shape or values.size == 0:
-            raise ValueError("profile needs matching 1D values and counts")
-        if (counts <= 0).any():
-            raise ValueError("step widths must be positive cell counts")
-        if (np.diff(values) >= 0).any():
-            raise ValueError("step values must strictly decrease")
-        if self.cell_area <= 0:
-            raise ValueError("cell area must be positive")
-        values.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def total_measure(self) -> float:
-        return self.n_cells * self.cell_area
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Right endpoints of the steps, as measures in (0, |Omega|]."""
-        return np.cumsum(self.counts) * self.cell_area
-
-    def total_integral(self) -> float:
-        return float(np.dot(self.values, self.counts) * self.cell_area)
-
-    def cumulative(self, t: float | np.ndarray) -> np.ndarray | float:
-        """∫_0^t f* ds for t in [0, |Omega|] (piecewise linear in t)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        bp = self.breakpoints
-        full = np.concatenate(([0.0], np.cumsum(self.values * self.counts) * self.cell_area))
-        k = np.searchsorted(bp, t_arr, side="left")
-        k = np.minimum(k, bp.size - 1)
-        left = np.concatenate(([0.0], bp))[k]
-        out = full[k] + self.values[k] * (t_arr - left)
-        return out if np.ndim(t) else float(out[0])
-
-    def cell_values(self) -> np.ndarray:
-        """Expand to one value per cell, in decreasing order."""
-        return np.repeat(self.values, self.counts)
-
-    def same_as(self, other: "StepProfile") -> bool:
-        """Exact equality as step functions on the common measure space."""
-        if self.cell_area == other.cell_area:
-            return (
-                self.values.shape == other.values.shape
-                and np.array_equal(self.values, other.values)
-                and np.array_equal(self.counts, other.counts)
-            )
-        # Different discretizations: compare values exactly, breakpoints as
-        # measures within the integral tolerance.
-        if self.values.shape != other.values.shape:
-            return False
-        if not np.array_equal(self.values, other.values):
-            return False
-        tol = INTEGRAL_RTOL * max(1.0, self.total_measure)
-        return bool(np.all(np.abs(self.breakpoints - other.breakpoints) <= tol))
-
-    @staticmethod
-    def from_cell_values(values: np.ndarray, cell_area: float) -> "StepProfile":
-        values = np.sort(np.asarray(values, dtype=float))[::-1]
-        if values.size == 0:
-            raise ValueError("cannot build a profile on an empty domain")
-        change = np.flatnonzero(np.diff(values)) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [values.size]))
-        return StepProfile(values[starts], ends - starts, cell_area)
 
 
 @dataclass(frozen=True)
@@ -158,35 +73,33 @@ class ResourceClass:
         return (self.p * self.domain_measure + self.l) / (self.p + self.q)
 
 
-def decreasing_rearrangement(f: ScalarField) -> StepProfile:
-    """The decreasing rearrangement f* of a field, as a step profile."""
-    if f.domain.n_cells == 0:
-        raise ValueError("empty domain")
-    return StepProfile.from_cell_values(f.values, f.domain.cell_area)
+def decreasing_rearrangement(f: ScalarField) -> np.ndarray:
+    """The decreasing rearrangement f*: f's cell values in descending order,
+    one per cell, read-only."""
+    profile = np.sort(f.values)[::-1]
+    profile.setflags(write=False)
+    return profile
 
 
 def equimeasurable(f: ScalarField, g: ScalarField) -> bool:
     """Whether f and g are rearrangements of one another (f* = g* exactly)."""
-    _check_same_measure(f.domain.total_measure, g.domain.total_measure)
-    return decreasing_rearrangement(f).same_as(decreasing_rearrangement(g))
+    _check_same_space(f, g)
+    return np.array_equal(decreasing_rearrangement(f), decreasing_rearrangement(g))
 
 
 def precedes(g: ScalarField, f: ScalarField) -> bool:
     """g ≺ f: cumulative integrals of g* never exceed those of f*, totals equal.
 
-    Cumulative integrals of step profiles are piecewise linear, so checking
-    at the union of both breakpoint sets is exhaustive.
+    The cumulative integrals are piecewise linear with knots at the cell
+    boundaries, so checking them there is exhaustive.
     """
-    _check_same_measure(g.domain.total_measure, f.domain.total_measure)
-    gp, fp = decreasing_rearrangement(g), decreasing_rearrangement(f)
-    total_g = gp.total_integral()
-    total_f = fp.total_integral()
-    tol = INTEGRAL_RTOL * max(1.0, abs(total_g), abs(total_f))
-    if abs(total_g - total_f) > tol:
+    _check_same_space(g, f)
+    area = f.domain.cell_area
+    cg = np.cumsum(decreasing_rearrangement(g)) * area
+    cf = np.cumsum(decreasing_rearrangement(f)) * area
+    tol = INTEGRAL_RTOL * max(1.0, abs(cg[-1]), abs(cf[-1]))
+    if abs(cg[-1] - cf[-1]) > tol:
         return False
-    ts = np.union1d(gp.breakpoints, fp.breakpoints)
-    cg = np.atleast_1d(gp.cumulative(ts))
-    cf = np.atleast_1d(fp.cumulative(ts))
     scale = np.maximum(1.0, np.maximum(np.abs(cg), np.abs(cf)))
     return bool(np.all(cg <= cf + INTEGRAL_RTOL * scale))
 
@@ -197,9 +110,7 @@ def hl_inner(f: ScalarField, g: ScalarField) -> tuple[float, float]:
         raise ValueError("fields must share a domain")
     area = f.domain.cell_area
     actual = float(np.dot(f.values, g.values) * area)
-    fs = np.sort(f.values)[::-1]
-    gs = np.sort(g.values)[::-1]
-    bound = float(np.dot(fs, gs) * area)
+    bound = float(np.dot(decreasing_rearrangement(f), decreasing_rearrangement(g)) * area)
     return actual, bound
 
 
@@ -218,7 +129,7 @@ def hl_pairing(f: ScalarField, g: ScalarField) -> ScalarField:
         raise ValueError("fields must share a domain")
     order = _descending_order(f.values)
     out = np.empty_like(g.values)
-    out[order] = np.sort(g.values)[::-1]
+    out[order] = decreasing_rearrangement(g)
     return ScalarField(g.domain, out)
 
 

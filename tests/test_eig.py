@@ -22,7 +22,6 @@ from weightopt.eig import (
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.io import domain_from_config, write_pgm
 from weightopt.optimize import LAMBDA_TIE_RTOL, _swap_candidates, rearrangement_step
-from weightopt.rearrange import StepProfile
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
 from conftest import coo_stiffness, rng_field
@@ -465,13 +464,12 @@ class TestTempleSwapBound:
         # the optimizer screens and most bounds are finite
         rng = np.random.default_rng(11)
         n = dom.n_cells
-        profile = StepProfile.from_cell_values(
-            rng.choice([1.0, 0.0, -1.0], n, p=[0.3, 0.3, 0.4]), dom.cell_area)
+        profile = np.sort(rng.choice([1.0, 0.0, -1.0], n, p=[0.3, 0.3, 0.4]))[::-1]
         m = rearrangement_step(profile, principal_positive_eigenvalue(
             dom, dom.constant_field(1.0)).u)
         pair = principal_positive_eigenvalue(dom, m)
         beta = second_mu_bound(dom, 1.0)
-        swaps = _swap_candidates(m.values, pair.u.values, profile.values, 8)
+        swaps = _swap_candidates(m.values, pair.u.values, np.unique(profile)[::-1], 8)
         bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
         one = np.array([temple_swap_bounds(dom, m, pair, [s], beta)[0] for s in swaps])
         assert np.isfinite(one).sum() > len(swaps) // 2

@@ -48,8 +48,19 @@ def test_circle_measure_close_to_pi_over_4():
 def test_ellipse_errors():
     with pytest.raises(ValueError):
         make_ellipse(65, 65, 1 / 64, (0.5, 0.0))
-    with pytest.raises(ValueError):
-        make_ellipse(65, 65, 1 / 64, (0.6, 0.3))  # exceeds grid margin
+    with pytest.raises(ValueError, match="grid edge"):
+        make_ellipse(65, 65, 1 / 64, (0.6, 0.3))  # reaches the outer ring
+
+
+def test_every_grid_disk_builds():
+    # the disk of `--grid n`: (n+1)² cells of side 1/n, radius 0.5; a center
+    # on the circle within rounding (n = 98, 196, ...) counts as outside
+    for n in range(4, 300):
+        dom = make_ellipse(n + 1, n + 1, 1 / n, (0.5, 0.5))
+        offsets = 2 * np.arange(n + 1) - n
+        inside = offsets[:, None] ** 2 + offsets[None, :] ** 2 < n * n
+        assert np.array_equal(dom.mask, inside), n
+        assert dom.axis is not None
 
 
 def test_ellipse_symmetric_both_axes():

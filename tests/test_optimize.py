@@ -23,7 +23,6 @@ from weightopt.optimize import (
 )
 from weightopt.rearrange import (
     ResourceClass,
-    StepProfile,
     comonotone,
     decreasing_rearrangement,
     equimeasurable,
@@ -33,8 +32,8 @@ from weightopt.steiner import symmetrize_function, symmetry_defect
 from conftest import indicator
 
 
-def toy_profile(values, counts, area=1.0):
-    return StepProfile(np.array(values, float), np.array(counts), area)
+def toy_profile(values, counts):
+    return np.repeat(np.array(values, float), counts)
 
 
 class TestRearrangementStep:
@@ -81,7 +80,7 @@ class TestOptimizeSingle:
         assert n_top == round(7 * dom.n_cells / 12)
         assert report.stabilized
         prof = combined_profile(dom, single_class(dom, (1.0, 1.0, omega / 6.0)))
-        assert decreasing_rearrangement(report.weight).same_as(prof)
+        assert np.array_equal(decreasing_rearrangement(report.weight), prof)
 
     def test_saturated_constraint_single_arrangement(self):
         dom = make_rectangle(4, 4, 0.5)
@@ -186,9 +185,10 @@ class TestOptimizeTwo:
         assert cls1.e == pytest.approx(2 / 3)
         assert cls2.e == pytest.approx(1 / 2)
         profile = combined_profile(dom, cls1, cls2)
-        gamma, delta = np.cumsum(profile.counts)[:2] * profile.cell_area
+        levels, counts = np.unique(profile, return_counts=True)
+        gamma, delta = np.cumsum(counts[::-1])[:2] * dom.cell_area
         assert (gamma, delta) == (pytest.approx(1 / 2), pytest.approx(2 / 3))
-        assert list(profile.values) == [1.0, 0.0, -1.0]
+        assert list(levels[::-1]) == [1.0, 0.0, -1.0]
 
     def test_three_valued_nested(self, remark_setup):
         dom, cls1, cls2, report = remark_setup
@@ -295,7 +295,7 @@ def stacked_profile(domain, cls1, cls2):
             counts.append(c)
     if values[0] <= 0:
         return None
-    return StepProfile(np.array(values), np.array(counts), domain.cell_area)
+    return np.repeat(values, counts)
 
 
 eighths = st.integers(-8, 16).map(lambda k: k / 8)
@@ -330,7 +330,7 @@ class TestPairedGenerators:
                 combined_profile(dom, cls1, cls2)
             return
         profile = combined_profile(dom, cls1, cls2)
-        assert profile.same_as(expected)
+        assert np.array_equal(profile, expected)
 
         m = random_arrangement(profile, dom, np.random.default_rng(seed))
         f1, f2 = decompose(m, cls1, cls2)
@@ -357,15 +357,40 @@ class TestPairedGenerators:
             with pytest.raises(WeightNotPositiveAnywhere):
                 combined_profile(dom, cls)
             return
-        expected = StepProfile(np.array(values), np.array(counts), dom.cell_area)
+        expected = np.repeat(values, counts)
         profile = combined_profile(dom, cls)
-        assert profile.same_as(expected)
         # bit for bit: -p is -0.0 for p = 0, and weight.csv writes it so
-        assert profile.values.tobytes() == expected.values.tobytes()
+        assert profile.tobytes() == expected.tobytes()
 
         m = random_arrangement(profile, dom, np.random.default_rng(seed))
         (part,) = decompose(m, cls)
         assert np.array_equal(part.values, m.values)
+
+
+def run_length_cells(cells):
+    """Sorted cells with each run of equal values set to its first sorted
+    value: the expanded run-length profile, levels (v_k) on counts (c_k)."""
+    v = np.sort(cells)[::-1]
+    starts = np.flatnonzero(np.r_[True, np.diff(v) != 0])
+    return np.repeat(v[starts], np.diff(np.r_[starts, v.size]))
+
+
+class TestCombinedProfile:
+    @pytest.mark.parametrize("dom", [make_box(1.0, 1.0, 11), make_rectangle(24, 24, 1 / 24),
+                                     make_ellipse(49, 49, 1 / 48, (0.5, 0.5))],
+                             ids=["box-11", "rect-24", "disk-48"])
+    def test_read_only_descending_and_bit_exact(self, dom):
+        omega = dom.total_measure
+        p0 = ResourceClass(0.0, 1.0, omega / 3, omega)  # levels 1.0 and -0.0
+        for classes in (remark_classes(dom), (p0,)):
+            profile = combined_profile(dom, *classes)
+            assert not profile.flags.writeable
+            assert profile.shape == (dom.n_cells,)
+            assert (np.diff(profile) <= 0).all()
+            parts = optimize.pair_family(optimize._class_generators(dom, *classes))
+            expected = run_length_cells(optimize._sum_of(parts))
+            assert profile.tobytes() == expected.tobytes()
+        assert np.signbit(combined_profile(dom, p0)[-1])
 
 
 class TestCompareSplitVsMerged:
