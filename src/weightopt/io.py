@@ -128,9 +128,10 @@ def heatmap_image(f: ScalarField) -> np.ndarray:
     a constant in-domain field maps to 255."""
     grid_vals = f.to_grid()
     out = np.zeros(grid_vals.shape, dtype=np.uint8)
-    lo, hi = f.values.min(), f.values.max()
+    # halves, so that hi - lo cannot overflow
+    lo, hi = f.values.min() / 2, f.values.max() / 2
     if hi > lo:
-        scaled = np.floor((f.values - lo) / (hi - lo) * 255.0 + 0.5)
+        scaled = np.floor((f.values / 2 - lo) / (hi - lo) * 255.0 + 0.5)
     else:
         scaled = np.full_like(f.values, 255.0)
     out[f.domain.cell_rows, f.domain.cell_cols] = scaled.astype(np.uint8)

@@ -6,7 +6,9 @@ eigenproblem, then reassign the generator profile's values to cells ranked
 by the eigenfunction (the unique class element comonotone with u, which
 maximizes ∫m u² dx by Hardy-Littlewood).  Each step can only lower λ₁, and
 the iteration runs over a finite set of arrangements, so it either
-stabilizes or cycles; cycles are detected and abort with the best iterate.
+stabilizes or cycles.  At a fixed point or a cycle a greedy one-swap polish
+around the best iterate looks for a lower λ₁; a descent step and an
+accepted swap are the same move of one loop, so descent resumes from it.
 
 Multi-start over random initial arrangements guards against local minima.
 """
@@ -144,10 +146,13 @@ def _minimize_over_class(
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
-    Per seed: comonotone fixed-point descent until the arrangement
-    stabilizes (or cycles), then a greedy one-swap polish around the best
-    iterate; every accepted swap strictly lowers λ₁ and the descent loop
-    resumes from it.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
+    Per seed, one loop of moves.  Each pass takes the comonotone step from
+    the current eigenfunction.  A new arrangement is solved: that is a
+    descent move.  A fixed point or a cycle instead runs one greedy one-swap
+    polish round around the seed's best iterate, and the first swap that
+    strictly lowers λ₁ is the move; descent resumes from it.  A round with
+    no such swap ends the seed.  Every eigensolve counts against
+    MAX_FIXED_POINT_ITERS.
 
     Every polish probe is first screened by Temple's bound: one
     ``temple_swap_bounds`` call per polish round bounds all its candidates
@@ -161,9 +166,8 @@ def _minimize_over_class(
         raise ValueError("need at least one seed")
     # full one-swap neighborhood on desk-size problems, a rank-nearest
     # shortlist on large grids where each probe costs a full eigensolve
-    pairs_per_level = domain.n_cells if domain.n_cells <= 64 else (
-        8 if domain.n_cells <= 400 else 2
-    )
+    n = domain.n_cells
+    pairs_per_level = n if n <= 64 else (8 if n <= 400 else 2)
 
     levels = np.unique(profile)[::-1]
     # β bounds μ₂ of every arrangement of the profile
@@ -172,90 +176,61 @@ def _minimize_over_class(
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
 
-    best: tuple[float, EigenPair, ScalarField, list[float], bool] | None = None
+    best: OptimizeReport | None = None
     for s in range(seeds):
-        rng = np.random.default_rng([rng_seed, s])
-        m = random_arrangement(profile, domain, rng)
-        history: list[float] = []
+        m = m0 = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        pair = pair0 = solve(m, None)
+        evals, history = 1, [pair.lambda1]
         seen: set[bytes] = set()
         stabilized = False
-        evals = 0
-        pair = solve(m, None)
-        evals += 1
-        history.append(pair.lambda1)
-        seed_best = (pair.lambda1, pair, m)
-
         while evals < MAX_FIXED_POINT_ITERS:
-            # comonotone descent until fixed point or cycle
-            while evals < MAX_FIXED_POINT_ITERS:
-                seen.add(m.values.tobytes())
-                m_next = rearrangement_step(profile, pair.u)
-                # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u²
-                u2 = pair.u.values**2
-                t_old = float(m.values @ u2) * domain.cell_area
-                t_new = float(m_next.values @ u2) * domain.cell_area
-                if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
-                    raise DescentError("rearrangement step decreased ∫ m u² dx")
-                if np.array_equal(m_next.values, m.values):
-                    stabilized = True
-                    break
-                if m_next.values.tobytes() in seen:
-                    break  # cycle: polish from the best iterate instead
-                pair_next = solve(m_next, pair.u.values)
+            seen.add(m.values.tobytes())
+            m_next = rearrangement_step(profile, pair.u)
+            # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u²
+            u2 = pair.u.values**2
+            t_old = float(m.values @ u2) * domain.cell_area
+            t_new = float(m_next.values @ u2) * domain.cell_area
+            if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
+                raise DescentError("rearrangement step decreased ∫ m u² dx")
+            stabilized = np.array_equal(m_next.values, m.values)
+            if not stabilized and m_next.values.tobytes() not in seen:
+                m, pair = m_next, solve(m_next, pair.u.values)
                 evals += 1
-                lam = pair_next.lambda1
-                if lam > history[-1] * (1.0 + DESCENT_RTOL):
-                    raise DescentError(
-                        f"lambda increased from {history[-1]!r} to {lam!r}"
-                    )
-                history.append(lam)
-                m, pair = m_next, pair_next
-                if lam < seed_best[0]:
-                    seed_best = (lam, pair, m)
-
-            # greedy one-swap polish around the best arrangement seen; an
-            # accepted swap strictly lowers lambda, so revisiting a seen
-            # arrangement afterwards is impossible and descent can resume
-            lam0, pair0, m0 = seed_best
-            mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
-            # a finite bound exceeds β, so none falls below μ₀ <= β
-            screen = 1.0 / lam0 > beta
-            accepted = None
-            swaps = _swap_candidates(m0.values, pair0.u.values, levels, pairs_per_level)
-            bounds = (temple_swap_bounds(domain, m0, pair0, swaps, beta) if screen
-                      else np.full(len(swaps), np.inf))
-            for (i, j), bound in zip(swaps, bounds):
-                if evals >= MAX_FIXED_POINT_ITERS:
+            else:
+                # fixed point or cycle: greedy one-swap polish around the
+                # seed's best; an accepted swap strictly lowers λ₁, so it
+                # cannot revisit a seen arrangement and descent resumes
+                lam0 = pair0.lambda1
+                mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
+                swaps = _swap_candidates(m0.values, pair0.u.values, levels,
+                                         pairs_per_level)[:MAX_FIXED_POINT_ITERS - evals]
+                # a finite bound exceeds β, so none falls below μ₀ <= β
+                bounds = (temple_swap_bounds(domain, m0, pair0, swaps, beta)
+                          if 1.0 / lam0 > beta else np.full(len(swaps), np.inf))
+                for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
+                    if bound < mu_cut:
+                        continue  # certified: the swap cannot lower λ₁
+                    values = m0.values.copy()
+                    values[i], values[j] = values[j], values[i]
+                    m = ScalarField(domain, values)
+                    pair = solve(m, pair0.u.values)
+                    if pair.lambda1 < lam0 * (1.0 - LAMBDA_TIE_RTOL):
+                        break
+                else:
                     break
-                evals += 1
-                if bound < mu_cut:
-                    continue  # certified: the swap cannot lower λ₁
-                trial_values = m0.values.copy()
-                trial_values[i], trial_values[j] = trial_values[j], trial_values[i]
-                m_trial = ScalarField(domain, trial_values)
-                pair_trial = solve(m_trial, pair0.u.values)
-                if pair_trial.lambda1 < lam0 * (1.0 - LAMBDA_TIE_RTOL):
-                    accepted = (m_trial, pair_trial)
-                    break
-            if accepted is None:
-                break
-            m, pair = accepted
+                evals += t + 1
+                stabilized = False
+            if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
+                raise DescentError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
             history.append(pair.lambda1)
-            seed_best = (pair.lambda1, pair, m)
-            stabilized = False  # descent resumes from the swapped arrangement
+            if pair.lambda1 < pair0.lambda1:
+                m0, pair0 = m, pair
 
-        lam, pair, m_final = seed_best
-        if best is None or lam < best[0] * (1.0 - LAMBDA_TIE_RTOL):
-            best = (lam, pair, m_final, history, stabilized)
-
+        if best is None or pair0.lambda1 < best.final.lambda1 * (1.0 - LAMBDA_TIE_RTOL):
+            best = OptimizeReport(lambda_history=history, final=pair0, weight=m0,
+                                  stabilized=stabilized)
     assert best is not None
-    _, pair, m_final, history, stabilized = best
-    return OptimizeReport(
-        lambda_history=history,
-        final=pair,
-        weight=m_final,
-        stabilized=stabilized,
-    )
+    return best
 
 
 def single_class(domain: GridDomain, constants: tuple[float, float, float]) -> ResourceClass:

@@ -61,6 +61,12 @@ class ResourceClass:
             raise InfeasibleClassError("domain measure must be positive")
         if self.p + self.q <= 0:
             raise InfeasibleClassError("need p + q > 0 for a non-degenerate class")
+        omega = self.domain_measure
+        if not np.isfinite([self.p * omega, self.q * omega, self.p + self.q, self.e]).all():
+            raise InfeasibleClassError(
+                f"constants overflow a double: p={self.p!r}, q={self.q!r}, l={self.l!r} "
+                f"on measure {omega!r}"
+            )
         if not (-self.p * self.domain_measure < self.l < self.q * self.domain_measure):
             raise InfeasibleClassError(
                 f"infeasible constants: need {-self.p * self.domain_measure} < l="

@@ -73,8 +73,15 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
 def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
     """Relative L¹ distance to the Steiner symmetrization,
     ∫|f - f♯| dx / max(∫|f| dx, DEFECT_FLOOR); zero iff f is already
-    symmetric (up to the one-cell parity convention)."""
+    symmetric (up to the one-cell parity convention).
+
+    The ratio does not change when f is scaled, so it is taken of f times
+    the exact power of two that brings max |f| into [1/2, 1), whose sums
+    cannot overflow.
+    """
     fs = symmetrize_function(domain, f)
-    num = float(np.abs(f.values - fs.values).sum()) * domain.cell_area
-    den = max(float(np.abs(f.values).sum()) * domain.cell_area, DEFECT_FLOOR)
+    e = np.frexp(np.abs(f.values).max())[1]
+    g, gs = np.ldexp(f.values, -e), np.ldexp(fs.values, -e)
+    num = float(np.abs(g - gs).sum()) * domain.cell_area
+    den = max(float(np.abs(g).sum()) * domain.cell_area, DEFECT_FLOOR)
     return num / den

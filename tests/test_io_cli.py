@@ -143,6 +143,12 @@ class TestPgm:
         flat = heatmap_image(dom.constant_field(3.0))
         assert flat[dom.mask].min() == 255
 
+    def test_heatmap_of_the_largest_doubles(self):
+        # hi - lo overflows; the map goes through halves
+        dom = make_rectangle(3, 3, 1.0)
+        img = heatmap_image(dom.field([-1e308, 0.0, 1e308] * 3))
+        assert img[dom.cell_rows, dom.cell_cols].tolist() == [0, 128, 255] * 3
+
 
 class TestDomainConfig:
     def test_rectangle_and_ellipse(self):
@@ -509,6 +515,16 @@ EXIT_CASES = {
     "heatmap-as-string": ({"heatmap": "no"}, [], 1),
     "infeasible-constants": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0, "m3": 100.0}},
                              [], 2),
+    # q|Ω| and p|Ω| are inf, then p + q
+    "optimize2-constants-overflow": ({"task": "optimize2", "seeds": 1,
+                                      "classes": [{"p": 0.0, "q": 1e308, "l": 1e307},
+                                                  {"p": 1e308, "q": 0.0, "l": -1e307}]}, [], 2),
+    "optimize-constants-overflow": ({**SINGLE, "single_class": {"m1": 1e308, "m2": 1e308,
+                                                                "m3": 0.0}}, [], 2),
+    # Σ|m| = 3e308 overflows in the symmetry defects, which rescale
+    "symmetrize-weight-sum-overflows": ({"task": "symmetrize",
+                                         "weight": {"kind": "bang_bang", "m1": 1e307,
+                                                    "m2": 1e307, "m3": 0.0}}, [], 0),
     # e = 0.05 rounds to no cell of the one class, or of the first of two
     "optimize-empty-level-set": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0,
                                                              "m3": -7.4}}, [], 2),

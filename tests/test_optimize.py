@@ -153,6 +153,35 @@ class TestOptimizeSingle:
         assert better.final.lambda1 == lam0 * (1.0 - 1e-9)
         assert better.weight.values.tobytes() != first.weight.values.tobytes()
 
+    def test_cycle_polishes_and_ends(self, monkeypatch):
+        # the step alternates between seed 0's start A and another
+        # arrangement B, so the second step closes a cycle A -> B -> A
+        dom = make_rectangle(6, 5, 0.5)
+        consts = (1.0, 1.0, dom.total_measure / 3.0)
+        profile = combined_profile(dom, single_class(dom, consts))
+        a = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
+        b = random_arrangement(profile, dom, np.random.default_rng([0, 1]))
+        assert not np.array_equal(a.values, b.values)
+        steps = []
+
+        def step(profile, u):
+            steps.append(None)
+            return b if len(steps) % 2 else a
+
+        # an arbitrary step may lower ∫ m u² and raise λ₁
+        monkeypatch.setattr(optimize, "DESCENT_RTOL", 1e3)
+        monkeypatch.setattr(optimize, "rearrangement_step", step)
+        report = optimize_single(dom, consts, seeds=1)
+        pair_a = principal_positive_eigenvalue(dom, a)
+        lam_b = principal_positive_eigenvalue(dom, b, u0=pair_a.u.values).lambda1
+        assert report.lambda_history[:2] == [pair_a.lambda1, lam_b]
+        # every step but the last was a move, a descent step or an accepted
+        # swap; the last closed a cycle whose polish round found no better
+        # swap, so the run ended there and not at the cap
+        assert len(report.lambda_history) == len(steps) >= 2
+        assert not report.stabilized
+        assert report.final.lambda1 <= min(pair_a.lambda1, lam_b)
+
 
 def remark_classes(dom):
     omega = dom.total_measure
@@ -446,7 +475,8 @@ def run_counting_probes(monkeypatch, dom, screen, seeds, cap=None):
 def same_run(a, b):
     return (a.weight.values.tobytes() == b.weight.values.tobytes()
             and a.lambda_history == b.lambda_history
-            and a.final.lambda1 == b.final.lambda1)
+            and a.final.lambda1 == b.final.lambda1
+            and a.stabilized == b.stabilized)
 
 
 class TestTempleScreen:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weightopt.grid import from_mask, make_rectangle
 from weightopt.rearrange import (
+    InfeasibleClassError,
     MeasureMismatchError,
     ResourceClass,
     comonotone,
@@ -175,6 +176,14 @@ class TestResourceClass:
             ResourceClass(p=0.0, q=0.0, l=0.0, domain_measure=2.0)
         cls = ResourceClass(p=0.0, q=1.0, l=0.5, domain_measure=2.0)
         assert cls.e == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("p, q, l", [(1e308, 1e308, 0.0), (0.0, 1e308, 1e307),
+                                         (1e308, 0.0, -1e307), (1.3e307, 1.3e307, 9e307)],
+                             ids=["p-plus-q", "q-mass", "p-mass", "level-set-measure"])
+    def test_constants_that_overflow_a_double(self, p, q, l):
+        # p + q, q|Omega|, p|Omega| or p|Omega| + l is inf on a measure of 7.5
+        with pytest.raises(InfeasibleClassError, match="overflow a double"):
+            ResourceClass(p, q, l, 7.5)
 
 
 class TestHardyLittlewood:

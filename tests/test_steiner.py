@@ -177,6 +177,14 @@ class TestSymmetryDefect:
         )
         assert abs(d1 - d2) <= slack
 
+    def test_scale_invariant_up_to_the_largest_doubles(self):
+        # Σ|f| of the field times 2**1020 overflows unless the defect rescales
+        dom = make_rectangle(6, 5, 0.5)
+        f = dom.field(np.random.default_rng(6).choice([-1.0, 1.0], dom.n_cells))
+        d = symmetry_defect(dom, f)
+        assert d > 0.0
+        assert symmetry_defect(dom, dom.field(np.ldexp(f.values, 1020))) == d
+
 
 class TestRowSections:
     def test_centered_intervals(self, ellipse):
