@@ -5,10 +5,14 @@ The 5-point stiffness matrix A (entries 4 and -1, so that uᵀAu approximates
 A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
 eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
 by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built once
-per domain and cached here, weakly keyed by the domain so that the factor
-dies with it; each Lanczos step costs one solve with the factors, and the
-solver's iteration count is the number of those A-solves.  A is built in
+Users' Guide*, SIAM 1998).  A depends on the mask alone (h enters only
+through M), so A and its sparse LU factorization are built once per mask
+and cached here, keyed by the mask's shape and bytes: equal grids built
+separately share one factor, also at different h.  A domain keeps a direct
+reference to its entry, and the table keeps the ``FACTOR_CACHE_SIZE`` most
+recently used ones; no cached value refers to a domain, so the cache keeps
+no domain alive.  Each Lanczos step costs one solve with the factors, and
+the solver's iteration count is the number of those A-solves.  A is built in
 canonical CSR form directly, and ARPACK's reverse-communication loop calls
 m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
 per-call checks.  Lanczos runs on m h² divided by the power of two 2^e that
@@ -44,7 +48,7 @@ A_R of the domain's bounding rectangle, so Cauchy interlacing gives
 
 from __future__ import annotations
 
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,28 +149,45 @@ def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
     return 1.1 * m_diag_bound / lam_min
 
 
-# domain -> its (A, W, A⁻¹); no value refers to its domain, so an entry dies with it
-_FACTORS = weakref.WeakKeyDictionary()
+# Most factors the table keeps, least recently used evicted first.  A
+# domain holds its own entry, so eviction never makes a live domain factor
+# again; the bound caps the memory that outlives the domains.  Every
+# weightopt task solves on one grid, so a process that runs many tasks on a
+# few grids factors each once.
+FACTOR_CACHE_SIZE = 4
+
+# (mask shape, mask bytes) -> (A, W, A⁻¹), least recently used first; no
+# value refers to a domain
+_FACTORS = OrderedDict()
 
 
 def _factored_stiffness(domain: GridDomain):
     """The domain's cached (A, W, x -> A⁻¹x): (dense A, L⁻¹ with A = LLᵀ,
     Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None, splu(A).solve) above."""
-    if domain not in _FACTORS:
-        n = domain.n_cells
-        A = assemble_stiffness(domain)
-        if n <= DENSE_MAX_CELLS:
-            A = A.toarray()
-            W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
-            _FACTORS[domain] = (A, W, lambda x: W.T @ (W @ x))
-        else:
-            # A is SPD: a symmetric fill-reducing order with no pivoting
-            # halves the fill of splu's default column order; A is symmetric,
-            # so its transpose, a CSC view of the same arrays, is A itself
-            lu = splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-            _FACTORS[domain] = (A, None, lu.solve)
-    return _FACTORS[domain]
+    entry = domain._factors
+    if entry is None:
+        key = (domain.mask.shape, domain.mask.tobytes())
+        entry = _FACTORS.pop(key, None) or _factor(domain)
+        _FACTORS[key] = entry
+        if len(_FACTORS) > FACTOR_CACHE_SIZE:
+            _FACTORS.popitem(last=False)
+        domain._factors = entry
+    return entry
+
+
+def _factor(domain: GridDomain):
+    n = domain.n_cells
+    A = assemble_stiffness(domain)
+    if n <= DENSE_MAX_CELLS:
+        A = A.toarray()
+        W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
+        return A, W, lambda x: W.T @ (W @ x)
+    # A is SPD: a symmetric fill-reducing order with no pivoting halves the
+    # fill of splu's default column order; A is symmetric, so its transpose,
+    # a CSC view of the same arrays, is A itself
+    lu = splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return A, None, lu.solve
 
 
 class _Raw(LinearOperator):
@@ -304,16 +325,23 @@ def temple_swap_bounds(domain: GridDomain, m: ScalarField, pair: EigenPair,
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
     ρ > β, and the bound is inf when ρ <= β.  The whole list costs two block
     solves with the cached factor of A, one column per swap.
+
+    As in the Lanczos path, m h², μ₀ and β are divided by the power of two
+    2^e that brings max |m h²| into [1/2, 1), and the bounds multiplied
+    back: the scaling is exact, so the bounds' bits do not depend on it,
+    and no product overflows for constants near the largest double.
     """
     A, _, solve = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
     cols = np.arange(i.size)
     w = m.values * domain.cell_area
+    e = int(np.frexp(np.abs(w).max())[1])
+    w, beta = np.ldexp(w, -e), np.ldexp(beta, -e)
     u = pair.u.values
     du = np.zeros((domain.n_cells, i.size))
     du[i, cols] = (w[j] - w[i]) * u[i]
     du[j, cols] = (w[i] - w[j]) * u[j]
-    v = u[:, None] / pair.lambda1 + solve(du)
+    v = u[:, None] / np.ldexp(pair.lambda1, e) + solve(du)
     v_a = np.einsum("ij,ij->j", v, A @ v)
     m_v = w[:, None] * v
     m_v[i, cols] = w[j] * v[i, cols]
@@ -324,4 +352,4 @@ def temple_swap_bounds(domain: GridDomain, m: ScalarField, pair: EigenPair,
     r = solve(m_v[:, ok]) - rho[ok] * v[:, ok]
     eta2 = np.einsum("ij,ij->j", r, A @ r) / v_a[ok]
     bounds[ok] = rho[ok] + eta2 / (rho[ok] - beta)
-    return bounds
+    return np.ldexp(bounds, e)

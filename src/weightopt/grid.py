@@ -62,6 +62,7 @@ class GridDomain:
                    and ((mask[:, 1:] & ~mask[:, :-1]).sum(axis=1) <= 1).all())
         self.axis = VerticalAxis(center2=mask.shape[1] - 1) if steiner else None
         self._transposed = None  # built by transposed()
+        self._factors = None  # (A, W, A⁻¹), set by eig._factored_stiffness
 
         index_map = -np.ones(mask.shape, dtype=np.int64)
         rows, cols = np.nonzero(mask)
@@ -229,7 +230,8 @@ def transposed(domain: GridDomain) -> GridDomain:
     """Domain with rows and columns swapped (for horizontal-axis checks).
 
     Built once and kept on `domain`; it keeps no reference back, so no
-    cycle holds a dead domain (and its cached factor) alive.
+    cycle holds a dead domain alive.  Its stiffness factor is cached by its
+    mask like any domain's (see ``eig``), and refers to no domain either.
     """
     if domain._transposed is None:
         domain._transposed = GridDomain(domain.mask.T, domain.h)

@@ -72,16 +72,16 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
 
 def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
     """Relative L¹ distance to the Steiner symmetrization,
-    ∫|f - f♯| dx / max(∫|f| dx, DEFECT_FLOOR); zero iff f is already
+    ∫|f - f♯| dx / ∫|f| dx, and 0 for f = 0; zero iff f is already
     symmetric (up to the one-cell parity convention).
 
-    The ratio does not change when f is scaled, so it is taken of f times
-    the exact power of two that brings max |f| into [1/2, 1), whose sums
-    cannot overflow.
+    The cell area cancels, so the ratio is taken of sums over the cells;
+    it does not change when f is scaled either, so the sums are of f times
+    the exact power of two that brings max |f| into [1/2, 1), which cannot
+    overflow.  ``DEFECT_FLOOR`` floors the denominator, which only f = 0
+    reaches.
     """
     fs = symmetrize_function(domain, f)
     e = np.frexp(np.abs(f.values).max())[1]
     g, gs = np.ldexp(f.values, -e), np.ldexp(fs.values, -e)
-    num = float(np.abs(g - gs).sum()) * domain.cell_area
-    den = max(float(np.abs(g).sum()) * domain.cell_area, DEFECT_FLOOR)
-    return num / den
+    return float(np.abs(g - gs).sum()) / max(float(np.abs(g).sum()), DEFECT_FLOOR)

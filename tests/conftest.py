@@ -1,7 +1,10 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+import weightopt.eig
 from weightopt.grid import make_box, make_rectangle
 
 
@@ -14,6 +17,22 @@ def unit_square_64():
 @pytest.fixture
 def small_rect():
     return make_rectangle(6, 5, 0.5)
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Empty the stiffness-factor table for one test and record the shape of
+    every mask whose stiffness matrix is assembled."""
+    monkeypatch.setattr(weightopt.eig, "_FACTORS", OrderedDict())
+    calls = []
+    assemble = weightopt.eig.assemble_stiffness
+
+    def counted(domain):
+        calls.append(domain.mask.shape)
+        return assemble(domain)
+
+    monkeypatch.setattr(weightopt.eig, "assemble_stiffness", counted)
+    return calls
 
 
 def rng_field(domain, rng, lo=-16, hi=17, denom=8.0):

@@ -11,7 +11,9 @@ import weightopt.eig
 from weightopt.eig import (
     DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
+    FACTOR_CACHE_SIZE,
     SIGN_NOISE_ULPS,
+    EigenPair,
     NoConvergence,
     WeightNotPositiveAnywhere,
     assemble_stiffness,
@@ -354,6 +356,45 @@ class TestPrincipalEigenvalue:
             assert warm.iterations <= cold.iterations / 2
 
 
+class TestFactorCache:
+    @pytest.mark.parametrize("n", [10, 24], ids=["dense", "lanczos"])
+    def test_equal_grids_built_apart_share_one_factor(self, n, assemblies):
+        disks = [make_ellipse(n + 1, n + 1, 1.0 / n, (0.5, 0.5)) for _ in range(2)]
+        assert (disks[0].n_cells <= DENSE_MAX_CELLS) == (n == 10)
+        pairs = [principal_positive_eigenvalue(d, d.constant_field(1.0)) for d in disks]
+        assert len(assemblies) == 1
+        assert (weightopt.eig._factored_stiffness(disks[0])
+                is weightopt.eig._factored_stiffness(disks[1]))
+        assert pairs[0].u.values.tobytes() == pairs[1].u.values.tobytes()
+
+    def test_half_the_spacing_shares_the_factor(self, rect_above_dense, assemblies):
+        # A does not depend on h; on the Lanczos path m h² / 4 scales
+        # exactly, so λ₁ is 4 times as large and u has the same bits
+        fine = make_rectangle(DENSE_MAX_CELLS // 10 + 1, 10, rect_above_dense.h / 2)
+        rng = np.random.default_rng(2)
+        m_vals = np.where(rng.random(fine.n_cells) < 0.4, 1.0, -0.5)
+        pair = principal_positive_eigenvalue(rect_above_dense, rect_above_dense.field(m_vals))
+        half = principal_positive_eigenvalue(fine, fine.field(m_vals))
+        assert len(assemblies) == 1
+        assert half.lambda1 == 4.0 * pair.lambda1
+        assert half.u.values.tobytes() == pair.u.values.tobytes()
+
+    def test_least_recently_used_factor_is_evicted(self, assemblies):
+        def factor(width):
+            dom = make_rectangle(width, 3, 1.0)
+            principal_positive_eigenvalue(dom, dom.constant_field(1.0))
+            assert len(weightopt.eig._FACTORS) <= FACTOR_CACHE_SIZE
+            return dom.mask.shape, dom.mask.tobytes()
+
+        keys = [factor(3 + k) for k in range(FACTOR_CACHE_SIZE)]
+        factor(3)  # a new domain of the first mask finds its factor
+        assert len(assemblies) == FACTOR_CACHE_SIZE
+        new = factor(3 + FACTOR_CACHE_SIZE)
+        assert list(weightopt.eig._FACTORS) == [*keys[2:], keys[0], new]
+        factor(4)  # the evicted mask is factored again
+        assert len(assemblies) == FACTOR_CACHE_SIZE + 2
+
+
 class TestRayleigh:
     def test_matches_inverse_lambda(self, small_rect):
         m = small_rect.constant_field(1.0)
@@ -454,22 +495,26 @@ class TestTempleSwapBound:
                 certified_count += is_certified
         assert lowering > 0 and certified_count > 0
 
+    @staticmethod
+    def polish_round(dom):
+        """(m, its eigenpair, a polish round's swaps): m is comonotone with
+        the constant weight's eigenfunction, near the optimum where the
+        optimizer screens and most bounds are finite."""
+        rng = np.random.default_rng(11)
+        profile = np.sort(rng.choice([1.0, 0.0, -1.0], dom.n_cells, p=[0.3, 0.3, 0.4]))[::-1]
+        m = rearrangement_step(profile, principal_positive_eigenvalue(
+            dom, dom.constant_field(1.0)).u)
+        pair = principal_positive_eigenvalue(dom, m)
+        return m, pair, _swap_candidates(m.values, pair.u.values, np.unique(profile)[::-1], 8)
+
     @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_box(1.0, 1.0, 12),
                                      make_rectangle(12, 12, 0.5), make_box(1.0, 1.0, 24)],
                              ids=["dense-rect", "dense-box", "lanczos-rect", "lanczos-box"])
     def test_block_matches_one_swap_calls(self, dom):
         # columns of the block solves do not mix: each bound of a polish
-        # round equals the bound of its swap alone.  The weight is comonotone
-        # with the constant weight's eigenfunction, near the optimum where
-        # the optimizer screens and most bounds are finite
-        rng = np.random.default_rng(11)
-        n = dom.n_cells
-        profile = np.sort(rng.choice([1.0, 0.0, -1.0], n, p=[0.3, 0.3, 0.4]))[::-1]
-        m = rearrangement_step(profile, principal_positive_eigenvalue(
-            dom, dom.constant_field(1.0)).u)
-        pair = principal_positive_eigenvalue(dom, m)
+        # round equals the bound of its swap alone
+        m, pair, swaps = self.polish_round(dom)
         beta = second_mu_bound(dom, 1.0)
-        swaps = _swap_candidates(m.values, pair.u.values, np.unique(profile)[::-1], 8)
         bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
         one = np.array([temple_swap_bounds(dom, m, pair, [s], beta)[0] for s in swaps])
         assert np.isfinite(one).sum() > len(swaps) // 2
@@ -477,6 +522,21 @@ class TestTempleSwapBound:
         finite = np.isfinite(one)
         np.testing.assert_allclose(bounds[finite], one[finite], rtol=1e-12, atol=0)
         assert temple_swap_bounds(dom, m, pair, [], beta).shape == (0,)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_rectangle(12, 12, 0.5)],
+                             ids=["dense-rect", "lanczos-rect"])
+    def test_weight_times_power_of_two(self, dom, k):
+        # the bounds are taken on m h² scaled into [1/2, 1), so a weight 2^k
+        # times as large gets bounds 2^k times as large, to the bit, with no
+        # overflow near the largest double or underflow near the smallest
+        m, pair, swaps = self.polish_round(dom)
+        bounds = temple_swap_bounds(dom, m, pair, swaps, second_mu_bound(dom, 1.0))
+        assert np.isfinite(bounds).sum() > len(swaps) // 2
+        pair_k = EigenPair(np.ldexp(pair.lambda1, -k), pair.u, pair.residual, pair.iterations)
+        scaled = temple_swap_bounds(dom, dom.field(np.ldexp(m.values, k)), pair_k, swaps,
+                                    second_mu_bound(dom, 2.0**k))
+        assert np.array_equal(scaled, np.ldexp(bounds, k))
 
     @pytest.mark.parametrize("nx, ny", [(1, 2), (1, 7), (5, 1), (6, 5), (13, 11)])
     def test_beta_on_rectangles(self, nx, ny):

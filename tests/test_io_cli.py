@@ -278,6 +278,21 @@ class TestRunTask:
         assert results["defect_after"] == 0.0
         assert results["defect_before"] > 0.0
 
+    def test_symmetry_defect_does_not_depend_on_h(self, tmp_path):
+        # the cell area cancels in the defect, also where h² is far below
+        # the denominator's floor
+        results = []
+        for h in (0.5, 1e-17):
+            p = write_config(
+                tmp_path / "c.json", task="symmetrize",
+                domain={"shape": "rectangle", "nx": 6, "ny": 5, "h": h},
+                weight={"kind": "bang_bang", "m1": 1.0, "m2": 1.0, "m3": 0.0},
+            )
+            assert run(p, out_dir=str(tmp_path / str(h))) == 0
+            results.append(json.loads((tmp_path / str(h) / "results.json").read_text()))
+        assert results[0]["defect_before"] > 0.0
+        assert results[1]["defect_before"] == results[0]["defect_before"]
+
     def test_csv_weight_input(self, tmp_path):
         dom = make_rectangle(12, 10, 0.1)
         rng = np.random.default_rng(5)
@@ -521,6 +536,9 @@ EXIT_CASES = {
                                                   {"p": 1e308, "q": 0.0, "l": -1e307}]}, [], 2),
     "optimize-constants-overflow": ({**SINGLE, "single_class": {"m1": 1e308, "m2": 1e308,
                                                                 "m3": 0.0}}, [], 2),
+    # m h² near the largest double overflows no product of the Temple screen
+    "optimize-constants-near-the-largest-double": ({**SINGLE, "single_class": {
+        "m1": 1e307, "m2": 1e307, "m3": 0.0}}, [], 0),
     # Σ|m| = 3e308 overflows in the symmetry defects, which rescale
     "symmetrize-weight-sum-overflows": ({"task": "symmetrize",
                                          "weight": {"kind": "bang_bang", "m1": 1e307,
@@ -598,6 +616,39 @@ def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement
     assert main(["optimize", "--config", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("no convergence: ") and len(err.splitlines()) == 1, err
+
+
+# the benchmark's three tasks: optimize2 on the 32-grid box (Lanczos path),
+# symmetrize on the 48-grid disk, optimize on the 6 x 5 rectangle (dense)
+CACHED_RUNS = {
+    "optimize2-box": ({"task": "optimize2", "seeds": 1, "heatmap": True,
+                       "domain": {"shape": "rectangle", "nx": 32, "ny": 32, "h": 1 / 33},
+                       "classes": [{"p": 0.0, "q": 1.0, "l": 2 / 3 * (32 / 33) ** 2},
+                                   {"p": 1.0, "q": 0.0, "l": -(32 / 33) ** 2 / 2}]},
+                      ["--grid", "32"]),
+    "symmetrize-disk": ({"task": "symmetrize", "heatmap": True,
+                         "domain": {"shape": "ellipse", "nx": 49, "ny": 49, "h": 1 / 48,
+                                    "semi_axes": [0.5, 0.5]},
+                         "weight": {"kind": "bang_bang", "m1": 1.0, "m2": 1.0,
+                                    "m3": math.pi / 24}},
+                        ["--grid", "48"]),
+    "optimize-rect": ({**SINGLE, "domain": RECT, "seeds": 2}, []),
+}
+
+
+@pytest.mark.parametrize("cfg, args", CACHED_RUNS.values(), ids=CACHED_RUNS.keys())
+def test_second_run_reuses_the_factor(tmp_path, assemblies, cfg, args):
+    # a run in the same process finds the first run's factor, and writes
+    # the same bytes as the run that factored
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    for out in ("cold", "warm"):
+        argv = [cfg["task"], "--config", str(tmp_path / "c.json"), *args, "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    assert len(assemblies) == 1
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 # numbers stay small and strings hold no digits, so that no reading of a size
