@@ -5,13 +5,13 @@ The 5-point stiffness matrix A (entries 4 and -1, so that uᵀAu approximates
 A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
 eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
 by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, SIAM 1998).  A depends on the mask alone (h enters only
-through M), so A and its sparse LU factorization are built once per mask
-and cached here, keyed by the mask's shape and bytes: equal grids built
-separately share one factor, also at different h.  A domain keeps a direct
-reference to its entry, and the table keeps the ``FACTOR_CACHE_SIZE`` most
-recently used ones; no cached value refers to a domain, so the cache keeps
-no domain alive.  Each Lanczos step costs one solve with the factors, and
+Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built
+once per domain and kept on it.  A depends on the mask alone (h enters only
+through M), so the last factor built is also kept here with its mask's
+shape and bytes, and the next domain built with an equal mask, at any h,
+takes it instead of factoring again.  That is the only factor that outlives
+its domain, it refers to no domain, and it is dropped before a different
+mask is factored.  Each Lanczos step costs one solve with the factors, and
 the solver's iteration count is the number of those A-solves.  A is built in
 canonical CSR form directly, and ARPACK's reverse-communication loop calls
 m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
@@ -48,7 +48,6 @@ A_R of the domain's bounding rectangle, so Cauchy interlacing gives
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,30 +148,25 @@ def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
     return 1.1 * m_diag_bound / lam_min
 
 
-# Most factors the table keeps, least recently used evicted first.  A
-# domain holds its own entry, so eviction never makes a live domain factor
-# again; the bound caps the memory that outlives the domains.  Every
-# weightopt task solves on one grid, so a process that runs many tasks on a
-# few grids factors each once.
-FACTOR_CACHE_SIZE = 4
-
-# (mask shape, mask bytes) -> (A, W, A⁻¹), least recently used first; no
-# value refers to a domain
-_FACTORS = OrderedDict()
+# (mask shape, mask bytes) and (A, W, A⁻¹) of the last mask factored; the
+# entry refers to no domain
+_LAST = (None, None)
 
 
 def _factored_stiffness(domain: GridDomain):
     """The domain's cached (A, W, x -> A⁻¹x): (dense A, L⁻¹ with A = LLᵀ,
     Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None, splu(A).solve) above."""
-    entry = domain._factors
-    if entry is None:
+    global _LAST
+    if domain._factors is None:
         key = (domain.mask.shape, domain.mask.tobytes())
-        entry = _FACTORS.pop(key, None) or _factor(domain)
-        _FACTORS[key] = entry
-        if len(_FACTORS) > FACTOR_CACHE_SIZE:
-            _FACTORS.popitem(last=False)
+        last_key, entry = _LAST
+        if last_key != key:
+            # drop the last factor, which may be a dead domain's, before building one
+            _LAST, entry = (None, None), None
+            entry = _factor(domain)
+            _LAST = key, entry
         domain._factors = entry
-    return entry
+    return domain._factors
 
 
 def _factor(domain: GridDomain):

@@ -230,8 +230,7 @@ def transposed(domain: GridDomain) -> GridDomain:
     """Domain with rows and columns swapped (for horizontal-axis checks).
 
     Built once and kept on `domain`; it keeps no reference back, so no
-    cycle holds a dead domain alive.  Its stiffness factor is cached by its
-    mask like any domain's (see ``eig``), and refers to no domain either.
+    cycle holds a dead domain (and the factor kept on it) alive.
     """
     if domain._transposed is None:
         domain._transposed = GridDomain(domain.mask.T, domain.h)

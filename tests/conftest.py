@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,9 +19,9 @@ def small_rect():
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Empty the stiffness-factor table for one test and record the shape of
+    """Forget the last stiffness factor for one test and record the shape of
     every mask whose stiffness matrix is assembled."""
-    monkeypatch.setattr(weightopt.eig, "_FACTORS", OrderedDict())
+    monkeypatch.setattr(weightopt.eig, "_LAST", (None, None))
     calls = []
     assemble = weightopt.eig.assemble_stiffness
 

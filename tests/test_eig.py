@@ -11,7 +11,6 @@ import weightopt.eig
 from weightopt.eig import (
     DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
-    FACTOR_CACHE_SIZE,
     SIGN_NOISE_ULPS,
     EigenPair,
     NoConvergence,
@@ -379,20 +378,30 @@ class TestFactorCache:
         assert half.lambda1 == 4.0 * pair.lambda1
         assert half.u.values.tobytes() == pair.u.values.tobytes()
 
-    def test_least_recently_used_factor_is_evicted(self, assemblies):
-        def factor(width):
-            dom = make_rectangle(width, 3, 1.0)
-            principal_positive_eigenvalue(dom, dom.constant_field(1.0))
-            assert len(weightopt.eig._FACTORS) <= FACTOR_CACHE_SIZE
-            return dom.mask.shape, dom.mask.tobytes()
+    @pytest.mark.parametrize("n", [10, 24], ids=["dense", "lanczos"])
+    def test_only_the_last_factor_outlives_its_domain(self, n, assemblies, monkeypatch):
+        def disk(k):
+            return make_ellipse(k + 1, k + 1, 1.0 / k, (0.5, 0.5))
 
-        keys = [factor(3 + k) for k in range(FACTOR_CACHE_SIZE)]
-        factor(3)  # a new domain of the first mask finds its factor
-        assert len(assemblies) == FACTOR_CACHE_SIZE
-        new = factor(3 + FACTOR_CACHE_SIZE)
-        assert list(weightopt.eig._FACTORS) == [*keys[2:], keys[0], new]
-        factor(4)  # the evicted mask is factored again
-        assert len(assemblies) == FACTOR_CACHE_SIZE + 2
+        dom = disk(n)
+        A = weakref.ref(weightopt.eig._factored_stiffness(dom)[0])
+        del dom
+        gc.collect()
+        assert A() is not None
+        weightopt.eig._factored_stiffness(disk(n))  # found, not factored again
+        assert len(assemblies) == 1
+        # a larger mask is factored only after the dead domain's factor is freed
+        freed = []
+        counted = weightopt.eig.assemble_stiffness
+
+        def assemble(domain):
+            gc.collect()
+            freed.append(A() is None)
+            return counted(domain)
+
+        monkeypatch.setattr(weightopt.eig, "assemble_stiffness", assemble)
+        weightopt.eig._factored_stiffness(disk(2 * n))
+        assert freed == [True] and assemblies == [(n + 1, n + 1), (2 * n + 1, 2 * n + 1)]
 
 
 class TestRayleigh:
