@@ -14,6 +14,7 @@ round-trip exactly:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,23 +75,13 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     Path(path).write_text(f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n")
 
 
+# a header token, or a '#' comment (group 1 empty) running to the line end
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
+
+
 def _pgm_tokens(raw: bytes):
     """Header tokens of a PGM, skipping '#' comments; yields (token, end_pos)."""
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and raw[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < n and not raw[j:j + 1].isspace() and raw[j:j + 1] != b"#":
-                j += 1
-            yield raw[i:j], j
-            i = j
+    return ((m[1], m.end()) for m in _PGM_TOKEN.finditer(raw) if m[1])
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -104,8 +95,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if magic not in (b"P2", b"P5"):
             raise ValueError("not a PGM (P2/P5) file")
         nx, ny, maxval = int(w_tok), int(h_tok), int(max_tok)
-        if nx <= 0 or ny <= 0 or maxval <= 0:
-            raise ValueError("invalid PGM dimensions")
+        if nx <= 0 or ny <= 0 or not 0 < maxval < 2**16:
+            raise ValueError("invalid PGM dimensions, or maxval outside 1..65535")
         if magic == b"P2":
             values = [int(t) for t, _ in _pgm_tokens(raw[end:])]
             data = np.array(values, dtype=np.int64)
@@ -116,9 +107,11 @@ def read_pgm(path: str | Path) -> np.ndarray:
             data = np.frombuffer(body, dtype=dtype, count=nx * ny).astype(np.int64)
         if data.size != nx * ny:
             raise ValueError(f"expected {nx * ny} samples, found {data.size}")
+        if data.min() < 0 or data.max() > maxval:
+            raise ValueError(f"PGM sample outside 0..{maxval}")
     except StopIteration:
         raise FileFormatError(f"{path}: truncated PGM header") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise FileFormatError(f"{path}: {exc}") from exc
     return data.reshape(ny, nx)
 

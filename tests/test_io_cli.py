@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError
 
 import weightopt.eig
+import weightopt.io
+import weightopt.optimize
 import weightopt.verify
 from weightopt.cli import TASKS, RunConfig, main, run
 from weightopt.grid import from_mask, make_ellipse, make_rectangle
@@ -123,6 +125,29 @@ class TestPgm:
         p.write_bytes(b"P5 2 2 65535\n" + vals.tobytes())
         img = read_pgm(p)
         assert img[0, 0] == 256 and img[1, 0] == 65535
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#",
+                                     b"P5", b"7", b"\x00", b"\x1c", b"\x85", b"\xff"]),
+                    max_size=24))
+    def test_tokens_match_a_byte_scanner(self, parts):
+        # reference: scan byte by byte; whitespace is bytes.isspace, and a
+        # '#' outside a token starts a comment that runs to \n or \r
+        raw = b"".join(parts)
+        expected, i = [], 0
+        while i < len(raw):
+            if raw[i:i + 1].isspace():
+                i += 1
+            elif raw[i:i + 1] == b"#":
+                while i < len(raw) and raw[i:i + 1] not in (b"\n", b"\r"):
+                    i += 1
+            else:
+                j = i
+                while j < len(raw) and not raw[j:j + 1].isspace() and raw[j:j + 1] != b"#":
+                    j += 1
+                expected.append((raw[i:j], j))
+                i = j
+        assert list(weightopt.io._pgm_tokens(raw)) == expected
 
     def test_mask_file_domain(self, tmp_path):
         mask = np.zeros((5, 6), dtype=np.uint8)
@@ -432,6 +457,31 @@ class TestAnnulus:
         assert not (tmp_path / "out").exists()
 
 
+# every check of weightopt verify, in the order it prints them
+VERIFY_CHECKS = [
+    "hl_inequality", "hl_pairing_equality", "pair_family_sum_profile",
+    "precedes_reflexive", "precedes_mean_constant",
+    "precedes_antisymmetry_up_to_equimeasurability", "equimeasurable_under_transforms",
+    "steiner_measure_preserved", "steiner_equimeasurable", "steiner_idempotent",
+    "steiner_superlevel_consistency", "steiner_monotone_transform_commutes",
+    "steiner_hardy_littlewood",
+    "descent_lambda_history", "descent_fixed_point_comonotone", "descent_class_preserved",
+    "oracle_hl_bound_vs_permutations", "oracle_subset_supremum",
+    "oracle_optimizer_vs_enumeration",
+]
+
+
+def _one_fixed_point_step(monkeypatch):
+    """optimize_single capped at one eigensolve per seed: the random start."""
+    optimize_single = weightopt.verify.optimize_single
+
+    def capped(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(weightopt.optimize, "MAX_FIXED_POINT_ITERS", 1)
+            return optimize_single(*args, **kwargs)
+    return capped
+
+
 class TestVerifyTask:
     def test_verify_passes(self, tmp_path):
         p = write_config(tmp_path / "c.json", task="verify", verify_trials=15)
@@ -457,6 +507,46 @@ class TestVerifyTask:
         assert results["checks"]["steiner_superlevel_consistency"] is False
         failed = [k for k, v in results["checks"].items() if not v]
         assert failed == ["steiner_superlevel_consistency"]
+
+    def test_verify_prints_every_check_in_suite_order(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.json", task="verify", verify_trials=2)
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify") == 0
+        assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in VERIFY_CHECKS]
+        results = json.loads((tmp_path / "v" / "results.json").read_text())
+        assert results["checks"] == dict.fromkeys(VERIFY_CHECKS, True)
+
+    @pytest.mark.parametrize("target, breakage, failing", [
+        ("hl_pairing", lambda monkeypatch: lambda f, g: g, ["hl_pairing_equality"]),
+        ("precedes", lambda monkeypatch: lambda g, f: False,
+         ["precedes_reflexive", "precedes_mean_constant",
+          "precedes_antisymmetry_up_to_equimeasurability"]),
+        ("optimize_single", _one_fixed_point_step,
+         ["descent_fixed_point_comonotone", "oracle_optimizer_vs_enumeration"]),
+    ], ids=["hl-pairing-returns-g", "precedes-always-false", "optimizer-one-step"])
+    def test_broken_library_negative_control(self, tmp_path, monkeypatch, capsys,
+                                             target, breakage, failing):
+        # each suite reports exactly the checks that the broken function
+        # falsifies, and every other check still passes
+        monkeypatch.setattr(weightopt.verify, target, breakage(monkeypatch))
+        p = write_config(tmp_path / "c.json", task="verify", verify_trials=10)
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify") == 4
+        results = json.loads((tmp_path / "v" / "results.json").read_text())
+        assert results["checks"] == {name: name not in failing for name in VERIFY_CHECKS}
+        # results.json sorts its keys; stdout keeps the suites' order
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"{'FAIL' if name in failing else 'PASS'} {name}"
+                       for name in VERIFY_CHECKS]
+
+    @pytest.mark.parametrize("bad_trial", [0, 2, 4])
+    def test_a_check_failing_in_one_trial_fails_the_suite(self, monkeypatch, bad_trial):
+        calls = iter(range(5))
+        hl_pairing = weightopt.verify.hl_pairing
+        monkeypatch.setattr(weightopt.verify, "hl_pairing",
+                            lambda f, g: g if next(calls) == bad_trial else hl_pairing(f, g))
+        checks = weightopt.verify.check_hardy_littlewood(
+            make_rectangle(6, 5, 0.5), np.random.default_rng(0), trials=5)
+        assert checks == {"hl_inequality": True, "hl_pairing_equality": False,
+                          "pair_family_sum_profile": True}
 
 
 class TestCliEntry:
@@ -509,6 +599,18 @@ class TestCliEntry:
 # in the test's directory, which holds the files that _exit_case_files writes
 RECT = {"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5}
 SINGLE = {"task": "optimize", "single_class": {"m1": 1.0, "m2": 1.0, "m3": 1.25}}
+MALFORMED_PGMS = {
+    "sample-above-maxval": b"P2 3 3 1\n0 1 0\n1 5 1\n0 1 0\n",
+    "negative-sample": b"P2 3 3 1\n0 1 0\n1 -1 1\n0 1 0\n",
+    "p2-maxval-70000": b"P2 3 3 70000\n0 1 0\n1 1 1\n0 1 0\n",
+    "p5-maxval-70000": b"P5 3 3 70000\n" + np.ones(9, dtype=">u2").tobytes(),
+    "p2-sample-beyond-int64": b"P2 3 1 255\n1 100000000000000000000000 1\n",
+    "p5-width-beyond-int64": b"P5 100000000000000000000000 1 255\n\x01",
+    "wrong-magic": b"P3 3 3 1\n0 1 0\n1 1 1\n0 1 0\n",
+    "truncated-header": b"P2 3 3\n",
+    "zero-width": b"P2 0 3 1\n",
+    "short-p5-body": b"P5 3 3 255\n\x00\x01\x00\x01",
+}
 EXIT_CASES = {
     "eig-runs": ({}, [], 0),
     "csv-weight-without-path": ({"weight": {"kind": "csv"}}, [], 1),
@@ -571,6 +673,16 @@ EXIT_CASES = {
     # so λ₁ = 1/μ overflows
     "arpack-starting-vector-zero": ({"domain": {**RECT, "nx": 20, "ny": 20, "h": 0.05},
                                      "weight": {"kind": "constant", "value": 1e-318}}, [], 3),
+    # malformed masks: a sample outside 0..maxval, a maxval outside 1..65535,
+    # numbers beyond int64, and broken headers and bodies
+    **{f"mask-{name}": ({"domain": {"shape": "mask_file", "mask_path": f"{name}.pgm",
+                                    "h": 0.5}}, [], 1) for name in MALFORMED_PGMS},
+    "optimize-without-single-class": ({"task": "optimize"}, [], 1),
+    "optimize2-without-classes": ({"task": "optimize2"}, [], 1),
+    "grid-on-a-mask-file": ({"domain": {"shape": "mask_file", "mask_path": "lopsided.pgm",
+                                        "h": 0.5}}, ["--grid", "8"], 1),
+    **{f"weight-csv-{name}": ({"weight": {"kind": "csv", "path": f"{name}.csv"}}, [], 1)
+       for name in ("bad-header", "value-count", "nan-pattern")},
     "remark-ordering-fails": ({"task": "remark", "seeds": 2,
                                "domain": {"shape": "rectangle", "nx": 3, "ny": 3, "h": 0.1}},
                               [], 4),
@@ -584,6 +696,14 @@ def _exit_case_files(d: Path) -> None:
     write_pgm(d / "lopsided.pgm", lopsided)
     (d / "bad.pgm").write_text("P2\n3 3\n255\n1 2\n")
     write_field_csv(d / "other.csv", make_rectangle(4, 4, 0.5).constant_field(1.0))
+    for name, raw in MALFORMED_PGMS.items():
+        (d / f"{name}.pgm").write_bytes(raw)
+    write_field_csv(d / "good.csv", make_rectangle(6, 5, 0.5).constant_field(1.0))
+    lines = (d / "good.csv").read_text().splitlines()
+    (d / "bad-header.csv").write_text("\n".join(["nx,ny"] + lines[1:]))
+    (d / "value-count.csv").write_text("\n".join(lines[:-1]))
+    # the padding's first cell holds a number, where the domain has none
+    (d / "nan-pattern.csv").write_text("\n".join(lines[:2] + ["1.0"] + lines[3:]))
 
 
 @pytest.mark.parametrize("fields, args, code", EXIT_CASES.values(), ids=EXIT_CASES.keys())
@@ -596,6 +716,17 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code != 0), err
+
+
+@pytest.mark.parametrize("raw", [b"[1, 2]", b'{"task": "eig\xff"}',
+                                 b"[" * 100000 + b"]" * 100000],
+                         ids=["root-not-an-object", "not-utf-8", "nested-100000-deep"])
+def test_malformed_config_bytes_exit_1(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_bytes(raw)
+    assert main(["eig", "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def _raise_arpack_error(*args, **kwargs):
