@@ -12,7 +12,6 @@ from .eig import (
 from .grid import (
     GridDomain,
     ScalarField,
-    VerticalAxis,
     from_mask,
     make_box,
     make_ellipse,
@@ -64,7 +63,6 @@ __all__ = [
     "ResourceClass",
     "ScalarField",
     "SteinerAxisError",
-    "VerticalAxis",
     "WeightNotPositiveAnywhere",
     "assemble_stiffness",
     "comonotone",

@@ -5,14 +5,13 @@ The 5-point stiffness matrix A (entries 4 and -1, so that uᵀAu approximates
 A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
 eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
 by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, SIAM 1998).  A and its sparse LU factorization are built
-once per domain and kept on it.  A depends on the mask alone (h enters only
-through M), so the last factor built is also kept here with its mask's
-shape and bytes, and the next domain built with an equal mask, at any h,
-takes it instead of factoring again.  That is the only factor that outlives
-its domain, it refers to no domain, and it is dropped before a different
-mask is factored.  Each Lanczos step costs one solve with the factors, and
-the solver's iteration count is the number of those A-solves.  A is built in
+Users' Guide*, SIAM 1998).  A depends on the mask alone (h enters only
+through M), so A and its factorization are kept for the last mask factored,
+keyed by its shape and bytes: every domain with an equal mask, at any h,
+takes them instead of factoring again.  The entry refers to no domain, and
+it is dropped before a different mask is factored, so at most one factor is
+alive.  Each Lanczos step costs one solve with the factors, and the
+solver's iteration count is the number of those A-solves.  A is built in
 canonical CSR form directly, and ARPACK's reverse-communication loop calls
 m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
 per-call checks.  Lanczos runs on m h² divided by the power of two 2^e that
@@ -154,19 +153,15 @@ _LAST = (None, None)
 
 
 def _factored_stiffness(domain: GridDomain):
-    """The domain's cached (A, W, x -> A⁻¹x): (dense A, L⁻¹ with A = LLᵀ,
-    Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None, splu(A).solve) above."""
+    """The cached (A, W, x -> A⁻¹x) of the domain's mask: (dense A, L⁻¹ with
+    A = LLᵀ, Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None,
+    splu(A).solve) above."""
     global _LAST
-    if domain._factors is None:
-        key = (domain.mask.shape, domain.mask.tobytes())
-        last_key, entry = _LAST
-        if last_key != key:
-            # drop the last factor, which may be a dead domain's, before building one
-            _LAST, entry = (None, None), None
-            entry = _factor(domain)
-            _LAST = key, entry
-        domain._factors = entry
-    return domain._factors
+    key = (domain.mask.shape, domain.mask.tobytes())
+    if _LAST[0] != key:
+        _LAST = (None, None)  # free the last factor before building one
+        _LAST = key, _factor(domain)
+    return _LAST[1]
 
 
 def _factor(domain: GridDomain):

@@ -13,31 +13,20 @@ inside the array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class VerticalAxis:
-    """Vertical symmetry axis of the grid, stored as twice the column index.
-
-    ``center2`` is even when the axis runs through a cell-center column and
-    odd when it runs between two columns.  Reflection maps column ``c`` to
-    ``center2 - c``.
-    """
-
-    center2: int
 
 
 class GridDomain:
     """Bounded open set discretized into uniform square cells.
 
     In-domain cells are ``mask == True``; their row-major order defines the
-    cell indexing used by :class:`ScalarField`.  ``axis`` is the grid's
-    vertical center line when the domain is Steiner-symmetric about it (the
-    mask is reflection-symmetric across it and every nonempty row is one
-    interval, so every row is centered on it), else None.
+    cell indexing used by :class:`ScalarField`.  ``axis`` is twice the
+    column index of the grid's vertical center line, ``shape[1] - 1``, when
+    the domain is Steiner-symmetric about it (the mask is
+    reflection-symmetric across it and every nonempty row is one interval,
+    so every row is centered on it), else None.  It is even when the line
+    runs through a cell-center column and odd when it runs between two
+    columns; reflection maps column ``c`` to ``axis - c``.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
@@ -60,9 +49,8 @@ class GridDomain:
         # interval (the out-of-domain ring puts a gap before each start)
         steiner = (np.array_equal(mask, mask[:, ::-1])
                    and ((mask[:, 1:] & ~mask[:, :-1]).sum(axis=1) <= 1).all())
-        self.axis = VerticalAxis(center2=mask.shape[1] - 1) if steiner else None
+        self.axis = mask.shape[1] - 1 if steiner else None
         self._transposed = None  # built by transposed()
-        self._factors = None  # (A, W, A⁻¹), set by eig._factored_stiffness
 
         index_map = -np.ones(mask.shape, dtype=np.int64)
         rows, cols = np.nonzero(mask)
@@ -77,10 +65,6 @@ class GridDomain:
     @property
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
 
     @property
     def n_cells(self) -> int:
@@ -118,12 +102,6 @@ class GridDomain:
         out[self.cell_rows[selector], self.cell_cols[selector]] = True
         return out
 
-    def grid_of(self, values: np.ndarray, fill: float = np.nan) -> np.ndarray:
-        """Spread per-cell values onto the full grid, `fill` outside the domain."""
-        out = np.full(self.mask.shape, fill, dtype=float)
-        out[self.cell_rows, self.cell_cols] = values
-        return out
-
 
 class ScalarField:
     """Bounded measurable function sampled at in-domain cell centers.
@@ -147,8 +125,11 @@ class ScalarField:
     def integral(self) -> float:
         return float(self.values.sum() * self.domain.cell_area)
 
-    def to_grid(self, fill: float = np.nan) -> np.ndarray:
-        return self.domain.grid_of(self.values, fill=fill)
+    def to_grid(self) -> np.ndarray:
+        """The values spread onto the full grid, nan outside the domain."""
+        out = np.full(self.domain.shape, np.nan)
+        out[self.domain.cell_rows, self.domain.cell_cols] = self.values
+        return out
 
 
 def make_rectangle(width_cells: int, height_cells: int, h: float) -> GridDomain:
@@ -230,7 +211,7 @@ def transposed(domain: GridDomain) -> GridDomain:
     """Domain with rows and columns swapped (for horizontal-axis checks).
 
     Built once and kept on `domain`; it keeps no reference back, so no
-    cycle holds a dead domain (and the factor kept on it) alive.
+    cycle holds a dead domain alive.
     """
     if domain._transposed is None:
         domain._transposed = GridDomain(domain.mask.T, domain.h)

@@ -117,10 +117,12 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray, levels: np.ndarray,
                      pairs_per_level: int) -> list[tuple[int, int]]:
     """Cell swaps most likely to escape a non-global fixed point.
 
-    For each pair of levels a > b, the weakest a-cells (smallest u) are
-    paired with the strongest b-cells (largest u): these are the exchanges
-    just beyond what the comonotone ranking already chose.  `pairs_per_level`
-    caps the candidates per level pair; deterministic order.
+    For each pair of levels a > b, the t-th weakest a-cell (t-th smallest u)
+    is paired with the t-th strongest b-cell (t-th largest u), for
+    t < min(pairs_per_level, |a|, |b|): these are the exchanges just beyond
+    what the comonotone ranking already chose.  So a level pair yields at
+    most that many swaps, not its whole one-swap neighborhood of |a|·|b|
+    swaps; deterministic order.
     """
     out: list[tuple[int, int]] = []
     cells_by_level = {}
@@ -156,7 +158,7 @@ def _minimize_over_class(
 
     Every polish probe is first screened by Temple's bound: one
     ``temple_swap_bounds`` call per polish round bounds all its candidates
-    with two block solves with the domain's cached factor of A, on every
+    with two block solves with the cached factor of A, on every
     pencil size.  A swap whose bound on 1/λ₁ lies below 1/λ₀ by the tie
     tolerance cannot lower λ₁ and is rejected without an eigensolve.
     A screened probe counts against the cap like a solved one, so the screen
@@ -164,8 +166,9 @@ def _minimize_over_class(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    # full one-swap neighborhood on desk-size problems, a rank-nearest
-    # shortlist on large grids where each probe costs a full eigensolve
+    # at most min(pairs_per_level, |a|, |b|) rank-paired swaps per level
+    # pair (see _swap_candidates): up to n on desk-size problems, fewer on
+    # large grids where each probe costs a full eigensolve
     n = domain.n_cells
     pairs_per_level = n if n <= 64 else (8 if n <= 400 else 2)
 

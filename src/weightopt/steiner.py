@@ -33,7 +33,7 @@ class SteinerAxisError(ValueError):
 def _center2(domain: GridDomain) -> int:
     if domain.axis is None:
         raise SteinerAxisError("domain is not Steiner-symmetric about its vertical center line")
-    return domain.axis.center2
+    return domain.axis
 
 
 def symmetrize_set(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def symmetrize_set(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
     cells re-centered on the axis.  Preserves measure cell-exactly."""
     sel = domain.subset_cells(mask)  # validates containment
     rows = domain.cell_rows
-    k = np.bincount(rows[sel], minlength=domain.height)[rows]  # the row's count per cell
+    k = np.bincount(rows[sel], minlength=domain.shape[0])[rows]  # the row's count per cell
     # keep the k cells at 2c - center2 in [-k, k): centered, and on a parity
     # mismatch the extra cell is the one at the lower column index
     d = 2 * domain.cell_cols - _center2(domain)

@@ -89,7 +89,7 @@ def steiner_reference(domain, f):
     equal values (+0.0 and -0.0 among them) in column order, and placed at
     the row's cells ordered by distance to the axis, the left cell of a
     pair first."""
-    center2 = domain.axis.center2
+    center2 = domain.axis
     grid = f.to_grid()
     out = np.empty_like(grid)
     for row, start, stop in row_intervals(domain):

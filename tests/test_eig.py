@@ -91,7 +91,7 @@ class TestAssembly:
         rng = np.random.default_rng(0)
         u = rng.normal(size=dom.n_cells)
         A = assemble_stiffness(dom)
-        grid = dom.grid_of(u, fill=0.0)
+        grid = np.nan_to_num(dom.field(u).to_grid())
         energy = 0.0
         for axis in (0, 1):
             d = np.diff(grid, axis=axis)
@@ -112,6 +112,13 @@ class TestAssembly:
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(A, name), getattr(ref, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("other", [make_rectangle(6, 5, 0.5), make_rectangle(5, 6, 0.5)],
+                         ids=["equal-grid", "other-grid"])
+def test_guards_reject_a_weight_of_another_domain(small_rect, other):
+    with pytest.raises(ValueError, match="weight must live on the given domain"):
+        principal_positive_eigenvalue(small_rect, other.constant_field(1.0))
 
 
 class TestPrincipalEigenvalue:

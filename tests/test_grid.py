@@ -30,14 +30,29 @@ def test_rectangle_minimum_size():
         make_rectangle(3, 3, 0.0)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: GridDomain(np.ones((3, 3, 3), dtype=bool), 1.0), "2D"),
+    (lambda: from_mask(np.ones(4, dtype=bool), 1.0), "2D"),
+    (lambda: make_rectangle(3, 3, 1.0).subset_cells(np.ones((4, 4), dtype=bool)), "shape"),
+    (lambda: make_rectangle(3, 3, 1.0).cells_to_mask(np.ones(8, dtype=bool)), "one entry"),
+    (lambda: make_ellipse(2, 5, 1.0, (1.0, 1.0)), "3x3"),
+    (lambda: make_ellipse(5, 5, 0.0, (1.0, 1.0)), "positive"),
+    (lambda: make_box(1.0, 1.0, 3), "at least 4"),
+], ids=["domain-mask-3d", "from-mask-1d", "subset-of-another-grid", "selector-too-short",
+        "ellipse-grid-too-small", "ellipse-spacing-zero", "box-resolution-3"])
+def test_guards_reject_bad_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_rectangle_padding_and_axis():
     dom = make_rectangle(5, 4, 0.5)
     assert dom.shape == (6, 7)
     assert not dom.mask[0].any() and not dom.mask[-1].any()
     assert dom.axis is not None
-    assert dom.axis.center2 == 6  # 7 columns -> axis through column 3
+    assert dom.axis == 6  # 7 columns -> axis through column 3
     dom_even = make_rectangle(4, 4, 0.5)
-    assert dom_even.axis.center2 == 5  # 6 columns -> axis between columns 2 and 3
+    assert dom_even.axis == 5  # 6 columns -> axis between columns 2 and 3
 
 
 def test_circle_measure_close_to_pi_over_4():

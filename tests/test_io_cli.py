@@ -104,6 +104,14 @@ def test_writer_bytes_match_per_element_formula(tmp_path):
     assert np.array_equal(read_pgm(q), img)
 
 
+@pytest.mark.parametrize("image", [np.zeros(4, dtype=np.uint8), np.array([[0, 256]]),
+                                   np.array([[-1, 0]])], ids=["1d", "above-255", "negative"])
+def test_write_pgm_rejects_what_no_pgm_holds(tmp_path, image):
+    with pytest.raises(ValueError, match="PGM"):
+        write_pgm(tmp_path / "img.pgm", image)
+    assert not (tmp_path / "img.pgm").exists()
+
+
 class TestPgm:
     def test_p2_roundtrip(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -515,6 +523,27 @@ class TestVerifyTask:
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["checks"] == dict.fromkeys(VERIFY_CHECKS, True)
 
+    @pytest.mark.parametrize("cut, checks", [
+        (False, VERIFY_CHECKS),
+        (True, [name for name in VERIFY_CHECKS if not name.startswith("steiner_")]),
+    ], ids=["disk", "disk-without-axis"])
+    def test_verify_on_a_mask_file_disk(self, tmp_path, capsys, cut, checks):
+        # the 11 x 11 disk of radius 4.6 cells has a Steiner axis; without
+        # cell (5, 2) its row 5 splits, so it has none and the Steiner suite
+        # is left out, while the other 13 checks run and are reported
+        i = np.arange(11) - 5
+        mask = np.hypot(i[:, None], i[None, :]) <= 4.6
+        mask[5, 2] = not cut
+        write_pgm(tmp_path / "disk.pgm", mask.astype(np.uint8))
+        domain = {"shape": "mask_file", "mask_path": "disk.pgm", "h": 0.1}
+        assert (domain_from_config(domain, tmp_path).axis is None) == cut
+        p = write_config(tmp_path / "c.json", task="verify", domain=domain, verify_trials=2)
+        assert run(p, out_dir=str(tmp_path / "v"), task="verify") == 0
+        assert capsys.readouterr().out.splitlines() == [f"PASS {name}" for name in checks]
+        results = json.loads((tmp_path / "v" / "results.json").read_text())
+        assert results["checks"] == dict.fromkeys(checks, True)
+        assert results["all_passed"] is True
+
     @pytest.mark.parametrize("target, breakage, failing", [
         ("hl_pairing", lambda monkeypatch: lambda f, g: g, ["hl_pairing_equality"]),
         ("precedes", lambda monkeypatch: lambda g, f: False,
@@ -547,6 +576,12 @@ class TestVerifyTask:
             make_rectangle(6, 5, 0.5), np.random.default_rng(0), trials=5)
         assert checks == {"hl_inequality": True, "hl_pairing_equality": False,
                           "pair_family_sum_profile": True}
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0], ids=["negative", "zero"])
+def test_dense_lambda1_rejects_a_weight_without_positive_eigenvalue(small_rect, value):
+    with pytest.raises(ValueError, match="no positive eigenvalue"):
+        weightopt.verify.dense_lambda1(small_rect, small_rect.constant_field(value))
 
 
 class TestCliEntry:
@@ -630,6 +665,7 @@ EXIT_CASES = {
     "grid-zero": ({}, ["--grid", "0"], 1),
     "negative-seed": (SINGLE, ["--seed", "-1"], 1),
     "heatmap-as-string": ({"heatmap": "no"}, [], 1),
+    "weight-value-of-400-digits": ({"weight": {"kind": "constant", "value": 10**399}}, [], 1),
     "infeasible-constants": ({**SINGLE, "single_class": {"m1": 1.0, "m2": 1.0, "m3": 100.0}},
                              [], 2),
     # q|Ω| and p|Ω| are inf, then p + q

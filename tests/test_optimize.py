@@ -422,6 +422,15 @@ class TestCombinedProfile:
         assert np.signbit(combined_profile(dom, p0)[-1])
 
 
+@pytest.mark.parametrize("run", [
+    lambda dom: optimize_single(dom, (1.0, 1.0, 1.25), seeds=0),
+    lambda dom: optimize_two(dom, *remark_classes(dom), 0),
+], ids=["optimize-single", "optimize-two"])
+def test_guards_reject_zero_seeds(small_rect, run):
+    with pytest.raises(ValueError, match="at least one seed"):
+        run(small_rect)
+
+
 class TestCompareSplitVsMerged:
     def test_strict_ordering_coarse(self):
         dom = make_box(1.0, 1.0, 16)

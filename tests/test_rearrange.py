@@ -186,6 +186,22 @@ class TestResourceClass:
             ResourceClass(p, q, l, 7.5)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda f, g: ResourceClass(p=0.0, q=1.0, l=0.5, domain_measure=0.0),
+     InfeasibleClassError),
+    (hl_inner, ValueError),
+    (hl_pairing, ValueError),
+    (lambda f, g: pair_family([]), ValueError),
+    (lambda f, g: comonotone(f.values, g.values[:-1]), ValueError),
+], ids=["class-on-measure-0", "hl-inner-across-domains", "hl-pairing-across-domains",
+        "empty-family", "comonotone-shapes-differ"])
+def test_guards_reject_bad_input(call, error):
+    # f and g live on equal but distinct domains
+    f, g = (make_rectangle(3, 3, 1.0).constant_field(1.0) for _ in range(2))
+    with pytest.raises(error):
+        call(f, g)
+
+
 class TestHardyLittlewood:
     def test_hand_computed_pair(self):
         dom = line_domain(2)
@@ -280,6 +296,9 @@ class TestPairFamily:
 
 
 class TestComonotone:
+    def test_no_cells_is_comonotone(self):
+        assert comonotone(np.array([]), np.array([])) is True
+
     def test_comonotone(self):
         assert comonotone(np.array([3.0, 2.0, 1.0]), np.array([5.0, 5.0, 0.0]))
         assert not comonotone(np.array([3.0, 2.0, 1.0]), np.array([0.0, 5.0, 5.0]))

@@ -31,6 +31,14 @@ def ellipse():
     return make_ellipse(17, 13, 0.25, (1.5, 1.0))
 
 
+@pytest.mark.parametrize("call", [symmetrize_function, symmetry_defect],
+                         ids=["symmetrize-function", "symmetry-defect"])
+def test_guards_reject_a_field_of_another_domain(ellipse, call):
+    twin = make_ellipse(17, 13, 0.25, (1.5, 1.0))  # equal to, but not, the ellipse
+    with pytest.raises(ValueError, match="field must live on the given domain"):
+        call(ellipse, twin.constant_field(1.0))
+
+
 class TestSymmetrizeSet:
     def test_three_cells_recentred(self):
         dom = line(9)
@@ -189,7 +197,7 @@ class TestSymmetryDefect:
 class TestRowSections:
     def test_centered_intervals(self, ellipse):
         for _, start, stop in row_intervals(ellipse):
-            assert start + (stop - 1) == ellipse.axis.center2
+            assert start + (stop - 1) == ellipse.axis
 
     def test_rejects_split_rows(self):
         mask = np.zeros((3, 8), dtype=bool)
