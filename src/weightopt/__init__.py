@@ -17,7 +17,6 @@ from .grid import (
     make_ellipse,
     make_rectangle,
     transpose_field,
-    transposed,
 )
 from .optimize import (
     DescentError,
@@ -87,5 +86,4 @@ __all__ = [
     "symmetrize_set",
     "symmetry_defect",
     "transpose_field",
-    "transposed",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from . import io as wio
 from . import verify as wverify
 from .eig import EIG_RESIDUAL_RTOL, NoConvergence, principal_positive_eigenvalue
-from .grid import GridDomain, ScalarField, transpose_field, transposed
+from .grid import GridDomain, ScalarField, transpose_field
 from .optimize import (
     DEFAULT_SEEDS,
     OptimizeReport,
@@ -209,17 +209,16 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
     if wc["kind"] == "csv":
         return wio.read_field_csv(cfg.base_dir / wc["path"], domain)
     if wc["kind"] == "bang_bang":
-        cls = single_class(domain, (wc["m1"], wc["m2"], wc["m3"]))
+        cls = single_class((wc["m1"], wc["m2"], wc["m3"]))
         return random_arrangement(combined_profile(domain, cls), domain,
                                   np.random.default_rng([cfg.seed, 0xBB]))
     return domain.constant_field(float(wc.get("value", 1.0)))
 
 
 def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) -> dict:
-    defect_v = symmetry_defect(domain, report.weight) if domain.axis is not None else None
-    td = transposed(domain)
-    defect_h = (symmetry_defect(td, transpose_field(report.weight))
-                if td.axis is not None else None)
+    defect_v = symmetry_defect(report.weight) if domain.axis is not None else None
+    wt = transpose_field(report.weight)
+    defect_h = symmetry_defect(wt) if wt.domain.axis is not None else None
     return {
         "lambda": report.final.lambda1,
         "eig_iterations": report.final.iterations,
@@ -231,6 +230,14 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) ->
         "symmetry_defect_vertical": defect_v,
         "symmetry_defect_horizontal": defect_h,
     }
+
+
+def _bang_bang_integral(cls: ResourceClass, k: int, area: float, omega: float) -> float:
+    """∫ of q on k cells and -p on the rest of |Ω|, with p and q scaled by the
+    power of two that brings max(|p|, |q|) into [1/2, 1), so no product overflows."""
+    e = int(np.frexp(max(abs(cls.p), abs(cls.q)))[1])
+    p, q = np.ldexp(cls.p, -e), np.ldexp(cls.q, -e)
+    return float(np.ldexp(q * k * area - p * (omega - k * area), e))
 
 
 def _run_task(cfg: RunConfig, domain: GridDomain
@@ -261,7 +268,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         }, report.weight, report.final.u
     if cfg.task == "optimize2":
         omega, area = domain.total_measure, domain.cell_area
-        classes = [ResourceClass(p, q, l, omega) for p, q, l in cfg.classes]
+        classes = [ResourceClass(*c) for c in cfg.classes]
         report = optimize_two(
             domain, *classes, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
         )
@@ -282,14 +289,13 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "levels": {"top": level(E), "mid": level(G & ~E), "bot": level(~G)},
             "measure_E": float(E.sum()) * area,
             "measure_G": float(G.sum()) * area,
-            # each part is q on k cells and -p elsewhere
-            "realized_integrals": [cls.q * k * area - cls.p * (omega - k * area)
+            "realized_integrals": [_bang_bang_integral(cls, k, area, omega)
                                    for cls, k in zip(classes, at_max.sum(axis=1))],
             **_optimize_results(report, domain, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
-        m_sym = symmetrize_function(domain, m)  # first: a domain without an axis solves nothing
+        m_sym = symmetrize_function(m)  # first: a domain without an axis solves nothing
         pair_before = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
         pair_after = principal_positive_eigenvalue(domain, m_sym, residual_rtol=rtol)
         return {
@@ -297,8 +303,8 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "seed": cfg.seed,
             "lambda_before": pair_before.lambda1,
             "lambda_after": pair_after.lambda1,
-            "defect_before": symmetry_defect(domain, m),
-            "defect_after": symmetry_defect(domain, m_sym),
+            "defect_before": symmetry_defect(m),
+            "defect_after": symmetry_defect(m_sym),
         }, m_sym, pair_after.u
     if cfg.task == "remark":
         report_two, report_one = compare_split_vs_merged(

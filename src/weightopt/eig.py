@@ -16,8 +16,8 @@ canonical CSR form directly, and ARPACK's reverse-communication loop calls
 m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
 per-call checks.  Lanczos runs on m h² divided by the power of two 2^e that
 brings max |m h²| into [1/2, 1), and μ is multiplied back by 2^e: the
-scaling is exact, so any weight whose λ₁ is a finite double solves, and a
-weight times 2^k gives the same eigenvector bits.
+scaling is exact, so any weight whose λ₁ and μ = 1/λ₁ are finite doubles
+solves, and a weight times 2^k gives the same eigenvector bits.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
@@ -213,7 +213,7 @@ def principal_positive_eigenvalue(
     Raises ValueError when m h² overflows on some cell,
     WeightNotPositiveAnywhere when m h² <= 0 on every cell, and
     NoConvergence when the solve needs more than ``max_outer`` A-solves,
-    LAPACK or ARPACK reports a failure, λ₁ = 1/μ is not a finite double, or
+    LAPACK or ARPACK reports a failure, μ or λ₁ = 1/μ is not a finite double, or
     the eigenpair misses ``residual_rtol`` or is not one-signed.  Negative
     entries within ``SIGN_NOISE_ULPS`` machine epsilons of zero, relative to
     max u, count as rounding noise: the returned u is |u|, and the residual
@@ -266,8 +266,11 @@ def principal_positive_eigenvalue(
             )
         except ArpackError as exc:
             raise NoConvergence(str(exc)) from exc
-        mus = np.ldexp(mus, e)
+        # 2^e μ overflows iff μ's binary exponent plus e passes 1024
+        mus = np.ldexp(mus, e) if np.frexp(mus[0])[1] + e <= 1024 else np.array([np.inf])
     mu, u = float(mus[0]), vecs[:, 0]
+    if mu == np.inf:  # also dsyevr's μ when the whitened pencil overflows
+        raise NoConvergence("μ = 1/λ₁ overflows a double: the weight m h² is too large")
     if not (mu > 0.0 and 1.0 / mu < np.inf):
         raise NoConvergence(f"λ₁ = 1/μ is not a finite double for μ = {mu:.3g}")
 
@@ -302,8 +305,8 @@ def second_mu_bound(domain: GridDomain, m_max: float) -> float:
     return m_max * domain.cell_area / lam2
 
 
-def temple_swap_bounds(domain: GridDomain, m: ScalarField, pair: EigenPair,
-                       swaps: list[tuple[int, int]], beta: float) -> np.ndarray:
+def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, int]],
+                       beta: float) -> np.ndarray:
     """Upper bounds on μ₁ = 1/λ₁ of the weight m with cells i and j swapped,
     one per (i, j) in ``swaps``.
 
@@ -320,6 +323,7 @@ def temple_swap_bounds(domain: GridDomain, m: ScalarField, pair: EigenPair,
     back: the scaling is exact, so the bounds' bits do not depend on it,
     and no product overflows for constants near the largest double.
     """
+    domain = m.domain
     A, _, solve = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
     cols = np.arange(i.size)

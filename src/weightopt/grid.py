@@ -50,7 +50,6 @@ class GridDomain:
         steiner = (np.array_equal(mask, mask[:, ::-1])
                    and ((mask[:, 1:] & ~mask[:, :-1]).sum(axis=1) <= 1).all())
         self.axis = mask.shape[1] - 1 if steiner else None
-        self._transposed = None  # built by transposed()
 
         index_map = -np.ones(mask.shape, dtype=np.int64)
         rows, cols = np.nonzero(mask)
@@ -123,7 +122,10 @@ class ScalarField:
         self.values = values
 
     def integral(self) -> float:
-        return float(self.values.sum() * self.domain.cell_area)
+        """∫f dx, summed with f scaled by the power of two that brings max |f|
+        into [1/2, 1), so no partial sum overflows; the scaling is exact."""
+        e = int(np.frexp(np.abs(self.values).max())[1])
+        return float(np.ldexp(np.ldexp(self.values, -e).sum() * self.domain.cell_area, e))
 
     def to_grid(self) -> np.ndarray:
         """The values spread onto the full grid, nan outside the domain."""
@@ -207,18 +209,8 @@ def from_mask(mask: np.ndarray, h: float) -> GridDomain:
     return GridDomain(mask, h)
 
 
-def transposed(domain: GridDomain) -> GridDomain:
-    """Domain with rows and columns swapped (for horizontal-axis checks).
-
-    Built once and kept on `domain`; it keeps no reference back, so no
-    cycle holds a dead domain alive.
-    """
-    if domain._transposed is None:
-        domain._transposed = GridDomain(domain.mask.T, domain.h)
-    return domain._transposed
-
-
 def transpose_field(f: ScalarField) -> ScalarField:
-    """Carry a field onto its domain's transposed domain."""
-    td = transposed(f.domain)
+    """The field with rows and columns swapped, on a new domain whose mask
+    is the transpose of f's: its ``axis`` is f's horizontal axis."""
+    td = GridDomain(f.domain.mask.T, f.domain.h)
     return ScalarField(td, f.to_grid().T[td.cell_rows, td.cell_cols])

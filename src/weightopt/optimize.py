@@ -30,7 +30,6 @@ from .eig import (
 )
 from .grid import GridDomain, ScalarField
 from .rearrange import (
-    InfeasibleClassError,
     ResourceClass,
     comonotone,
     decreasing_rearrangement,
@@ -94,7 +93,7 @@ def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[Scala
     n = domain.n_cells
     out = []
     for cls in classes:
-        x = cls.e / domain.cell_area
+        x = cls.e(domain.total_measure) / domain.cell_area
         k = min(max(int(np.floor(x + 0.5 + LEVEL_HALF_RTOL * abs(x))), 0), n)
         out.append(ScalarField(domain, np.repeat([cls.q, -cls.p], [k, n - k])))
     return out
@@ -175,6 +174,9 @@ def _minimize_over_class(
     levels = np.unique(profile)[::-1]
     # β bounds μ₂ of every arrangement of the profile
     beta = second_mu_bound(domain, float(profile[0]))
+    # the Hardy-Littlewood check scales m by the power of two that brings
+    # max |m| into [1/2, 1), exactly, so its sums cannot overflow
+    e = int(np.frexp(np.abs(profile).max())[1])
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
@@ -191,8 +193,8 @@ def _minimize_over_class(
             m_next = rearrangement_step(profile, pair.u)
             # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u²
             u2 = pair.u.values**2
-            t_old = float(m.values @ u2) * domain.cell_area
-            t_new = float(m_next.values @ u2) * domain.cell_area
+            t_old = float(np.ldexp(m.values, -e) @ u2) * domain.cell_area
+            t_new = float(np.ldexp(m_next.values, -e) @ u2) * domain.cell_area
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise DescentError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
@@ -208,7 +210,7 @@ def _minimize_over_class(
                 swaps = _swap_candidates(m0.values, pair0.u.values, levels,
                                          pairs_per_level)[:MAX_FIXED_POINT_ITERS - evals]
                 # a finite bound exceeds β, so none falls below μ₀ <= β
-                bounds = (temple_swap_bounds(domain, m0, pair0, swaps, beta)
+                bounds = (temple_swap_bounds(m0, pair0, swaps, beta)
                           if 1.0 / lam0 > beta else np.full(len(swaps), np.inf))
                 for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
                     if bound < mu_cut:
@@ -236,10 +238,10 @@ def _minimize_over_class(
     return best
 
 
-def single_class(domain: GridDomain, constants: tuple[float, float, float]) -> ResourceClass:
-    """The class {-m2 <= m <= m1, ∫m = m3} on the domain, from (m1, m2, m3)."""
+def single_class(constants: tuple[float, float, float]) -> ResourceClass:
+    """The class {-m2 <= m <= m1, ∫m = m3}, from (m1, m2, m3)."""
     m1, m2, m3 = (float(c) for c in constants)
-    return ResourceClass(p=m2, q=m1, l=m3, domain_measure=domain.total_measure)
+    return ResourceClass(p=m2, q=m1, l=m3)
 
 
 def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
@@ -254,10 +256,6 @@ def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
     Raises WeightNotPositiveAnywhere unless the profile's top level is
     positive.
     """
-    omega = domain.total_measure
-    for cls in classes:
-        if abs(cls.domain_measure - omega) > 1e-12 * max(1.0, omega):
-            raise InfeasibleClassError("resource class measure does not match the domain")
     parts = pair_family(_class_generators(domain, *classes))
     profile = decreasing_rearrangement(ScalarField(domain, _sum_of(parts)))
     if profile[0] <= 0:
@@ -279,7 +277,7 @@ def optimize_single(
     and -m2 elsewhere, reached by the fixed-point iteration from `seeds`
     random starting sets.
     """
-    profile = combined_profile(domain, single_class(domain, constants))
+    profile = combined_profile(domain, single_class(constants))
     return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
 
 
@@ -336,8 +334,8 @@ def compare_split_vs_merged(
     if domain.axis is None:
         raise ValueError("comparison domain must carry a symmetry axis")
     omega = domain.total_measure
-    cls1 = ResourceClass(p=0.0, q=1.0, l=2.0 * omega / 3.0, domain_measure=omega)
-    cls2 = ResourceClass(p=1.0, q=0.0, l=-omega / 2.0, domain_measure=omega)
+    cls1 = ResourceClass(p=0.0, q=1.0, l=2.0 * omega / 3.0)
+    cls2 = ResourceClass(p=1.0, q=0.0, l=-omega / 2.0)
     report_two = optimize_two(
         domain, cls1, cls2, seeds, rng_seed=rng_seed, residual_rtol=residual_rtol
     )

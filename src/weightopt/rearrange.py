@@ -44,39 +44,34 @@ def _check_same_space(f: ScalarField, g: ScalarField) -> None:
 
 @dataclass(frozen=True)
 class ResourceClass:
-    """Constraint class F = {-p <= f <= q, ∫f = l} on a space of measure |Omega|.
-
-    Feasibility must be strict (-p|Omega| < l < q|Omega|), which makes the
-    level-set measure e = (p|Omega| + l)/(p + q) land strictly inside
-    (0, |Omega|).
-    """
+    """Constants of the constraint class F = {-p <= f <= q, ∫f = l}; the
+    measure |Omega| of the space the class is posed on is passed to :meth:`e`."""
 
     p: float
     q: float
     l: float
-    domain_measure: float
 
-    def __post_init__(self):
-        if self.domain_measure <= 0:
-            raise InfeasibleClassError("domain measure must be positive")
+    def e(self, omega: float) -> float:
+        """Measure e = (p|Omega| + l)/(p + q) of the bang-bang generator's
+        upper level set on a space of measure |Omega| = ``omega``.
+
+        Feasibility must be strict (-p|Omega| < l < q|Omega|), which makes e
+        land strictly inside (0, |Omega|); InfeasibleClassError otherwise, and
+        when p + q <= 0 or a constant times |Omega| overflows a double.
+        """
         if self.p + self.q <= 0:
             raise InfeasibleClassError("need p + q > 0 for a non-degenerate class")
-        omega = self.domain_measure
-        if not np.isfinite([self.p * omega, self.q * omega, self.p + self.q, self.e]).all():
+        e = (self.p * omega + self.l) / (self.p + self.q)
+        if not np.isfinite([self.p * omega, self.q * omega, self.p + self.q, e]).all():
             raise InfeasibleClassError(
                 f"constants overflow a double: p={self.p!r}, q={self.q!r}, l={self.l!r} "
                 f"on measure {omega!r}"
             )
-        if not (-self.p * self.domain_measure < self.l < self.q * self.domain_measure):
+        if not (-self.p * omega < self.l < self.q * omega):
             raise InfeasibleClassError(
-                f"infeasible constants: need {-self.p * self.domain_measure} < l="
-                f"{self.l} < {self.q * self.domain_measure}"
+                f"infeasible constants: need {-self.p * omega} < l={self.l} < {self.q * omega}"
             )
-
-    @property
-    def e(self) -> float:
-        """Measure of the upper level set of the bang-bang generator."""
-        return (self.p * self.domain_measure + self.l) / (self.p + self.q)
+        return e
 
 
 def decreasing_rearrangement(f: ScalarField) -> np.ndarray:

@@ -48,7 +48,7 @@ def symmetrize_set(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
     return domain.cells_to_mask((-k <= d) & (d < k))
 
 
-def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
+def symmetrize_function(f: ScalarField) -> ScalarField:
     """Steiner symmetrization of a field: per row, values sorted descending
     and placed center-outward alternating left-then-right.
 
@@ -57,8 +57,7 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
     superlevel sets of the input.  Equal values, +0.0 and -0.0 among them,
     keep their column order: the leftmost goes nearest the axis.
     """
-    if f.domain is not domain:
-        raise ValueError("field must live on the given domain")
+    domain = f.domain
     center2 = _center2(domain)
     rows, cols = domain.cell_rows, domain.cell_cols
     # one stable sort of all cells by (row, value descending), scattered
@@ -70,7 +69,7 @@ def symmetrize_function(domain: GridDomain, f: ScalarField) -> ScalarField:
     return ScalarField(domain, out)
 
 
-def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
+def symmetry_defect(f: ScalarField) -> float:
     """Relative L¹ distance to the Steiner symmetrization,
     ∫|f - f♯| dx / ∫|f| dx, and 0 for f = 0; zero iff f is already
     symmetric (up to the one-cell parity convention).
@@ -81,7 +80,7 @@ def symmetry_defect(domain: GridDomain, f: ScalarField) -> float:
     overflow.  ``DEFECT_FLOOR`` floors the denominator, which only f = 0
     reaches.
     """
-    fs = symmetrize_function(domain, f)
+    fs = symmetrize_function(f)
     e = np.frexp(np.abs(f.values).max())[1]
     g, gs = np.ldexp(f.values, -e), np.ldexp(fs.values, -e)
     return float(np.abs(g - gs).sum()) / max(float(np.abs(g).sum()), DEFECT_FLOOR)

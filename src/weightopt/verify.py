@@ -95,7 +95,7 @@ def check_descent(domain: GridDomain, constants: tuple[float, float, float],
                   rng_seed: int = 0, seeds: int = 3) -> dict[str, bool]:
     report = optimize_single(domain, constants, seeds=seeds, rng_seed=rng_seed)
     lam = np.asarray(report.lambda_history)
-    profile = combined_profile(domain, single_class(domain, constants))
+    profile = combined_profile(domain, single_class(constants))
     return {
         "descent_lambda_history": bool((np.diff(lam) <= DESCENT_RTOL * np.abs(lam[:-1])).all()),
         "descent_fixed_point_comonotone": is_fixed_point(report.weight, report.final.u),
@@ -108,7 +108,7 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
                   trials: int = 200) -> dict[str, bool]:
     def trial() -> dict[str, bool]:
         f = _random_field(domain, rng)
-        fs = symmetrize_function(domain, f)
+        fs = symmetrize_function(f)
 
         t = float(rng.choice(f.values))
         sub = domain.cells_to_mask(f.values > t)
@@ -116,19 +116,19 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
         psi = lambda t: 3.0 * t + 0.5
         u = domain.field(np.abs(_random_field(domain, rng).values))
         mpos = domain.field(np.abs(_random_field(domain, rng).values))
-        us = symmetrize_function(domain, u)
-        ms = symmetrize_function(domain, mpos)
+        us = symmetrize_function(u)
+        ms = symmetrize_function(mpos)
         before = float(mpos.values @ u.values**2)
         after = float(ms.values @ us.values**2)
         return {
             "steiner_measure_preserved": int(sub_s.sum()) == int(sub.sum()),
             "steiner_equimeasurable": np.array_equal(np.sort(f.values), np.sort(fs.values)),
-            "steiner_idempotent": np.array_equal(symmetrize_function(domain, fs).values,
+            "steiner_idempotent": np.array_equal(symmetrize_function(fs).values,
                                                  fs.values),
             "steiner_superlevel_consistency": np.array_equal(
                 domain.cells_to_mask(fs.values > t), sub_s),
             "steiner_monotone_transform_commutes": np.array_equal(
-                symmetrize_function(domain, domain.field(psi(f.values))).values,
+                symmetrize_function(domain.field(psi(f.values))).values,
                 psi(fs.values)),
             "steiner_hardy_littlewood": before <= after + 1e-12 * max(1.0, abs(after)),
         }

@@ -18,7 +18,6 @@ from weightopt.grid import (
     make_ellipse,
     make_rectangle,
     transpose_field,
-    transposed,
 )
 from weightopt.optimize import (
     decompose,
@@ -55,8 +54,8 @@ SYMMETRY_DEFECT_TOL = 0.02
 def remark_classes(domain):
     omega = domain.total_measure
     return (
-        ResourceClass(0.0, 1.0, 2 * omega / 3, omega),
-        ResourceClass(1.0, 0.0, -omega / 2, omega),
+        ResourceClass(0.0, 1.0, 2 * omega / 3),
+        ResourceClass(1.0, 0.0, -omega / 2),
     )
 
 
@@ -132,14 +131,15 @@ def test_criterion_3_bang_bang_structure():
     ):
         dom = make_rectangle(24, 24, 1 / 24)  # |Omega| = 1 exactly
         omega = dom.total_measure
-        cls1 = ResourceClass(p1, q1, lfrac1 * omega, omega)
-        cls2 = ResourceClass(p2, q2, lfrac2 * omega, omega)
+        cls1 = ResourceClass(p1, q1, lfrac1 * omega)
+        cls2 = ResourceClass(p2, q2, lfrac2 * omega)
         report = optimize_two(dom, cls1, cls2, seeds=3, rng_seed=1)
 
-        gamma, delta = min(cls1.e, cls2.e), max(cls1.e, cls2.e)
+        e1, e2 = cls1.e(omega), cls2.e(omega)
+        gamma, delta = min(e1, e2), max(e1, e2)
         w = report.weight.values
         levels = set(np.unique(w))
-        big_cls, small_cls = (cls1, cls2) if cls1.e >= cls2.e else (cls2, cls1)
+        big_cls, small_cls = (cls1, cls2) if e1 >= e2 else (cls2, cls1)
         assert levels == {q1 + q2, big_cls.q - small_cls.p, -(p1 + p2)}
         selE, selG = w == q1 + q2, w > -(p1 + p2)
         assert not (selE & ~selG).any()
@@ -149,7 +149,7 @@ def test_criterion_3_bang_bang_structure():
 
         f1, f2 = decompose(report.weight, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, w)
-        big, small = (f1, f2) if cls1.e >= cls2.e else (f2, f1)
+        big, small = (f1, f2) if e1 >= e2 else (f2, f1)
         # the resource with the larger level set is maxed on all of G
         assert np.all(big.values[selG] == big_cls.q)
         assert np.all(big.values[~selG] == -big_cls.p)
@@ -162,18 +162,17 @@ def test_criterion_3_bang_bang_structure():
 def test_criterion_4_steiner_symmetry_n128(symmetric_optima_n128):
     reportable = {}
     for name, (dom, report) in symmetric_optima_n128.items():
-        td = transposed(dom)
         defects = [
-            symmetry_defect(dom, report.weight),
-            symmetry_defect(td, transpose_field(report.weight)),
+            symmetry_defect(report.weight),
+            symmetry_defect(transpose_field(report.weight)),
         ]
         if name == "disk":
             cls1, cls2 = remark_classes(dom)
             w = report.weight.values
             for cells in (w == cls1.q + cls2.q, w > -(cls1.p + cls2.p)):  # E and G
                 chi = indicator(dom, dom.cells_to_mask(cells))
-                defects.append(symmetry_defect(dom, chi))
-                defects.append(symmetry_defect(td, transpose_field(chi)))
+                defects.append(symmetry_defect(chi))
+                defects.append(symmetry_defect(transpose_field(chi)))
         assert max(defects) <= SYMMETRY_DEFECT_TOL, (name, defects)
         reportable[name] = max(defects)
     print(
@@ -244,9 +243,9 @@ def test_criterion_8_steiner_suite():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         f = dom.field(rng.integers(-16, 17, dom.n_cells) / 8.0)
-        fs = symmetrize_function(dom, f)
+        fs = symmetrize_function(f)
         assert np.array_equal(np.sort(fs.values), np.sort(f.values))
-        assert np.array_equal(symmetrize_function(dom, fs).values, fs.values)
+        assert np.array_equal(symmetrize_function(fs).values, fs.values)
 
         t = float(rng.choice(f.values))
         sub = dom.cells_to_mask(f.values > t)
@@ -255,13 +254,13 @@ def test_criterion_8_steiner_suite():
         assert np.array_equal(dom.cells_to_mask(fs.values > t), sub_s)
 
         psi_of_sym = 3.0 * fs.values + 0.25
-        sym_of_psi = symmetrize_function(dom, dom.field(3.0 * f.values + 0.25))
+        sym_of_psi = symmetrize_function(dom.field(3.0 * f.values + 0.25))
         assert np.array_equal(psi_of_sym, sym_of_psi.values)
 
         u = np.abs(rng.integers(-16, 17, dom.n_cells) / 8.0)
         mpos = np.abs(rng.integers(-16, 17, dom.n_cells) / 8.0)
-        us = symmetrize_function(dom, dom.field(u))
-        ms = symmetrize_function(dom, dom.field(mpos))
+        us = symmetrize_function(dom.field(u))
+        ms = symmetrize_function(dom.field(mpos))
         before = float(mpos @ u**2)
         after = float(ms.values @ us.values**2)
         assert before <= after + 1e-12 * max(1.0, abs(after))

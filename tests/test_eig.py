@@ -467,7 +467,7 @@ class TestTempleSwapBound:
         swaps = _swap_candidates(values, pair.u.values, np.array(levels), pairs_per_level(n))
         at = data.draw(st.integers(0, len(swaps)))
         swaps.insert(at, (i, j))
-        bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
+        bounds = temple_swap_bounds(m, pair, swaps, beta)
         assert bounds.shape == (len(swaps),)
         bound = bounds[at]
         A = assemble_stiffness(dom).toarray()
@@ -502,7 +502,7 @@ class TestTempleSwapBound:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if values[i] != values[j]]
             batch = np.stack([values] + [swapped(m, i, j).values for i, j in pairs])
             lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
-            bounds = temple_swap_bounds(dom, m, pair, pairs, beta)
+            bounds = temple_swap_bounds(m, pair, pairs, beta)
             for bound, lam in zip(bounds, lams):
                 is_certified = certified(bound, pair)
                 if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
@@ -531,13 +531,13 @@ class TestTempleSwapBound:
         # round equals the bound of its swap alone
         m, pair, swaps = self.polish_round(dom)
         beta = second_mu_bound(dom, 1.0)
-        bounds = temple_swap_bounds(dom, m, pair, swaps, beta)
-        one = np.array([temple_swap_bounds(dom, m, pair, [s], beta)[0] for s in swaps])
+        bounds = temple_swap_bounds(m, pair, swaps, beta)
+        one = np.array([temple_swap_bounds(m, pair, [s], beta)[0] for s in swaps])
         assert np.isfinite(one).sum() > len(swaps) // 2
         assert np.array_equal(np.isinf(bounds), np.isinf(one))
         finite = np.isfinite(one)
         np.testing.assert_allclose(bounds[finite], one[finite], rtol=1e-12, atol=0)
-        assert temple_swap_bounds(dom, m, pair, [], beta).shape == (0,)
+        assert temple_swap_bounds(m, pair, [], beta).shape == (0,)
 
     @pytest.mark.parametrize("k", [-1000, 1000])
     @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_rectangle(12, 12, 0.5)],
@@ -547,10 +547,10 @@ class TestTempleSwapBound:
         # times as large gets bounds 2^k times as large, to the bit, with no
         # overflow near the largest double or underflow near the smallest
         m, pair, swaps = self.polish_round(dom)
-        bounds = temple_swap_bounds(dom, m, pair, swaps, second_mu_bound(dom, 1.0))
+        bounds = temple_swap_bounds(m, pair, swaps, second_mu_bound(dom, 1.0))
         assert np.isfinite(bounds).sum() > len(swaps) // 2
         pair_k = EigenPair(np.ldexp(pair.lambda1, -k), pair.u, pair.residual, pair.iterations)
-        scaled = temple_swap_bounds(dom, dom.field(np.ldexp(m.values, k)), pair_k, swaps,
+        scaled = temple_swap_bounds(dom.field(np.ldexp(m.values, k)), pair_k, swaps,
                                     second_mu_bound(dom, 2.0**k))
         assert np.array_equal(scaled, np.ldexp(bounds, k))
 

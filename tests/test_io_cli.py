@@ -617,6 +617,22 @@ class TestCliEntry:
         assert proc.stderr.startswith("no convergence: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("nx, ny, value", [(20, 20, 1e307), (6, 5, 1e308)],
+                             ids=["lanczos", "dense"])
+    def test_overflowing_mu_prints_one_line(self, tmp_path, nx, ny, value):
+        # at h = 1, μ = 1/λ₁ is beyond the doubles: Lanczos μ times 2^e on
+        # 400 cells, and dsyevr's μ of the overflowing whitened pencil on 30
+        p = write_config(tmp_path / "c.json",
+                         domain={"shape": "rectangle", "nx": nx, "ny": ny, "h": 1.0},
+                         weight={"kind": "constant", "value": value})
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "weightopt.cli", "eig", "--config", str(p)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("no convergence: μ = 1/λ₁ overflows a double")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     @pytest.mark.parametrize("argv, code", [
         (["eig", "--config", "c.json", "--seed", "x"], 1),
         (["eig"], 1),
@@ -677,6 +693,17 @@ EXIT_CASES = {
     # m h² near the largest double overflows no product of the Temple screen
     "optimize-constants-near-the-largest-double": ({**SINGLE, "single_class": {
         "m1": 1e307, "m2": 1e307, "m3": 0.0}}, [], 0),
+    # on 400 cells Σ m and Σ m u² overflow in ∫m and the Hardy-Littlewood
+    # check, and q k in optimize2's realized integrals: all three rescale
+    "optimize-cell-sums-overflow": ({**SINGLE, "seeds": 1,
+                                     "domain": {**RECT, "nx": 20, "ny": 20, "h": 0.05},
+                                     "single_class": {"m1": 1e307, "m2": 1e307, "m3": 0.0}},
+                                    [], 0),
+    "optimize2-cell-products-overflow": ({"task": "optimize2", "seeds": 1,
+                                          "domain": {**RECT, "nx": 20, "ny": 20, "h": 0.05},
+                                          "classes": [{"p": 0.0, "q": 1e307, "l": 5e306},
+                                                      {"p": 1e307, "q": 0.0, "l": -5e306}]},
+                                         [], 0),
     # Σ|m| = 3e308 overflows in the symmetry defects, which rescale
     "symmetrize-weight-sum-overflows": ({"task": "symmetrize",
                                          "weight": {"kind": "bang_bang", "m1": 1e307,

@@ -9,7 +9,6 @@ from weightopt import optimize
 from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
-    InfeasibleClassError,
     MismatchedClassesError,
     combined_profile,
     compare_split_vs_merged,
@@ -22,6 +21,7 @@ from weightopt.optimize import (
     single_class,
 )
 from weightopt.rearrange import (
+    InfeasibleClassError,
     ResourceClass,
     comonotone,
     decreasing_rearrangement,
@@ -79,7 +79,7 @@ class TestOptimizeSingle:
         n_top = int((report.weight.values == 1.0).sum())
         assert n_top == round(7 * dom.n_cells / 12)
         assert report.stabilized
-        prof = combined_profile(dom, single_class(dom, (1.0, 1.0, omega / 6.0)))
+        prof = combined_profile(dom, single_class((1.0, 1.0, omega / 6.0)))
         assert np.array_equal(decreasing_rearrangement(report.weight), prof)
 
     def test_saturated_constraint_single_arrangement(self):
@@ -113,8 +113,8 @@ class TestOptimizeSingle:
         dom = make_ellipse(33, 33, 1 / 32, (0.5, 0.5))
         report = optimize_single(dom, (1.0, 1.0, 0.0), seeds=3)
         E = dom.cells_to_mask(report.weight.values == 1.0)
-        assert symmetry_defect(dom, indicator(dom, E)) <= 0.03
-        w_sym = symmetrize_function(dom, report.weight)
+        assert symmetry_defect(indicator(dom, E)) <= 0.03
+        w_sym = symmetrize_function(report.weight)
         lam_sym = principal_positive_eigenvalue(dom, w_sym).lambda1
         assert lam_sym == pytest.approx(report.final.lambda1, rel=1e-9)
         center = (dom.shape[0] // 2, dom.shape[1] // 2)
@@ -158,7 +158,7 @@ class TestOptimizeSingle:
         # arrangement B, so the second step closes a cycle A -> B -> A
         dom = make_rectangle(6, 5, 0.5)
         consts = (1.0, 1.0, dom.total_measure / 3.0)
-        profile = combined_profile(dom, single_class(dom, consts))
+        profile = combined_profile(dom, single_class(consts))
         a = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
         b = random_arrangement(profile, dom, np.random.default_rng([0, 1]))
         assert not np.array_equal(a.values, b.values)
@@ -185,8 +185,8 @@ class TestOptimizeSingle:
 
 def remark_classes(dom):
     omega = dom.total_measure
-    return (ResourceClass(0.0, 1.0, 2 * omega / 3, omega),
-            ResourceClass(1.0, 0.0, -omega / 2, omega))
+    return (ResourceClass(0.0, 1.0, 2 * omega / 3),
+            ResourceClass(1.0, 0.0, -omega / 2))
 
 
 def test_level_set_rounding_ignores_float_noise():
@@ -194,9 +194,20 @@ def test_level_set_rounding_ignores_float_noise():
     # a half up to rounding, so rounded half up it takes 61 cells
     dom = make_box(1.0, 1.0, 11)
     f2 = remark_classes(dom)[1]
-    assert f2.e / dom.cell_area == 60.49999999999999
+    assert f2.e(dom.total_measure) / dom.cell_area == 60.49999999999999
     (generator,) = optimize._class_generators(dom, f2)
     assert (generator.values == f2.q).sum() == 61
+
+
+def test_one_class_poses_on_domains_of_any_measure():
+    # the class holds no measure: each domain's |Omega| gives its own level
+    # set, e = (p|Omega| + l)/(p + q), and its generator is q on e / h² cells
+    cls = ResourceClass(p=1.0, q=1.0, l=0.5)
+    for nx, cells in ((4, 9), (8, 33)):
+        dom = make_rectangle(nx, nx, 0.5)  # |Omega| = 4 and 16
+        assert cls.e(dom.total_measure) == cells * dom.cell_area
+        assert np.array_equal(combined_profile(dom, cls),
+                              np.repeat([1.0, -1.0], [cells, dom.n_cells - cells]))
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +222,8 @@ class TestOptimizeTwo:
 
     def test_level_constants(self, remark_setup):
         dom, cls1, cls2, report = remark_setup
-        assert cls1.e == pytest.approx(2 / 3)
-        assert cls2.e == pytest.approx(1 / 2)
+        assert cls1.e(dom.total_measure) == pytest.approx(2 / 3)
+        assert cls2.e(dom.total_measure) == pytest.approx(1 / 2)
         profile = combined_profile(dom, cls1, cls2)
         levels, counts = np.unique(profile, return_counts=True)
         gamma, delta = np.cumsum(counts[::-1])[:2] * dom.cell_area
@@ -250,15 +261,14 @@ class TestOptimizeTwo:
     def test_decompose_rejects_wrong_classes(self, remark_setup):
         dom, cls1, cls2, report = remark_setup
         omega = dom.total_measure
-        other = ResourceClass(0.5, 1.0, 0.25 * omega, omega)
+        other = ResourceClass(0.5, 1.0, 0.25 * omega)
         with pytest.raises(MismatchedClassesError):
             decompose(report.weight, other, cls2)
 
     def test_equal_measures_two_valued(self):
         dom = make_rectangle(8, 8, 0.25)
-        omega = dom.total_measure
-        cls1 = ResourceClass(1.0, 1.0, 0.0, omega)  # e = |Omega|/2
-        cls2 = ResourceClass(2.0, 2.0, 0.0, omega)  # e = |Omega|/2
+        cls1 = ResourceClass(1.0, 1.0, 0.0)  # e = |Omega|/2
+        cls2 = ResourceClass(2.0, 2.0, 0.0)  # e = |Omega|/2
         report = optimize_two(dom, cls1, cls2, seeds=2)
         w = report.weight.values
         E, G = w == 3.0, w > -3.0
@@ -274,8 +284,8 @@ class TestOptimizeTwo:
         dom = make_rectangle(6, 6, 0.5)
         omega = dom.total_measure
         with pytest.raises(Exception) as exc_info:
-            cls1 = ResourceClass(1.0, 0.0, -omega / 2, omega)
-            cls2 = ResourceClass(1.0, 0.0, -omega / 3, omega)
+            cls1 = ResourceClass(1.0, 0.0, -omega / 2)
+            cls2 = ResourceClass(1.0, 0.0, -omega / 3)
             optimize_two(dom, cls1, cls2, seeds=1)
         assert "positive" in str(exc_info.value)
 
@@ -283,9 +293,8 @@ class TestOptimizeTwo:
         # classes with equal level-set measures collapse to one two-valued
         # class; both optimizers must agree
         dom = make_box(1.0, 1.0, 10)
-        omega = dom.total_measure
-        cls1 = ResourceClass(1.0, 1.0, 0.0, omega)
-        cls2 = ResourceClass(0.5, 0.5, 0.0, omega)
+        cls1 = ResourceClass(1.0, 1.0, 0.0)
+        cls2 = ResourceClass(0.5, 0.5, 0.0)
         report2 = optimize_two(dom, cls1, cls2, seeds=4)
         report1 = optimize_single(dom, (1.5, 1.5, 0.0), seeds=4)
         assert report2.final.lambda1 == pytest.approx(report1.final.lambda1, rel=1e-8)
@@ -307,7 +316,7 @@ def stacked_profile(domain, cls1, cls2):
 
     The profile is (q1+q2, r, -(p1+p2)) on (n_γ, n_δ - n_γ, n - n_δ) cells,
     empty steps dropped and equal neighbours merged."""
-    e1, e2 = cls1.e, cls2.e
+    e1, e2 = cls1.e(domain.total_measure), cls2.e(domain.total_measure)
     r = cls1.q - cls2.p if e1 > e2 else cls2.q - cls1.p if e1 < e2 else 0.0
     n = domain.n_cells
     n_gamma = quantized_cells(domain, min(e1, e2))
@@ -336,7 +345,7 @@ fine_fraction = st.integers(1, 255).map(lambda k: k / 256)
 
 def class_with_level_fraction(p, q, t, omega):
     """The class {-p <= f <= q, ∫f = l} whose level set has measure t|Ω|."""
-    return ResourceClass(p, q, -p * omega + t * (p + q) * omega, omega)
+    return ResourceClass(p, q, -p * omega + t * (p + q) * omega)
 
 
 class TestPairedGenerators:
@@ -349,8 +358,8 @@ class TestPairedGenerators:
         omega = dom.total_measure
         cls1 = class_with_level_fraction(*pq1, t1, omega)
         if equal_e:  # scaling by 2 keeps e bit for bit
-            cls2 = ResourceClass(2 * cls1.p, 2 * cls1.q, 2 * cls1.l, omega)
-            assert cls2.e == cls1.e
+            cls2 = ResourceClass(2 * cls1.p, 2 * cls1.q, 2 * cls1.l)
+            assert cls2.e(omega) == cls1.e(omega)
         else:
             cls2 = class_with_level_fraction(*pq2, t2, omega)
         expected = stacked_profile(dom, cls1, cls2)
@@ -365,7 +374,7 @@ class TestPairedGenerators:
         f1, f2 = decompose(m, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, m.values)
         for part, cls in ((f1, cls1), (f2, cls2)):
-            k = quantized_cells(dom, cls.e)
+            k = quantized_cells(dom, cls.e(omega))
             generator = dom.field(np.repeat([cls.q, -cls.p], [k, dom.n_cells - k]))
             assert equimeasurable(part, generator)
         assert comonotone(f1, f2) and comonotone(f2, f1)
@@ -378,7 +387,7 @@ class TestPairedGenerators:
     def test_one_class_is_its_own_generator(self, nx, ny, h, pq, t, seed):
         dom = make_rectangle(nx, ny, h)
         cls = class_with_level_fraction(*pq, t, dom.total_measure)
-        k = quantized_cells(dom, cls.e)
+        k = quantized_cells(dom, cls.e(dom.total_measure))
         # q on k cells and -p on the rest, an empty step dropped
         steps = [(v, c) for v, c in ((cls.q, k), (-cls.p, dom.n_cells - k)) if c > 0]
         values, counts = zip(*steps)
@@ -410,7 +419,7 @@ class TestCombinedProfile:
                              ids=["box-11", "rect-24", "disk-48"])
     def test_read_only_descending_and_bit_exact(self, dom):
         omega = dom.total_measure
-        p0 = ResourceClass(0.0, 1.0, omega / 3, omega)  # levels 1.0 and -0.0
+        p0 = ResourceClass(0.0, 1.0, omega / 3)  # levels 1.0 and -0.0
         for classes in (remark_classes(dom), (p0,)):
             profile = combined_profile(dom, *classes)
             assert not profile.flags.writeable
@@ -474,7 +483,7 @@ def run_counting_probes(monkeypatch, dom, screen, seeds, cap=None):
         mp.setattr(optimize, "principal_positive_eigenvalue", solve)
         if not screen:
             mp.setattr(optimize, "temple_swap_bounds",
-                       lambda domain, m, pair, swaps, beta: np.full(len(swaps), np.inf))
+                       lambda m, pair, swaps, beta: np.full(len(swaps), np.inf))
         if cap is not None:
             mp.setattr(optimize, "MAX_FIXED_POINT_ITERS", cap)
         report = optimize_two(dom, *remark_classes(dom), seeds=seeds)

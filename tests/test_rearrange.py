@@ -171,11 +171,11 @@ class TestPrecedesDefinition:
 class TestResourceClass:
     def test_resource_class_validation(self):
         with pytest.raises(ValueError):
-            ResourceClass(p=1.0, q=1.0, l=3.0, domain_measure=2.0)  # l = q|Omega| + 1
+            ResourceClass(p=1.0, q=1.0, l=3.0).e(2.0)  # l = q|Omega| + 1
         with pytest.raises(ValueError):
-            ResourceClass(p=0.0, q=0.0, l=0.0, domain_measure=2.0)
-        cls = ResourceClass(p=0.0, q=1.0, l=0.5, domain_measure=2.0)
-        assert cls.e == pytest.approx(0.5)
+            ResourceClass(p=0.0, q=0.0, l=0.0).e(2.0)
+        cls = ResourceClass(p=0.0, q=1.0, l=0.5)
+        assert cls.e(2.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("p, q, l", [(1e308, 1e308, 0.0), (0.0, 1e308, 1e307),
                                          (1e308, 0.0, -1e307), (1.3e307, 1.3e307, 9e307)],
@@ -183,12 +183,11 @@ class TestResourceClass:
     def test_constants_that_overflow_a_double(self, p, q, l):
         # p + q, q|Omega|, p|Omega| or p|Omega| + l is inf on a measure of 7.5
         with pytest.raises(InfeasibleClassError, match="overflow a double"):
-            ResourceClass(p, q, l, 7.5)
+            ResourceClass(p, q, l).e(7.5)
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda f, g: ResourceClass(p=0.0, q=1.0, l=0.5, domain_measure=0.0),
-     InfeasibleClassError),
+    (lambda f, g: ResourceClass(p=0.0, q=1.0, l=0.5).e(0.0), InfeasibleClassError),
     (hl_inner, ValueError),
     (hl_pairing, ValueError),
     (lambda f, g: pair_family([]), ValueError),

@@ -31,14 +31,6 @@ def ellipse():
     return make_ellipse(17, 13, 0.25, (1.5, 1.0))
 
 
-@pytest.mark.parametrize("call", [symmetrize_function, symmetry_defect],
-                         ids=["symmetrize-function", "symmetry-defect"])
-def test_guards_reject_a_field_of_another_domain(ellipse, call):
-    twin = make_ellipse(17, 13, 0.25, (1.5, 1.0))  # equal to, but not, the ellipse
-    with pytest.raises(ValueError, match="field must live on the given domain"):
-        call(ellipse, twin.constant_field(1.0))
-
-
 class TestSymmetrizeSet:
     def test_three_cells_recentred(self):
         dom = line(9)
@@ -79,7 +71,7 @@ class TestSymmetrizeSet:
 class TestSymmetrizeFunction:
     def test_left_first_rule(self):
         dom = line(3)
-        out = symmetrize_function(dom, dom.field([0.0, 2.0, 1.0]))
+        out = symmetrize_function(dom.field([0.0, 2.0, 1.0]))
         assert np.array_equal(out.values, [1.0, 2.0, 0.0])
 
     @pytest.mark.parametrize("values, expected", [([0.0, -0.0, 1.0], [0.0, 1.0, -0.0]),
@@ -88,7 +80,7 @@ class TestSymmetrizeFunction:
         # +0.0 and -0.0 are equal values: the leftmost takes the place nearer
         # the axis, here the left one of the pair beside the peak
         dom = line(3)
-        out = symmetrize_function(dom, dom.field(values))
+        out = symmetrize_function(dom.field(values))
         assert out.values.tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -104,27 +96,27 @@ class TestSymmetrizeFunction:
             dom = make_rectangle(nx, ny, 0.25)
         rng = np.random.default_rng(seed)
         f = dom.field(rng.choice(np.array([1.0, 0.5, 0.0, -0.0, -1.0]), dom.n_cells))
-        out = symmetrize_function(dom, f)
+        out = symmetrize_function(f)
         assert out.values.tobytes() == steiner_reference(dom, f).values.tobytes()
 
     def test_symmetric_decreasing_unchanged(self):
         dom = line(5)
         f = dom.field([0.0, 1.0, 3.0, 1.0, 0.0])
-        assert np.array_equal(symmetrize_function(dom, f).values, f.values)
+        assert np.array_equal(symmetrize_function(f).values, f.values)
 
     def test_indicator_matches_set_rule(self, ellipse):
         rng = np.random.default_rng(1)
         for _ in range(20):
             sel = rng.random(ellipse.n_cells) < 0.5
             chi = indicator(ellipse, ellipse.cells_to_mask(sel))
-            via_fun = symmetrize_function(ellipse, chi)
+            via_fun = symmetrize_function(chi)
             via_set = symmetrize_set(ellipse, ellipse.cells_to_mask(sel))
             assert np.array_equal(via_fun.values, indicator(ellipse, via_set).values)
 
     def test_row_unimodal_with_axis_peak(self, ellipse):
         rng = np.random.default_rng(2)
         f = rng_field(ellipse, rng)
-        out = symmetrize_function(ellipse, f).to_grid()
+        out = symmetrize_function(f).to_grid()
         for r, start, stop in row_intervals(ellipse):
             row = out[r, start:stop]
             k = int(np.argmax(row))
@@ -136,9 +128,9 @@ class TestSymmetrizeFunction:
     def test_equimeasurable_and_idempotent(self, vals):
         dom = line(len(vals))
         f = dom.field([v / 2.0 for v in vals])
-        fs = symmetrize_function(dom, f)
+        fs = symmetrize_function(f)
         assert np.array_equal(np.sort(fs.values), np.sort(f.values))
-        assert np.array_equal(symmetrize_function(dom, fs).values, fs.values)
+        assert np.array_equal(symmetrize_function(fs).values, fs.values)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=15),
@@ -146,7 +138,7 @@ class TestSymmetrizeFunction:
     def test_superlevel_consistency(self, vals, thresh):
         dom = line(len(vals))
         f = dom.field([float(v) for v in vals])
-        fs = symmetrize_function(dom, f)
+        fs = symmetrize_function(f)
         lhs = dom.cells_to_mask(fs.values > thresh)
         rhs = symmetrize_set(dom, dom.cells_to_mask(f.values > thresh))
         assert np.array_equal(lhs, rhs)
@@ -154,30 +146,30 @@ class TestSymmetrizeFunction:
     def test_mirror_invariance_of_the_map(self, ellipse):
         rng = np.random.default_rng(3)
         f = rng_field(ellipse, rng)
-        fs = symmetrize_function(ellipse, f)
-        fs_mirror = symmetrize_function(ellipse, reflect_field(f))
+        fs = symmetrize_function(f)
+        fs_mirror = symmetrize_function(reflect_field(f))
         assert np.array_equal(fs.values, fs_mirror.values)
 
 
 class TestSymmetryDefect:
     def test_zero_for_symmetric(self, ellipse):
         rng = np.random.default_rng(4)
-        fs = symmetrize_function(ellipse, rng_field(ellipse, rng))
-        assert symmetry_defect(ellipse, fs) == 0.0
+        fs = symmetrize_function(rng_field(ellipse, rng))
+        assert symmetry_defect(fs) == 0.0
 
     def test_left_half_vs_centered_band(self):
         dom = make_rectangle(8, 6, 0.5)
         left = indicator(dom, dom.cells_to_mask(dom.cell_cols <= 4))
         band = indicator(dom, dom.cells_to_mask(
             (dom.cell_cols >= 3) & (dom.cell_cols <= 6)))
-        assert symmetry_defect(dom, band) == 0.0
-        assert symmetry_defect(dom, left) > 0.0
+        assert symmetry_defect(band) == 0.0
+        assert symmetry_defect(left) > 0.0
 
     def test_mirror_defect_within_parity_slack(self, ellipse):
         rng = np.random.default_rng(5)
         f = rng_field(ellipse, rng)
-        d1 = symmetry_defect(ellipse, f)
-        d2 = symmetry_defect(ellipse, reflect_field(f))
+        d1 = symmetry_defect(f)
+        d2 = symmetry_defect(reflect_field(f))
         n_rows = len(row_intervals(ellipse))
         slack = (
             2.0 * n_rows * ellipse.cell_area * np.abs(f.values).max()
@@ -189,9 +181,9 @@ class TestSymmetryDefect:
         # Σ|f| of the field times 2**1020 overflows unless the defect rescales
         dom = make_rectangle(6, 5, 0.5)
         f = dom.field(np.random.default_rng(6).choice([-1.0, 1.0], dom.n_cells))
-        d = symmetry_defect(dom, f)
+        d = symmetry_defect(f)
         assert d > 0.0
-        assert symmetry_defect(dom, dom.field(np.ldexp(f.values, 1020))) == d
+        assert symmetry_defect(dom.field(np.ldexp(f.values, 1020))) == d
 
 
 class TestRowSections:
@@ -205,7 +197,7 @@ class TestRowSections:
         dom = from_mask(mask, 1.0)
         assert dom.axis is None
         with pytest.raises(SteinerAxisError):
-            symmetrize_function(dom, dom.constant_field(1.0))
+            symmetrize_function(dom.constant_field(1.0))
 
     @settings(max_examples=200, deadline=None)
     @given(half=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6))),
