@@ -3,26 +3,34 @@
 The 5-point stiffness matrix A (entries 4 and -1, so that uᵀAu approximates
 ∫|∇u|² dx) and the diagonal weight matrix M = diag(m h²) form the pencil
 A u = λ M u.  A is symmetric positive definite, so 1/λ₁ is the largest
-eigenvalue μ of M u = μ A u, which ARPACK's symmetric generalized mode finds
-by Lanczos on A⁻¹M in the A inner product (Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, SIAM 1998).  A depends on the mask alone (h enters only
+eigenvalue μ of M u = μ A u, that is of A⁻¹M.  With A = RᵀR, A⁻¹M =
+R⁻¹(R⁻ᵀMR⁻¹)R is similar to a symmetric matrix: its spectrum is real, and
+ARPACK's standard (Arnoldi) mode on the single operator x ↦ A⁻¹(m h² ⊙ x)
+builds the same Krylov spaces as Lanczos in the A inner product (Lehoucq,
+Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), at one A-solve and no
+product with A per step.  A depends on the mask alone (h enters only
 through M), so A and its factorization are kept for the last mask factored,
 keyed by its shape and bytes: every domain with an equal mask, at any h,
 takes them instead of factoring again.  The entry refers to no domain, and
 it is dropped before a different mask is factored, so at most one factor is
-alive.  Each Lanczos step costs one solve with the factors, and the
+alive.  Each Krylov step costs one solve with the factors, and the
 solver's iteration count is the number of those A-solves.  A is built in
 canonical CSR form directly, and ARPACK's reverse-communication loop calls
-m h² ⊙ x, A.dot and the cached solve as they are, without LinearOperator's
-per-call checks.  Lanczos runs on m h² divided by the power of two 2^e that
-brings max |m h²| into [1/2, 1), and μ is multiplied back by 2^e: the
-scaling is exact, so any weight whose λ₁ and μ = 1/λ₁ are finite doubles
-solves, and a weight times 2^k gives the same eigenvector bits.
+the operator as it is, without LinearOperator's per-call checks.  ARPACK
+runs on m h² divided by the power of two 2^e that brings max |m h²| into
+[1/2, 1), and μ is multiplied back by 2^e: the scaling is exact, so any
+weight whose λ₁ and μ = 1/λ₁ are finite doubles solves, and a weight times
+2^k gives the same eigenvector bits.  A⁻¹M is not normal, so the Ritz value
+is only first-order accurate in the Ritz vector v; μ is the pencil's
+Rayleigh quotient vᵀMv / vᵀAv instead, whose error is of second order.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
-below ``residual_rtol / 100``; in the optimizer, where nearly every solve is
-warm, that halves the A-solves.
+below ``residual_rtol / 1000``: that estimate bounds another norm than the
+checked residual ‖Au - λMu‖/‖Au‖, and the factor 1000 keeps the checked
+residuals of optimizer runs below 1/20 of their tolerance (100 left 1/4).
+In the optimizer, where nearly every solve is warm, a warm start halves
+the A-solves.
 Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
 and the LU.  Their cache holds the dense A and W = L⁻¹, where A = LLᵀ, so
 each solve whitens the pencil to C = W M Wᵀ and takes C's top eigenpair
@@ -53,7 +61,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 from scipy.linalg.lapack import dsyevr
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
 
 from .grid import GridDomain, ScalarField
 
@@ -70,10 +78,10 @@ EIG_MAX_OUTER = 20000
 # optimizer spends its solves, and near 190 cells for random weights; 128
 # keeps the dense path on the small side.
 DENSE_MAX_CELLS = 128
-# Lanczos basis size of a warm-started solve; cold solves keep ARPACK's
+# Krylov basis size of a warm-started solve; cold solves keep ARPACK's
 # default of 20.  A-solves of optimize_two on the 64-grid unit square, remark
-# classes, 8 seeds, by basis size 4/5/6/7/8/10/20: 1378/1365/1390/1396/1380/
-# 1532/2772, at the same λ to 1e-15; 6 sits in the middle of the flat stretch.
+# classes, 8 seeds, by basis size 4/5/6/7/8/10/20: 933/918/899/968/936/956/
+# 1596, at the same λ to 2e-15; 6 sits in the middle of the flat stretch.
 WARM_NCV = 6
 # A computed eigenvector whose most negative entry is at most this many
 # machine epsilons times its largest entry counts as positive, and |u| is
@@ -182,7 +190,8 @@ def _factor(domain: GridDomain):
 class _Raw(LinearOperator):
     """n x n operator whose ``matvec`` is the given callable itself, so
     ARPACK's reverse-communication loop calls it without LinearOperator's
-    per-call shape checks and reshapes."""
+    per-call shape checks and reshapes.  The Lanczos path wraps
+    x ↦ A⁻¹(m h² ⊙ x) in it, one A-solve per call."""
 
     def __init__(self, n: int, matvec):
         super().__init__(float, (n, n))
@@ -204,8 +213,10 @@ def principal_positive_eigenvalue(
 
     Equivalently 1/λ₁ maximizes (uᵀMu)/(uᵀAu) over u ≠ 0.  The returned
     eigenfunction is sign-fixed to be positive and normalized to uᵀAu = 1.
-    ``u0`` warm-starts Lanczos from a nearby eigenvector, with a
-    ``WARM_NCV``-vector basis and ARPACK stopped at ``residual_rtol / 100``;
+    Above ``DENSE_MAX_CELLS`` cells ARPACK's standard mode finds the top
+    eigenvector of A⁻¹M, and μ = 1/λ₁ is its Rayleigh quotient uᵀMu / uᵀAu.
+    ``u0`` warm-starts ARPACK from a nearby eigenvector, with a
+    ``WARM_NCV``-vector basis and ARPACK stopped at ``residual_rtol / 1000``;
     without it the start vector is all ones, so repeated runs give identical
     bits.  Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely,
     and ignore ``u0``.
@@ -213,7 +224,8 @@ def principal_positive_eigenvalue(
     Raises ValueError when m h² overflows on some cell,
     WeightNotPositiveAnywhere when m h² <= 0 on every cell, and
     NoConvergence when the solve needs more than ``max_outer`` A-solves,
-    LAPACK or ARPACK reports a failure, μ or λ₁ = 1/μ is not a finite double, or
+    LAPACK or ARPACK reports a failure, ARPACK's Ritz value is not real, μ
+    or λ₁ = 1/μ is not a finite double, or
     the eigenpair misses ``residual_rtol`` or is not one-signed.  Negative
     entries within ``SIGN_NOISE_ULPS`` machine epsilons of zero, relative to
     max u, count as rounding noise: the returned u is |u|, and the residual
@@ -238,7 +250,7 @@ def principal_positive_eigenvalue(
         mus, y, _, _, info = dsyevr((W * m_diag) @ W.T, range="I", il=n, iu=n)
         if info != 0:
             raise NoConvergence(f"LAPACK dsyevr failed with info = {info}")
-        vecs = W.T @ y
+        mu, u = float(mus[0]), (W.T @ y)[:, 0]
     else:
         solves = 0
 
@@ -254,21 +266,26 @@ def principal_positive_eigenvalue(
         e = int(np.frexp(np.abs(m_diag).max())[1])
         m_scaled = np.ldexp(m_diag, -e)
         try:
-            mus, vecs = eigsh(
-                _Raw(n, lambda x: m_scaled * x), k=1, M=_Raw(n, A.dot), Minv=_Raw(n, solve),
-                which="LA", v0=np.ones(n) if u0 is None else u0,
-                # a warm start stops at a Ritz estimate 100x tighter than the
+            ritz, vecs = eigs(
+                _Raw(n, lambda x: solve(m_scaled * x)), k=1, which="LR",
+                v0=np.ones(n) if u0 is None else u0,
+                # a warm start stops at a Ritz estimate 1000x tighter than the
                 # residual checked below; a cold one runs to machine precision,
                 # which keeps the sign of a localized eigenfunction's far field
                 ncv=None if u0 is None else WARM_NCV,
-                tol=0.0 if u0 is None else residual_rtol / 100,
+                tol=0.0 if u0 is None else residual_rtol / 1000,
                 maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
             )
         except ArpackError as exc:
             raise NoConvergence(str(exc)) from exc
+        if ritz[0].imag != 0.0:
+            raise NoConvergence(f"ARPACK returned the non-real Ritz value {ritz[0]:.3g}")
+        # A⁻¹M is not normal, so its Ritz value is only first-order accurate;
+        # the pencil's Rayleigh quotient of the Ritz vector is second-order
+        u = vecs[:, 0].real
+        mu = float(u @ (m_scaled * u)) / float(u @ (A @ u))
         # 2^e μ overflows iff μ's binary exponent plus e passes 1024
-        mus = np.ldexp(mus, e) if np.frexp(mus[0])[1] + e <= 1024 else np.array([np.inf])
-    mu, u = float(mus[0]), vecs[:, 0]
+        mu = float(np.ldexp(mu, e)) if np.frexp(mu)[1] + e <= 1024 else np.inf
     if mu == np.inf:  # also dsyevr's μ when the whitened pencil overflows
         raise NoConvergence("μ = 1/λ₁ overflows a double: the weight m h² is too large")
     if not (mu > 0.0 and 1.0 / mu < np.inf):

@@ -798,12 +798,13 @@ def _raise_arpack_error(*args, **kwargs):
 
 @pytest.mark.parametrize("name, replacement, nx", [
     ("dsyevr", lambda a, **kwargs: (None, None, 0, None, 1), 6),
-    ("eigsh", _raise_arpack_error, 26),
-], ids=["dsyevr", "eigsh"])
+    ("eigs", _raise_arpack_error, 26),
+    ("eigs", lambda op, **kwargs: (np.array([0.5 + 1e-3j]), np.ones((op.shape[0], 1), complex)), 26),
+], ids=["dsyevr", "eigs", "eigs-complex-ritz"])
 def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement, nx):
     # a failed dense or Lanczos eigensolve is a solver failure, not
     # infeasible input
-    assert (nx * RECT["ny"] > weightopt.eig.DENSE_MAX_CELLS) == (name == "eigsh")
+    assert (nx * RECT["ny"] > weightopt.eig.DENSE_MAX_CELLS) == (name == "eigs")
     monkeypatch.setattr(weightopt.eig, name, replacement)
     cfg = {**SINGLE, "domain": {**RECT, "nx": nx}, "output_dir": str(tmp_path / "out")}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
