@@ -24,7 +24,6 @@ from .optimize import (
     OptimizeReport,
     compare_split_vs_merged,
     decompose,
-    is_fixed_point,
     optimize_single,
     optimize_two,
     rearrangement_step,
@@ -72,7 +71,6 @@ __all__ = [
     "from_mask",
     "hl_inner",
     "hl_pairing",
-    "is_fixed_point",
     "make_box",
     "make_ellipse",
     "make_rectangle",

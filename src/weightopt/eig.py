@@ -61,6 +61,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 from scipy.linalg.lapack import dsyevr
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
 
 from .grid import GridDomain, ScalarField
@@ -175,6 +176,10 @@ def _factored_stiffness(domain: GridDomain):
 def _factor(domain: GridDomain):
     n = domain.n_cells
     A = assemble_stiffness(domain)
+    # A's graph is the stencil's: k components make A k diagonal blocks, so no u > 0 exists
+    components = connected_components(A, directed=False, return_labels=False)
+    if components != 1:
+        raise ValueError(f"in-domain cells are not one 4-connected set: {components} components")
     if n <= DENSE_MAX_CELLS:
         A = A.toarray()
         W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
@@ -207,7 +212,6 @@ def principal_positive_eigenvalue(
     *,
     u0: np.ndarray | None = None,
     residual_rtol: float = EIG_RESIDUAL_RTOL,
-    max_outer: int = EIG_MAX_OUTER,
 ) -> EigenPair:
     """Smallest positive λ of A u = λ M u and its positive eigenfunction.
 
@@ -221,10 +225,11 @@ def principal_positive_eigenvalue(
     bits.  Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely,
     and ignore ``u0``.
 
-    Raises ValueError when m h² overflows on some cell,
-    WeightNotPositiveAnywhere when m h² <= 0 on every cell, and
-    NoConvergence when the solve needs more than ``max_outer`` A-solves,
-    LAPACK or ARPACK reports a failure, ARPACK's Ritz value is not real, μ
+    Raises ValueError when m h² overflows on some cell or the in-domain
+    cells are not one 4-connected set, WeightNotPositiveAnywhere when
+    m h² <= 0 on every cell, and NoConvergence when an ARPACK solve needs
+    more than ``EIG_MAX_OUTER`` A-solves (read at call time), LAPACK or
+    ARPACK reports a failure, ARPACK's Ritz value is not real, μ
     or λ₁ = 1/μ is not a finite double, or
     the eigenpair misses ``residual_rtol`` or is not one-signed.  Negative
     entries within ``SIGN_NOISE_ULPS`` machine epsilons of zero, relative to
@@ -242,10 +247,7 @@ def principal_positive_eigenvalue(
     A, W, solve_a = _factored_stiffness(domain)
 
     if n <= DENSE_MAX_CELLS:
-        # W = L⁻¹ pushed all n columns through A's Cholesky factor: n
-        # A-solves, counted against the cap up front
-        if max_outer < n:
-            raise NoConvergence(f"dense solve needs {n} A-solves, cap is {max_outer}")
+        # W = L⁻¹ pushed all n columns through A's Cholesky factor: n A-solves
         solves = n
         mus, y, _, _, info = dsyevr((W * m_diag) @ W.T, range="I", il=n, iu=n)
         if info != 0:
@@ -257,8 +259,8 @@ def principal_positive_eigenvalue(
         def solve(x: np.ndarray) -> np.ndarray:
             nonlocal solves
             solves += 1
-            if solves > max_outer:
-                raise NoConvergence(f"no convergence within {max_outer} A-solves")
+            if solves > EIG_MAX_OUTER:
+                raise NoConvergence(f"no convergence within {EIG_MAX_OUTER} A-solves")
             return solve_a(x)
 
         # exact power-of-two scaling to max |m h²| in [1/2, 1); ldexp, since
@@ -274,7 +276,7 @@ def principal_positive_eigenvalue(
                 # which keeps the sign of a localized eigenfunction's far field
                 ncv=None if u0 is None else WARM_NCV,
                 tol=0.0 if u0 is None else residual_rtol / 1000,
-                maxiter=max_outer, rng=0,  # rng seeds ARPACK's restart vectors
+                maxiter=EIG_MAX_OUTER, rng=0,  # rng seeds ARPACK's restart vectors
             )
         except ArpackError as exc:
             raise NoConvergence(str(exc)) from exc
@@ -333,13 +335,16 @@ def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, i
     D = M′ - M; with ρ = vᵀM′v / vᵀAv and η² = rᵀAr / vᵀAv for the residual
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
     ρ > β, and the bound is inf when ρ <= β.  The whole list costs two block
-    solves with the cached factor of A, one column per swap.
+    solves with the cached factor of A, one column per swap, and none when
+    μ₀ <= β: every bound is then inf, as a finite one would exceed β >= μ₀.
 
     As in the Lanczos path, m h², μ₀ and β are divided by the power of two
     2^e that brings max |m h²| into [1/2, 1), and the bounds multiplied
     back: the scaling is exact, so the bounds' bits do not depend on it,
     and no product overflows for constants near the largest double.
     """
+    if not 1.0 / pair.lambda1 > beta:
+        return np.full(len(swaps), np.inf)
     domain = m.domain
     A, _, solve = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T

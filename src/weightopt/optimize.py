@@ -31,7 +31,6 @@ from .eig import (
 from .grid import GridDomain, ScalarField
 from .rearrange import (
     ResourceClass,
-    comonotone,
     decreasing_rearrangement,
     hl_pairing,
     pair_family,
@@ -112,17 +111,19 @@ def random_arrangement(profile: np.ndarray, domain: GridDomain,
     return ScalarField(domain, values)
 
 
-def _swap_candidates(m: np.ndarray, u: np.ndarray, levels: np.ndarray,
-                     pairs_per_level: int) -> list[tuple[int, int]]:
+def _swap_candidates(m: np.ndarray, u: np.ndarray) -> list[tuple[int, int]]:
     """Cell swaps most likely to escape a non-global fixed point.
 
-    For each pair of levels a > b, the t-th weakest a-cell (t-th smallest u)
-    is paired with the t-th strongest b-cell (t-th largest u), for
-    t < min(pairs_per_level, |a|, |b|): these are the exchanges just beyond
-    what the comonotone ranking already chose.  So a level pair yields at
-    most that many swaps, not its whole one-swap neighborhood of |a|·|b|
-    swaps; deterministic order.
+    For each pair of m's levels a > b, the t-th weakest a-cell (t-th
+    smallest u) is paired with the t-th strongest b-cell (t-th largest u),
+    for t < min(cap, |a|, |b|): the exchanges just beyond what the
+    comonotone ranking already chose, in deterministic order.  The cap on
+    an n-cell domain is n up to 64 cells, 8 up to 400 and 2 above, where
+    each probe costs a full eigensolve.
     """
+    n = m.size
+    cap = n if n <= 64 else (8 if n <= 400 else 2)
+    levels = np.unique(m)[::-1]
     out: list[tuple[int, int]] = []
     cells_by_level = {}
     for v in levels:
@@ -133,7 +134,7 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray, levels: np.ndarray,
         for ib in range(ia + 1, len(levels)):
             a_cells = cells_by_level[levels[ia]]          # u ascending
             b_cells = cells_by_level[levels[ib]][::-1]    # u descending
-            k = min(pairs_per_level, a_cells.size, b_cells.size)
+            k = min(cap, a_cells.size, b_cells.size)
             out.extend((int(a_cells[t]), int(b_cells[t])) for t in range(k))
     return out
 
@@ -155,23 +156,17 @@ def _minimize_over_class(
     no such swap ends the seed.  Every eigensolve counts against
     MAX_FIXED_POINT_ITERS.
 
-    Every polish probe is first screened by Temple's bound: one
-    ``temple_swap_bounds`` call per polish round bounds all its candidates
-    with two block solves with the cached factor of A, on every
-    pencil size.  A swap whose bound on 1/λ₁ lies below 1/λ₀ by the tie
-    tolerance cannot lower λ₁ and is rejected without an eigensolve.
+    Every polish probe, a ``_swap_candidates`` swap of the best iterate, is
+    first screened by Temple's bound: one ``temple_swap_bounds`` call per
+    polish round bounds all its candidates with two block solves with the
+    cached factor of A, on every pencil size.  A swap whose bound on 1/λ₁
+    lies below 1/λ₀ by the tie tolerance cannot lower λ₁ and is rejected
+    without an eigensolve.
     A screened probe counts against the cap like a solved one, so the screen
     changes no result, only the number of eigensolves.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    # at most min(pairs_per_level, |a|, |b|) rank-paired swaps per level
-    # pair (see _swap_candidates): up to n on desk-size problems, fewer on
-    # large grids where each probe costs a full eigensolve
-    n = domain.n_cells
-    pairs_per_level = n if n <= 64 else (8 if n <= 400 else 2)
-
-    levels = np.unique(profile)[::-1]
     # β bounds μ₂ of every arrangement of the profile
     beta = second_mu_bound(domain, float(profile[0]))
     # the Hardy-Littlewood check scales m by the power of two that brings
@@ -207,11 +202,8 @@ def _minimize_over_class(
                 # cannot revisit a seen arrangement and descent resumes
                 lam0 = pair0.lambda1
                 mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
-                swaps = _swap_candidates(m0.values, pair0.u.values, levels,
-                                         pairs_per_level)[:MAX_FIXED_POINT_ITERS - evals]
-                # a finite bound exceeds β, so none falls below μ₀ <= β
-                bounds = (temple_swap_bounds(m0, pair0, swaps, beta)
-                          if 1.0 / lam0 > beta else np.full(len(swaps), np.inf))
+                swaps = _swap_candidates(m0.values, pair0.u.values)[:MAX_FIXED_POINT_ITERS - evals]
+                bounds = temple_swap_bounds(m0, pair0, swaps, beta)
                 for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
                     if bound < mu_cut:
                         continue  # certified: the swap cannot lower λ₁
@@ -350,8 +342,3 @@ def compare_split_vs_merged(
             f"expected the merged-constraint optimum to win: {lam_one!r} vs {lam_two!r}"
         )
     return report_two, report_one
-
-
-def is_fixed_point(weight: ScalarField, u: ScalarField) -> bool:
-    """Discrete m̌ = ψ(u_m̌) check: the weight is comonotone with u."""
-    return comonotone(u, weight)

@@ -33,6 +33,22 @@ def assemblies(monkeypatch):
     return calls
 
 
+def _split_masks():
+    row = np.zeros((3, 7), dtype=bool)
+    row[1] = [0, 1, 1, 0, 1, 1, 0]
+    corner = np.zeros((4, 4), dtype=bool)
+    corner[1, 1] = corner[2, 2] = True
+    blocks = np.zeros((12, 23), dtype=bool)
+    blocks[1:11, 1:11] = blocks[1:11, 12:22] = True
+    return {"row": (row, 0.5), "corner": (corner, 0.5), "blocks": (blocks, 0.1)}
+
+
+# (mask, h) of domains whose in-domain cells are not one 4-connected set:
+# two runs of one row, two cells that touch only at a corner (both solved
+# densely), and two 10 x 10 blocks (200 cells, the ARPACK path)
+SPLIT_MASKS = _split_masks()
+
+
 def rng_field(domain, rng, lo=-16, hi=17, denom=8.0):
     """Random field with dyadic-rational values (exact float arithmetic)."""
     return domain.field(rng.integers(lo, hi, domain.n_cells) / denom)

@@ -21,12 +21,12 @@ from weightopt.grid import (
 )
 from weightopt.optimize import (
     decompose,
-    is_fixed_point,
     optimize_single,
     optimize_two,
 )
 from weightopt.rearrange import (
     ResourceClass,
+    comonotone,
     decreasing_rearrangement,
     equimeasurable,
     hl_inner,
@@ -234,7 +234,7 @@ def test_criterion_7_descent_invariant(remark_n64):
     for report in (report_one, report_two, small_report):
         lam = np.asarray(report.lambda_history)
         assert (np.diff(lam) <= 1e-9 * np.abs(lam[:-1])).all()
-        assert is_fixed_point(report.weight, report.final.u)
+        assert comonotone(report.final.u, report.weight)
     print("\nACCEPTANCE 7 descent invariant: PASS (3 recorded runs)")
 
 

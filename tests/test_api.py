@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, README's library
-example runs as written, and every public name has a caller in weightopt."""
+example runs as written, every public name has a caller in weightopt, and
+so does every optional parameter."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -50,3 +52,53 @@ def test_no_caller_less_library_names():
         "make_box",          # the README library example builds its domain with it
         "dominating_shift",  # perfbench's tracer looks it up by name
     }
+
+
+def _passed_parameters(call: ast.Call) -> tuple[float, set[str] | None]:
+    """(how many leading positional parameters the call fills, the keywords
+    it names); a *args fills every position from its own on, and a **kwargs
+    names every keyword (None)."""
+    starred = [k for k, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    positional = math.inf if starred else len(call.args)
+    keywords = {kw.arg for kw in call.keywords}
+    return positional, None if None in keywords else keywords
+
+
+def test_no_caller_less_parameters():
+    """Every parameter of a top-level function or method of a weightopt
+    module that has a default or is keyword-only is passed, by position or
+    by keyword, by some call in weightopt: an option that no caller sets is
+    a constant.  Calls resolve by name, as in the test above.  cli.main's
+    argv is exempt: the console script calls main()."""
+    optional, calls = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    defs.append((node, 0 if static else 1))  # self is not passed
+        for node, skip in defs:
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            first = len(params) - len(args.defaults)
+            optional += [(path.stem, node.name, name, k - skip)
+                         for k, name in enumerate(params) if k >= first]
+            optional += [(path.stem, node.name, a.arg, None) for a in args.kwonlyargs]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(_passed_parameters(node))
+
+    def passed(function, name, position):
+        return any((position is not None and position < positional)
+                   or keywords is None or name in keywords
+                   for positional, keywords in calls.get(function, []))
+
+    caller_less = {f"{module}.{function}({name})"
+                   for module, function, name, position in optional
+                   if not passed(function, name, position)}
+    assert caller_less == {"cli.main(argv)"}

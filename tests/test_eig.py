@@ -33,7 +33,7 @@ from weightopt.optimize import (
 from weightopt.rearrange import ResourceClass, decreasing_rearrangement
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
-from conftest import coo_stiffness, rng_field
+from conftest import SPLIT_MASKS, coo_stiffness, rng_field
 
 
 def batch_lambda1(dom, m):
@@ -189,27 +189,42 @@ class TestPrincipalEigenvalue:
         with pytest.raises(WeightNotPositiveAnywhere):
             principal_positive_eigenvalue(small_rect, small_rect.constant_field(-1.0))
 
-    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
-    def test_iteration_cap_raises(self, dom_name, request):
-        dom = request.getfixturevalue(dom_name)
-        with pytest.raises(NoConvergence):
-            principal_positive_eigenvalue(dom, dom.constant_field(1.0), max_outer=2)
+    @pytest.mark.parametrize("name", SPLIT_MASKS)
+    def test_split_mask_raises(self, name):
+        # A of k components is k diagonal blocks: no eigenfunction is
+        # positive on every cell, and on the blocks λ₁ is a double eigenvalue
+        dom = from_mask(*SPLIT_MASKS[name])
+        with pytest.raises(ValueError, match="not one 4-connected set: 2 components"):
+            principal_positive_eigenvalue(dom, dom.constant_field(1.0))
 
-    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
-    def test_cap_counts_a_solves(self, dom_name, request):
+    # the cap binds ARPACK solves only: a dense solve of at most
+    # DENSE_MAX_CELLS cells counts its n A-solves, far below EIG_MAX_OUTER
+    @pytest.mark.parametrize("dom_name", ["rect_above_dense"])
+    def test_iteration_cap_raises(self, dom_name, request, monkeypatch):
+        dom = request.getfixturevalue(dom_name)
+        monkeypatch.setattr(weightopt.eig, "EIG_MAX_OUTER", 2)
+        with pytest.raises(NoConvergence):
+            principal_positive_eigenvalue(dom, dom.constant_field(1.0))
+
+    @pytest.mark.parametrize("dom_name", ["rect_above_dense"])
+    def test_cap_counts_a_solves(self, dom_name, request, monkeypatch):
         dom = request.getfixturevalue(dom_name)
         m = dom.constant_field(1.0)
+
+        def capped(cap, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(weightopt.eig, "EIG_MAX_OUTER", cap)
+                return principal_positive_eigenvalue(dom, m, **kwargs)
+
         pair = principal_positive_eigenvalue(dom, m)
-        capped = principal_positive_eigenvalue(dom, m, max_outer=pair.iterations)
-        assert capped.lambda1 == pair.lambda1
+        assert capped(pair.iterations).lambda1 == pair.lambda1
         with pytest.raises(NoConvergence):
-            principal_positive_eigenvalue(dom, m, max_outer=pair.iterations - 1)
+            capped(pair.iterations - 1)
         u0 = pair.u.values
         warm = principal_positive_eigenvalue(dom, m, u0=u0)
-        capped = principal_positive_eigenvalue(dom, m, u0=u0, max_outer=warm.iterations)
-        assert capped.lambda1 == warm.lambda1
+        assert capped(warm.iterations, u0=u0).lambda1 == warm.lambda1
         with pytest.raises(NoConvergence):
-            principal_positive_eigenvalue(dom, m, u0=u0, max_outer=warm.iterations - 1)
+            capped(warm.iterations - 1, u0=u0)
 
     # 12-wide masks on either side of the threshold, and the 1 x 128 and
     # 2 x 64 strips: the worst-conditioned A that the dense path whitens,
@@ -511,11 +526,6 @@ def certified(bound, pair):
 eighths = st.integers(-16, 16).map(lambda k: k / 8)
 
 
-def pairs_per_level(n):
-    """The optimizer's candidates per level pair on an n-cell domain."""
-    return n if n <= 64 else (8 if n <= 400 else 2)
-
-
 class TestTempleSwapBound:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), big=st.booleans(), seed=st.integers(0, 2**32 - 1),
@@ -539,7 +549,7 @@ class TestTempleSwapBound:
 
         pair = principal_positive_eigenvalue(dom, m)
         beta = second_mu_bound(dom, float(values.max()))
-        swaps = _swap_candidates(values, pair.u.values, np.array(levels), pairs_per_level(n))
+        swaps = _swap_candidates(values, pair.u.values)
         at = data.draw(st.integers(0, len(swaps)))
         swaps.insert(at, (i, j))
         bounds = temple_swap_bounds(m, pair, swaps, beta)
@@ -596,7 +606,7 @@ class TestTempleSwapBound:
         m = rearrangement_step(profile, principal_positive_eigenvalue(
             dom, dom.constant_field(1.0)).u)
         pair = principal_positive_eigenvalue(dom, m)
-        return m, pair, _swap_candidates(m.values, pair.u.values, np.unique(profile)[::-1], 8)
+        return m, pair, _swap_candidates(m.values, pair.u.values)
 
     @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_box(1.0, 1.0, 12),
                                      make_rectangle(12, 12, 0.5), make_box(1.0, 1.0, 24)],
@@ -628,6 +638,26 @@ class TestTempleSwapBound:
         scaled = temple_swap_bounds(dom.field(np.ldexp(m.values, k)), pair_k, swaps,
                                     second_mu_bound(dom, 2.0**k))
         assert np.array_equal(scaled, np.ldexp(bounds, k))
+
+    def test_mu0_at_most_beta_solves_nothing(self, monkeypatch):
+        # the weak class (1, 1, -0.9) on the 20 x 20 rectangle: at its
+        # optimum μ₀ = 1/λ₀ lies below β, and a finite bound would exceed
+        # β >= μ₀, so every bound is inf and the factor is never used
+        dom = make_rectangle(20, 20, 0.05)
+        report = optimize_single(dom, (1.0, 1.0, -0.9), seeds=1)
+        beta = second_mu_bound(dom, 1.0)
+        assert report.final.lambda1 == pytest.approx(159.3257, rel=1e-6)
+        assert beta == pytest.approx(0.02248, rel=1e-3)
+        assert 1.0 / report.final.lambda1 < beta
+        swaps = _swap_candidates(report.weight.values, report.final.u.values)
+
+        def refuse(domain):
+            raise AssertionError("the screen touched the factor")
+
+        monkeypatch.setattr(weightopt.eig, "_factored_stiffness", refuse)
+        bounds = temple_swap_bounds(report.weight, report.final, swaps, beta)
+        assert len(swaps) > 0
+        assert np.array_equal(bounds, np.full(len(swaps), np.inf))
 
     @pytest.mark.parametrize("nx, ny", [(1, 2), (1, 7), (5, 1), (6, 5), (13, 11)])
     def test_beta_on_rectangles(self, nx, ny):

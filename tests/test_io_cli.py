@@ -26,7 +26,7 @@ from weightopt.io import (
     write_pgm,
 )
 
-from conftest import row_intervals
+from conftest import SPLIT_MASKS, row_intervals
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -463,6 +463,28 @@ class TestAnnulus:
         err = capsys.readouterr().err
         assert err.startswith("infeasible: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+
+def split_mask_config(tmp_path: Path, name: str, task: str) -> Path:
+    mask, h = SPLIT_MASKS[name]
+    write_pgm(tmp_path / f"{name}.pgm", mask.astype(np.uint8))
+    domain = {"shape": "mask_file", "mask_path": f"{name}.pgm", "h": h}
+    return write_config(tmp_path / f"{task}.json", task=task, domain=domain, verify_trials=2,
+                        single_class={"m1": 1.0, "m2": 1.0, "m3": 0.0})
+
+
+@pytest.mark.parametrize("name, task", [("row", "eig"), ("corner", "eig"), ("blocks", "eig"),
+                                        ("row", "optimize")])
+def test_split_mask_exits_2(tmp_path, capsys, name, task):
+    assert run(split_mask_config(tmp_path, name, task)) == 2
+    err = capsys.readouterr().err
+    assert err == "infeasible: in-domain cells are not one 4-connected set: 2 components\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_runs_on_a_split_mask(tmp_path):
+    # verify never solves on the configured domain
+    assert run(split_mask_config(tmp_path, "row", "verify")) == 0
 
 
 # every check of weightopt verify, in the order it prints them

@@ -1,4 +1,6 @@
 import dataclasses
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenval
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
     MismatchedClassesError,
+    _swap_candidates,
     combined_profile,
     compare_split_vs_merged,
     decompose,
-    is_fixed_point,
     optimize_single,
     optimize_two,
     random_arrangement,
@@ -103,7 +105,7 @@ class TestOptimizeSingle:
         report = optimize_single(dom, (1.0, 1.0, dom.total_measure / 6.0), seeds=4)
         lam = np.asarray(report.lambda_history)
         assert (np.diff(lam) <= 1e-9 * np.abs(lam[:-1])).all()
-        assert is_fixed_point(report.weight, report.final.u)
+        assert comonotone(report.final.u, report.weight)
 
     def test_disk_centered_favourable_set(self):
         # at this coarse resolution the discrete minimizer is degenerate
@@ -522,3 +524,25 @@ class TestTempleScreen:
             assert same_run(on, off), cap
             fewer += probes_on < probes_off
         assert fewer > 0
+
+
+@pytest.mark.parametrize("n, cap", [(30, 30), (64, 64), (65, 8), (400, 8), (401, 2),
+                                    (1024, 2)])
+def test_swap_candidates_cap_per_level_pair(n, cap):
+    # three levels of 1, n // 3 and the remaining cells: a level pair gets
+    # min(cap, |a|, |b|) swaps, the t-th weakest a-cell with the t-th
+    # strongest b-cell, and the middle pair shows a cap below its sizes
+    rng = np.random.default_rng(n)
+    sizes = {1.0: 1, 0.0: n // 3, -1.0: n - 1 - n // 3}
+    values = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
+    u = rng.random(n) + 0.5
+    swaps = _swap_candidates(values, u)
+    expected = {(a, b): min(cap, sizes[a], sizes[b]) for a, b in combinations(sizes, 2)}
+    assert Counter((values[i], values[j]) for i, j in swaps) == expected
+    for (a, b), k in expected.items():
+        a_cells = np.flatnonzero(values == a)
+        b_cells = np.flatnonzero(values == b)
+        weakest_a = a_cells[np.argsort(u[a_cells])][:k]
+        strongest_b = b_cells[np.argsort(-u[b_cells])][:k]
+        assert [s for s in swaps if (values[s[0]], values[s[1]]) == (a, b)] == list(
+            zip(weakest_a.tolist(), strongest_b.tolist()))
