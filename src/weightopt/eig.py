@@ -9,20 +9,20 @@ ARPACK's standard (Arnoldi) mode on the single operator x ↦ A⁻¹(m h² ⊙ x
 builds the same Krylov spaces as Lanczos in the A inner product (Lehoucq,
 Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), at one A-solve and no
 product with A per step.  A depends on the mask alone (h enters only
-through M), so A and its factorization are kept for the last mask factored,
-keyed by its shape and bytes: every domain with an equal mask, at any h,
-takes them instead of factoring again.  The entry refers to no domain, and
-it is dropped before a different mask is factored, so at most one factor is
-alive.  Each Krylov step costs one solve with the factors, and the
-solver's iteration count is the number of those A-solves.  A is built in
-canonical CSR form directly, and ARPACK's reverse-communication loop calls
-the operator as it is, without LinearOperator's per-call checks.  ARPACK
-runs on m h² divided by the power of two 2^e that brings max |m h²| into
-[1/2, 1), and μ is multiplied back by 2^e: the scaling is exact, so any
-weight whose λ₁ and μ = 1/λ₁ are finite doubles solves, and a weight times
-2^k gives the same eigenvector bits.  A⁻¹M is not normal, so the Ritz value
-is only first-order accurate in the Ritz vector v; μ is the pencil's
-Rayleigh quotient vᵀMv / vᵀAv instead, whose error is of second order.
+through M), so A and its solver are kept for the last mask factored, keyed
+by its shape and bytes: every domain with an equal mask, at any h, takes
+them instead of factoring again.  The entry refers to no domain, and it is
+dropped before a different mask is factored, so at most one factor is
+alive.  Each Krylov step costs one A-solve, and the solver's iteration
+count is the number of those A-solves.  A is built in canonical CSR form
+directly, and ARPACK's reverse-communication loop calls the operator as it
+is, without LinearOperator's per-call checks.  ARPACK runs on m h² divided
+by the power of two 2^e that brings max |m h²| into [1/2, 1), and μ is
+multiplied back by 2^e: the scaling is exact, so any weight whose λ₁ and
+μ = 1/λ₁ are finite doubles solves, and a weight times 2^k gives the same
+eigenvector bits.  A⁻¹M is not normal, so the Ritz value is only
+first-order accurate in the Ritz vector v; μ is the pencil's Rayleigh
+quotient vᵀMv / vᵀAv instead, whose error is of second order.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
@@ -31,11 +31,24 @@ checked residual ‖Au - λMu‖/‖Au‖, and the factor 1000 keeps the checked
 residuals of optimizer runs below 1/20 of their tolerance (100 left 1/4).
 In the optimizer, where nearly every solve is warm, a warm start halves
 the A-solves.
-Pencils of at most ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead
-and the LU.  Their cache holds the dense A and W = L⁻¹, where A = LLᵀ, so
-each solve whitens the pencil to C = W M Wᵀ and takes C's top eigenpair
-(μ, y) from one LAPACK ``dsyevr`` call; u = Wᵀy.  Building W pushes all n
-columns through A's Cholesky factor, so a dense solve counts as n A-solves.
+
+The cache entry is one of three kinds.  Pencils of at most
+``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead: their entry
+holds the dense A and W = L⁻¹, where A = LLᵀ, so each solve whitens the
+pencil to C = W M Wᵀ and takes C's top eigenpair (μ, y) from one LAPACK
+``dsyevr`` call; u = Wᵀy.  Building W pushes all n columns through A's
+Cholesky factor, so a dense solve counts as n A-solves.  Above that size, a
+mask whose cells fill their bounding box needs no sparse factorization:
+there A = T_y ⊗ I + I ⊗ T_x with T = tridiag(-1, 2, -1), and the symmetric
+orthogonal sine (DST-I) matrix Q_jk = √(2/(s+1)) sin(jkπ/(s+1)) of the
+shorter side, s cells long, diagonalizes its T with eigenvalues
+λ_j = 2 - 2cos(jπ/(s+1)) (fast diagonalization: Lynch, Rice & Thomas,
+*Numer. Math.* 6 (1964) 185-199).  In Q's basis A splits into s
+tridiagonal systems T + λ_j I along the longer side, L cells long, which
+LAPACK's ``dpttrf`` factors once per mask as one block-diagonal LDLᵀ.  An
+A-solve is then two s x s matmuls and one ``dpttrs`` call: O(n s) time and
+O(s² + n) memory on any rectangle, a 3 x 20000 strip included.  Every
+other mask is factored once by SuperLU.
 
 The optimizer screens each polish swap, on every pencil size, before solving
 for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bounds`` takes
@@ -44,8 +57,8 @@ the swapped pencil's top μ by Temple's inequality μ₁ <= ρ + η²/(ρ - β)
 (G. Temple, 1928; B. N. Parlett, *The Symmetric Eigenvalue Problem*, SIAM
 1998, §10), where ρ is v's Rayleigh quotient and η its A-norm residual.  A
 whole polish round costs two block solves with the cached factor, one
-column per swap: W-products on dense pencils, one multi-column SuperLU
-solve above ``DENSE_MAX_CELLS``.
+column per swap: W-products on dense pencils, one multi-column sine-basis
+or SuperLU solve above ``DENSE_MAX_CELLS``.
 ``second_mu_bound`` gives β = max(m) h² / λ₂(A_R) for every weight of the
 class at no cost: M′ <= max(m) h² I, so Courant-Fischer gives
 μ₂ <= max(m) h² / λ₂(A); A is a principal submatrix of the 5-point matrix
@@ -60,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dpttrf, dpttrs, dsyevr
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
 
@@ -91,7 +104,12 @@ WARM_NCV = 6
 # correct eigenpairs measured 2.5 ε on 128-cell strips (dense), up to 131 ε on
 # the 48- and 64-grid box and the 64-grid disk, 2.7e3 ε on the 96-grid box and
 # disk and 1.5e4 ε (3.2e-12) on the 128-grid box (cold Lanczos, random
-# bang-bang weights at favourable share 1/10 and 1/6).
+# bang-bang weights at favourable share 1/10 and 1/6).  With the box's
+# A-solves in its sine eigenbasis, the same weights at 3 seeds read up to
+# 2.8e4 ε on the 96-grid box, 1.4e3 ε on the 128-grid box and 2.7e3 ε on
+# the 192-grid box, and up to 9.0e3 ε at share 1/50.  The ratio is set by
+# the Ritz vector's far field, not by one solve's rounding (at most 12 ε
+# there), and moves by up to 100x between seeds on either solve path.
 SIGN_NOISE_ULPS = 2**16
 
 
@@ -110,8 +128,8 @@ class EigenPair:
     The eigenfunction is strictly positive, normalized to uᵀAu = 1, and the
     relative residual ‖Au - λMu‖/‖Au‖, computed here rather than taken from
     ARPACK, is below the solver tolerance.  ``iterations`` is the number of
-    solves with the factored A that the Lanczos process used; a dense solve
-    of an n-cell pencil counts n.
+    A-solves that the Lanczos process used; a dense solve of an n-cell
+    pencil counts n.
     """
 
     lambda1: float
@@ -156,21 +174,28 @@ def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
     return 1.1 * m_diag_bound / lam_min
 
 
-# (mask shape, mask bytes) and (A, W, A⁻¹) of the last mask factored; the
-# entry refers to no domain
+# (mask shape, mask bytes) and (A, W, x -> A⁻¹x) of the last mask factored;
+# the entry refers to no domain
 _LAST = (None, None)
 
 
 def _factored_stiffness(domain: GridDomain):
-    """The cached (A, W, x -> A⁻¹x) of the domain's mask: (dense A, L⁻¹ with
-    A = LLᵀ, Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells, (sparse A, None,
-    splu(A).solve) above."""
+    """The cached (A, W, x -> A⁻¹x) of the domain's mask, one of three kinds:
+    (dense A, L⁻¹ with A = LLᵀ, Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells;
+    above, (sparse A, None, the sine-basis solve) when the cells fill their
+    bounding box, else (sparse A, None, splu(A).solve).  The solve takes one
+    vector or a block of columns."""
     global _LAST
     key = (domain.mask.shape, domain.mask.tobytes())
     if _LAST[0] != key:
         _LAST = (None, None)  # free the last factor before building one
         _LAST = key, _factor(domain)
     return _LAST[1]
+
+
+def _bounding_box(domain: GridDomain) -> tuple[int, int]:
+    """(rows, columns) of the smallest rectangle of cells that holds the domain."""
+    return (int(np.ptp(domain.cell_rows)) + 1, int(np.ptp(domain.cell_cols)) + 1)
 
 
 def _factor(domain: GridDomain):
@@ -184,12 +209,40 @@ def _factor(domain: GridDomain):
         A = A.toarray()
         W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
         return A, W, lambda x: W.T @ (W @ x)
+    ny, nx = _bounding_box(domain)
+    if n == ny * nx:
+        return A, None, _sine_solver(ny, nx)
     # A is SPD: a symmetric fill-reducing order with no pivoting halves the
     # fill of splu's default column order; A is symmetric, so its transpose,
     # a CSC view of the same arrays, is A itself
     lu = splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return A, None, lu.solve
+
+
+def _sine_solver(ny: int, nx: int):
+    """x -> A⁻¹x on a full ny x nx rectangle of cells in row-major order,
+    for one vector or a block of columns: Q of the shorter side, one
+    tridiagonal solve per mode along the longer side, Q again."""
+    flip = nx < ny  # the shorter side is read first, the longer one last
+    s, L = (nx, ny) if flip else (ny, nx)
+    j = np.arange(1, s + 1)
+    q = np.sqrt(2.0 / (s + 1)) * np.sin(np.outer(j, j) * (np.pi / (s + 1)))
+    # the s systems T + λ_j I as one tridiagonal matrix, uncoupled between modes
+    d = np.repeat(4.0 - 2.0 * np.cos(j * (np.pi / (s + 1))), L)
+    e = np.full(s * L - 1, -1.0)
+    e[L - 1::L] = 0.0
+    d, e, _ = dpttrf(d, e)
+
+    def solve(b):
+        B = b.T.reshape(-1, ny, nx)
+        B = B.transpose(0, 2, 1) if flip else B
+        y, _ = dpttrs(d, e, (q @ B).reshape(-1, s * L).T)
+        X = q @ y.T.reshape(-1, s, L)
+        X = X.transpose(0, 2, 1) if flip else X
+        return X.reshape(b.shape[::-1]).T
+
+    return solve
 
 
 class _Raw(LinearOperator):
@@ -317,8 +370,7 @@ def second_mu_bound(domain: GridDomain, m_max: float) -> float:
     4 - 2cos(πp/(nx+1)) - 2cos(πq/(ny+1)); the smaller of the (2, 1) and
     (1, 2) values is at most λ₂(A_R), also when a side is one cell.
     """
-    ny = int(domain.cell_rows.max() - domain.cell_rows.min()) + 1
-    nx = int(domain.cell_cols.max() - domain.cell_cols.min()) + 1
+    ny, nx = _bounding_box(domain)
     cx, cy = np.cos(np.pi / (nx + 1)), np.cos(np.pi / (ny + 1))
     lam2 = 4.0 - 2.0 * max(np.cos(2 * np.pi / (nx + 1)) + cy, cx + np.cos(2 * np.pi / (ny + 1)))
     return m_max * domain.cell_area / lam2
@@ -335,7 +387,7 @@ def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, i
     D = M′ - M; with ρ = vᵀM′v / vᵀAv and η² = rᵀAr / vᵀAv for the residual
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
     ρ > β, and the bound is inf when ρ <= β.  The whole list costs two block
-    solves with the cached factor of A, one column per swap, and none when
+    solves with the cached solver of A, one column per swap, and none when
     μ₀ <= β: every bound is then inf, as a finite one would exceed β >= μ₀.
 
     As in the Lanczos path, m h², μ₀ and β are divided by the power of two

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigs, splu
 
 import weightopt.eig
 import weightopt.optimize
@@ -71,6 +73,14 @@ def first_cells(n_cells, width=12):
 def rect_above_dense():
     """Smallest 10-row rectangle that the Lanczos path solves."""
     return make_rectangle(DENSE_MAX_CELLS // 10 + 1, 10, 0.5)
+
+
+@pytest.fixture
+def ragged_above_dense():
+    """Smallest 12-wide mask that the Lanczos path solves: its last row is
+    short, so the cells do not fill their bounding box and A is factored by
+    SuperLU."""
+    return first_cells(DENSE_MAX_CELLS + 1)
 
 
 class TestAssembly:
@@ -199,14 +209,14 @@ class TestPrincipalEigenvalue:
 
     # the cap binds ARPACK solves only: a dense solve of at most
     # DENSE_MAX_CELLS cells counts its n A-solves, far below EIG_MAX_OUTER
-    @pytest.mark.parametrize("dom_name", ["rect_above_dense"])
+    @pytest.mark.parametrize("dom_name", ["rect_above_dense", "ragged_above_dense"])
     def test_iteration_cap_raises(self, dom_name, request, monkeypatch):
         dom = request.getfixturevalue(dom_name)
         monkeypatch.setattr(weightopt.eig, "EIG_MAX_OUTER", 2)
         with pytest.raises(NoConvergence):
             principal_positive_eigenvalue(dom, dom.constant_field(1.0))
 
-    @pytest.mark.parametrize("dom_name", ["rect_above_dense"])
+    @pytest.mark.parametrize("dom_name", ["rect_above_dense", "ragged_above_dense"])
     def test_cap_counts_a_solves(self, dom_name, request, monkeypatch):
         dom = request.getfixturevalue(dom_name)
         m = dom.constant_field(1.0)
@@ -254,7 +264,8 @@ class TestPrincipalEigenvalue:
             if n_cells <= DENSE_MAX_CELLS:
                 assert pair.iterations == n_cells
 
-    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense",
+                                          "ragged_above_dense"])
     def test_one_negative_entry_raises(self, dom_name, request, monkeypatch):
         # negative control of the sign-noise allowance: the largest entry is
         # negated to -max u / 2, and the residual check is switched off, so
@@ -296,9 +307,13 @@ class TestPrincipalEigenvalue:
         assert warm.u.values.tobytes() == cold.u.values.tobytes()
         assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
 
-    @pytest.mark.parametrize("width", [6, DENSE_MAX_CELLS // 10 + 1], ids=["dense", "lanczos"])
-    def test_factor_cache_lets_the_domain_die(self, width):
-        dom = make_rectangle(width, 10, 0.5)
+    @pytest.mark.parametrize("make", [
+        lambda: make_rectangle(6, 10, 0.5),
+        lambda: make_rectangle(DENSE_MAX_CELLS // 10 + 1, 10, 0.5),
+        lambda: first_cells(DENSE_MAX_CELLS + 1),
+    ], ids=["dense", "lanczos", "ragged"])
+    def test_factor_cache_lets_the_domain_die(self, make):
+        dom = make()
         principal_positive_eigenvalue(dom, dom.constant_field(1.0))
         alive = weakref.ref(dom)
         del dom
@@ -368,7 +383,8 @@ class TestPrincipalEigenvalue:
         ratio = errs[0] / errs[1]
         assert 3.6 <= ratio <= 4.4
 
-    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense"])
+    @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense",
+                                          "ragged_above_dense"])
     def test_warm_start_agrees(self, dom_name, request):
         dom = request.getfixturevalue(dom_name)
         rng = np.random.default_rng(5)
@@ -499,6 +515,105 @@ class TestFactorCache:
         monkeypatch.setattr(weightopt.eig, "assemble_stiffness", assemble)
         weightopt.eig._factored_stiffness(disk(2 * n))
         assert freed == [True] and assemblies == [(n + 1, n + 1), (2 * n + 1, 2 * n + 1)]
+
+
+class SuperLURefused(Exception):
+    pass
+
+
+@pytest.fixture
+def no_superlu(monkeypatch):
+    """Forget the last stiffness factor for one test and make every SuperLU
+    factorization in eig raise SuperLURefused."""
+    monkeypatch.setattr(weightopt.eig, "_LAST", (None, None))
+
+    def refuse(*args, **kwargs):
+        raise SuperLURefused
+
+    monkeypatch.setattr(weightopt.eig, "splu", refuse)
+
+
+def remark_classes(dom):
+    omega = dom.total_measure
+    return ResourceClass(0.0, 1.0, 2 * omega / 3), ResourceClass(1.0, 0.0, -omega / 2)
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("dom", [
+        make_rectangle(12, 11, 0.5), make_rectangle(20, 9, 0.5), make_box(1.0, 1.0, 32),
+        from_mask(np.ones((1, 200)), 0.1), from_mask(np.pad(np.ones((12, 13)), 2), 0.5),
+        make_rectangle(9, 20, 0.5), from_mask(np.ones((200, 1)), 0.1),
+        make_rectangle(5000, 3, 0.1),
+    ], ids=["rect-12x11", "rect-20x9", "box32", "strip-1x200", "padded",
+            "rect-9x20", "strip-200x1", "rect-5000x3"])
+    def test_solve_matches_superlu(self, dom, no_superlu):
+        # a full rectangle above DENSE_MAX_CELLS is solved in the sine
+        # eigenbasis of its shorter side, without a sparse factorization,
+        # whichever side that is; the padded mask's cells fill their
+        # bounding box, which is not the grid
+        A, W, solve = weightopt.eig._factored_stiffness(dom)
+        assert W is None and dom.n_cells > DENSE_MAX_CELLS
+        lu = splu(A.tocsc())
+        rng = np.random.default_rng(dom.n_cells)
+        for b in (rng.normal(size=dom.n_cells), rng.normal(size=(dom.n_cells, 6))):
+            x, ref = solve(b), lu.solve(b)
+            assert x.shape == b.shape
+            err = np.linalg.norm(x - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert np.all(err <= 1e-12)
+
+    @pytest.mark.parametrize("width, height", [(5000, 3), (3, 5000)])
+    def test_long_strip_stays_small(self, width, height, no_superlu):
+        # the sine matrix is the shorter side's, 3 x 3 here; the solve holds
+        # about 200 bytes per cell, where a solver that also diagonalized
+        # the 5000-cell side would hold its 5000 x 5000 matrix, 13 kB per cell
+        dom = make_rectangle(width, height, 0.1)
+        b = np.random.default_rng(0).normal(size=(dom.n_cells, 6))
+        tracemalloc.start()
+        try:
+            _, _, solve = weightopt.eig._factored_stiffness(dom)
+            solve(b[:, 0])
+            solve(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * dom.n_cells
+
+    def test_routing(self, no_superlu):
+        # the unit square never reaches SuperLU; with one corner cell
+        # removed its cells no longer fill their bounding box, and it does
+        box = make_box(1.0, 1.0, 32)
+        report = optimize_two(box, *remark_classes(box), seeds=1)
+        assert report.final.lambda1 > 0
+        mask = box.mask.copy()
+        mask[1, 1] = False
+        cut = from_mask(mask, box.h)
+        with pytest.raises(SuperLURefused):
+            optimize_two(cut, *remark_classes(cut), seeds=1)
+
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_far_field_sign_noise(self, n, no_superlu, monkeypatch):
+        # cold solves whose eigenfunctions are localized on a favourable
+        # tenth or sixth of the box: the far field's negative rounding noise
+        # stays within half of SIGN_NOISE_ULPS, and the residuals far below
+        # their tolerance
+        noise = []
+
+        def recorded(*args, **kwargs):
+            ritz, vecs = eigs(*args, **kwargs)
+            u = vecs[:, 0].real * np.sign(vecs[:, 0].real.sum())
+            noise.append(-u.min() / u.max() / np.finfo(float).eps)
+            return ritz, vecs
+
+        monkeypatch.setattr(weightopt.eig, "eigs", recorded)
+        dom = make_box(1.0, 1.0, n)
+        cells = dom.n_cells
+        for share in (10, 6):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                m = dom.field(np.where(rng.permutation(cells) < cells // share, 1.0, -1.0))
+                pair = principal_positive_eigenvalue(dom, m)
+                assert pair.residual <= EIG_RESIDUAL_RTOL / 20
+        assert len(noise) == 6 and max(noise) <= SIGN_NOISE_ULPS / 2
 
 
 class TestRayleigh:
