@@ -50,6 +50,25 @@ A-solve is then two s x s matmuls and one ``dpttrs`` call: O(n s) time and
 O(s² + n) memory on any rectangle, a 3 x 20000 strip included.  Every
 other mask is factored once by SuperLU.
 
+A solve returns (1/μ, |u|) for the computed eigenvector u, and accepts it
+under one rule: μ is a positive finite double, |u| > 0 on every cell, and
+|u|, normalized, meets ``residual_rtol``.  Neither u's sign nor ARPACK's
+Ritz value is read.  The rule accepts the principal pair only: it is the
+one positive pair with a one-signed eigenfunction (Perron-Frobenius for
+the irreducible M-matrix A; P. Hess & T. Kato, *Comm. PDE* 5 (1980)
+999-1030), and the |u| of any other eigenvector misses the eigen-equation.
+For the 5-point A, Kato's inequality (T. Kato, *Israel J. Math.* 13 (1972)
+135-148) holds cell by cell, A|u| <= sign(u) ⊙ Au, with a deficit of
+2Σ|u_j| over the neighbours j of opposite sign, and that deficit is the
+residual of |u| when Au = λMu.  It follows the gap to λ₁: on two 6 x 6
+blocks joined by a one-cell neck, the relative gap g between λ₁ and λ₂ and
+the residual of |u₂| read 5.6e-7 and 1.2e-3 at neck 10, and 4.3e-10 and
+3.4e-5 at neck 16, about 1.65√g.  So u₂ passes only where λ₂ = λ₁ to
+rounding, as at neck 48 (g = 3.6e-16), where |u| of any mix of u₁ and u₂
+is an eigenvector of that λ to rounding.  Far-field entries of a localized
+eigenfunction that rounding makes negative move the residual of |u| by
+about their own size, so they need no allowance.
+
 The optimizer screens each polish swap, on every pencil size, before solving
 for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bounds`` takes
 one inverse-iteration step v = μ₀u + A⁻¹Du, D = M′ - M, per swap and bounds
@@ -97,20 +116,6 @@ DENSE_MAX_CELLS = 128
 # classes, 8 seeds, by basis size 4/5/6/7/8/10/20: 933/918/899/968/936/956/
 # 1596, at the same λ to 2e-15; 6 sits in the middle of the flat stretch.
 WARM_NCV = 6
-# A computed eigenvector whose most negative entry is at most this many
-# machine epsilons times its largest entry counts as positive, and |u| is
-# returned.  The far field of a localized eigenfunction can lie below the
-# solver's rounding error, which grows with the cell count: -min u / max u of
-# correct eigenpairs measured 2.5 ε on 128-cell strips (dense), up to 131 ε on
-# the 48- and 64-grid box and the 64-grid disk, 2.7e3 ε on the 96-grid box and
-# disk and 1.5e4 ε (3.2e-12) on the 128-grid box (cold Lanczos, random
-# bang-bang weights at favourable share 1/10 and 1/6).  With the box's
-# A-solves in its sine eigenbasis, the same weights at 3 seeds read up to
-# 2.8e4 ε on the 96-grid box, 1.4e3 ε on the 128-grid box and 2.7e3 ε on
-# the 192-grid box, and up to 9.0e3 ε at share 1/50.  The ratio is set by
-# the Ritz vector's far field, not by one solve's rounding (at most 12 ε
-# there), and moves by up to 100x between seeds on either solve path.
-SIGN_NOISE_ULPS = 2**16
 
 
 class WeightNotPositiveAnywhere(ValueError):
@@ -269,9 +274,10 @@ def principal_positive_eigenvalue(
     """Smallest positive λ of A u = λ M u and its positive eigenfunction.
 
     Equivalently 1/λ₁ maximizes (uᵀMu)/(uᵀAu) over u ≠ 0.  The returned
-    eigenfunction is sign-fixed to be positive and normalized to uᵀAu = 1.
-    Above ``DENSE_MAX_CELLS`` cells ARPACK's standard mode finds the top
-    eigenvector of A⁻¹M, and μ = 1/λ₁ is its Rayleigh quotient uᵀMu / uᵀAu.
+    eigenfunction is |u| of the computed eigenvector u, normalized to
+    uᵀAu = 1.  Above ``DENSE_MAX_CELLS`` cells ARPACK's standard mode finds
+    the top eigenvector of A⁻¹M, and μ = 1/λ₁ is its Rayleigh quotient
+    uᵀMu / uᵀAu; ARPACK's Ritz value is not read.
     ``u0`` warm-starts ARPACK from a nearby eigenvector, with a
     ``WARM_NCV``-vector basis and ARPACK stopped at ``residual_rtol / 1000``;
     without it the start vector is all ones, so repeated runs give identical
@@ -282,12 +288,10 @@ def principal_positive_eigenvalue(
     cells are not one 4-connected set, WeightNotPositiveAnywhere when
     m h² <= 0 on every cell, and NoConvergence when an ARPACK solve needs
     more than ``EIG_MAX_OUTER`` A-solves (read at call time), LAPACK or
-    ARPACK reports a failure, ARPACK's Ritz value is not real, μ
-    or λ₁ = 1/μ is not a finite double, or
-    the eigenpair misses ``residual_rtol`` or is not one-signed.  Negative
-    entries within ``SIGN_NOISE_ULPS`` machine epsilons of zero, relative to
-    max u, count as rounding noise: the returned u is |u|, and the residual
-    is that of |u|.
+    ARPACK reports a failure, μ or λ₁ = 1/μ is not a finite double, or the
+    pair (1/μ, |u|) is rejected: |u| vanishes on some cell or misses
+    ``residual_rtol``, which the |u| of a sign-changing u does (see the
+    module docstring).
     """
     if m.domain is not domain:
         raise ValueError("weight must live on the given domain")
@@ -299,7 +303,7 @@ def principal_positive_eigenvalue(
     n = domain.n_cells
     A, W, solve_a = _factored_stiffness(domain)
 
-    if n <= DENSE_MAX_CELLS:
+    if W is not None:
         # W = L⁻¹ pushed all n columns through A's Cholesky factor: n A-solves
         solves = n
         mus, y, _, _, info = dsyevr((W * m_diag) @ W.T, range="I", il=n, iu=n)
@@ -321,20 +325,17 @@ def principal_positive_eigenvalue(
         e = int(np.frexp(np.abs(m_diag).max())[1])
         m_scaled = np.ldexp(m_diag, -e)
         try:
-            ritz, vecs = eigs(
+            _, vecs = eigs(
                 _Raw(n, lambda x: solve(m_scaled * x)), k=1, which="LR",
                 v0=np.ones(n) if u0 is None else u0,
                 # a warm start stops at a Ritz estimate 1000x tighter than the
-                # residual checked below; a cold one runs to machine precision,
-                # which keeps the sign of a localized eigenfunction's far field
+                # residual checked below; a cold one runs to machine precision
                 ncv=None if u0 is None else WARM_NCV,
                 tol=0.0 if u0 is None else residual_rtol / 1000,
                 maxiter=EIG_MAX_OUTER, rng=0,  # rng seeds ARPACK's restart vectors
             )
         except ArpackError as exc:
             raise NoConvergence(str(exc)) from exc
-        if ritz[0].imag != 0.0:
-            raise NoConvergence(f"ARPACK returned the non-real Ritz value {ritz[0]:.3g}")
         # A⁻¹M is not normal, so its Ritz value is only first-order accurate;
         # the pencil's Rayleigh quotient of the Ritz vector is second-order
         u = vecs[:, 0].real
@@ -346,17 +347,13 @@ def principal_positive_eigenvalue(
     if not (mu > 0.0 and 1.0 / mu < np.inf):
         raise NoConvergence(f"λ₁ = 1/μ is not a finite double for μ = {mu:.3g}")
 
-    u = -u if u.sum() < 0 else u
-    u_min = float(u.min())
-    # negative entries within SIGN_NOISE_ULPS of zero are rounding noise in
-    # a positive eigenfunction's far field; a larger one rejects the pair
-    sign_changing = -u_min > SIGN_NOISE_ULPS * np.finfo(float).eps * float(u.max())
+    # |u| is an eigenvector only if u is one-signed (see the module docstring)
     u = np.abs(u)
     u = u / np.sqrt(float(u @ (A @ u)))
     Au = A @ u
     resid = float(np.linalg.norm(Au - (1.0 / mu) * (m_diag * u)) / np.linalg.norm(Au))
-    if not resid <= residual_rtol or sign_changing or u.min() <= 0:
-        raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min u {u_min:.3g}")
+    if not resid <= residual_rtol or u.min() <= 0:
+        raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min |u| {u.min():.3g}")
     return EigenPair(1.0 / mu, ScalarField(domain, u), resid, iterations=solves)
 
 

@@ -118,8 +118,9 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray) -> list[tuple[int, int]]:
     smallest u) is paired with the t-th strongest b-cell (t-th largest u),
     for t < min(cap, |a|, |b|): the exchanges just beyond what the
     comonotone ranking already chose, in deterministic order.  The cap on
-    an n-cell domain is n up to 64 cells, 8 up to 400 and 2 above, where
-    each probe costs a full eigensolve.
+    an n-cell domain is n up to 64 cells, 8 up to 400 and 2 above.  Each
+    probe is first screened by Temple's bound, and only one that the
+    screen cannot reject costs an eigensolve.
     """
     n = m.size
     cap = n if n <= 64 else (8 if n <= 400 else 2)

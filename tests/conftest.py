@@ -49,6 +49,16 @@ def _split_masks():
 SPLIT_MASKS = _split_masks()
 
 
+def dumbbell(block, neck):
+    """Mask of two block x block squares of cells joined by a one-cell neck
+    of the given length, with a one-cell margin.  λ₂ of the constant weight
+    approaches λ₁ as the neck grows."""
+    mask = np.zeros((block + 2, 2 * block + neck + 2), dtype=bool)
+    mask[1:block + 1, 1:block + 1] = mask[1:block + 1, block + neck + 1:-1] = True
+    mask[1 + block // 2, block + 1:block + neck + 1] = True
+    return mask
+
+
 def rng_field(domain, rng, lo=-16, hi=17, denom=8.0):
     """Random field with dyadic-rational values (exact float arithmetic)."""
     return domain.field(rng.integers(lo, hi, domain.n_cells) / denom)

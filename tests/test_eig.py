@@ -14,7 +14,6 @@ import weightopt.optimize
 from weightopt.eig import (
     DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
-    SIGN_NOISE_ULPS,
     EigenPair,
     NoConvergence,
     WeightNotPositiveAnywhere,
@@ -35,7 +34,7 @@ from weightopt.optimize import (
 from weightopt.rearrange import ResourceClass, decreasing_rearrangement
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
-from conftest import SPLIT_MASKS, coo_stiffness, rng_field
+from conftest import SPLIT_MASKS, coo_stiffness, dumbbell, rng_field
 
 
 def batch_lambda1(dom, m):
@@ -46,8 +45,10 @@ def batch_lambda1(dom, m):
     return float(_batch_lambda1(A, m.values[None, :], dom.cell_area)[0])
 
 
-def return_vector(monkeypatch, dom, u):
-    """Make the eigensolver of dom's path return u as its eigenvector."""
+def return_vector(monkeypatch, dom, u, mu=None):
+    """Make the eigensolver of dom's path return u as its eigenvector and,
+    when given, mu as its eigenvalue.  Only the dense path reads mu: the
+    Lanczos path takes μ from u's Rayleigh quotient."""
     if dom.n_cells <= DENSE_MAX_CELLS:
         # the dense path returns Wᵀy with W = L⁻¹, so y = Lᵀu gives u back
         name, vec = "dsyevr", np.linalg.cholesky(assemble_stiffness(dom).toarray()).T @ u
@@ -57,7 +58,7 @@ def return_vector(monkeypatch, dom, u):
 
     def solver(*args, **kwargs):
         out = real(*args, **kwargs)
-        return (out[0], vec[:, None], *out[2:])
+        return (out[0] if mu is None else np.array([mu]), vec[:, None], *out[2:])
 
     monkeypatch.setattr(weightopt.eig, name, solver)
 
@@ -81,6 +82,13 @@ def ragged_above_dense():
     short, so the cells do not fill their bounding box and A is factored by
     SuperLU."""
     return first_cells(DENSE_MAX_CELLS + 1)
+
+
+@pytest.fixture
+def dumbbell_above_dense():
+    """Two 10 x 10 blocks joined by a 16-cell neck, solved by the Lanczos
+    path: λ₂ of the constant weight lies 5.6e-11 above λ₁."""
+    return from_mask(dumbbell(10, 16), 0.1)
 
 
 class TestAssembly:
@@ -267,17 +275,55 @@ class TestPrincipalEigenvalue:
     @pytest.mark.parametrize("dom_name", ["small_rect", "rect_above_dense",
                                           "ragged_above_dense"])
     def test_one_negative_entry_raises(self, dom_name, request, monkeypatch):
-        # negative control of the sign-noise allowance: the largest entry is
-        # negated to -max u / 2, and the residual check is switched off, so
-        # only the sign check can reject the pair
+        # the largest entry is negated to -max u / 2: |u| then halves that
+        # entry, and its residual (about 1) misses the default tolerance
         dom = request.getfixturevalue(dom_name)
         m = dom.constant_field(1.0)
         u = principal_positive_eigenvalue(dom, m).u.values.copy()
         k = int(np.argmax(u))
         u[k] = -u[k] / 2
         return_vector(monkeypatch, dom, u)
-        with pytest.raises(NoConvergence, match="min u"):
-            principal_positive_eigenvalue(dom, m, residual_rtol=np.inf)
+        with pytest.raises(NoConvergence, match="eigenpair rejected: residual"):
+            principal_positive_eigenvalue(dom, m)
+
+    @pytest.mark.parametrize("dom_name, share, wrong_pairs", [
+        ("small_rect", 3, 9), ("rect_above_dense", 3, 42), ("ragged_above_dense", 3, 42),
+        ("dumbbell_above_dense", 1, 215)])
+    def test_every_wrong_eigenpair_raises(self, dom_name, share, wrong_pairs, request,
+                                          monkeypatch):
+        # negative control of the acceptance rule, with m = 1 on a random
+        # 1/share of the cells and -1 elsewhere: every eigenpair with μ > 0
+        # other than the principal one changes sign, so by Kato's inequality
+        # its |u| misses the eigen-equation, however near μ₁ its μ lies.  On
+        # the dumbbell (m = 1) λ₂ is 5.6e-11 above λ₁, and |u₂|'s residual
+        # is 2.0e-5
+        dom = request.getfixturevalue(dom_name)
+        n = dom.n_cells
+        m = dom.field(np.where(np.random.default_rng(n).permutation(n) < n // share, 1.0, -1.0))
+        m_diag = m.values * dom.cell_area
+        A = assemble_stiffness(dom).toarray()
+        mus, vecs = scipy.linalg.eigh(np.diag(m_diag), A)
+        wrong = np.flatnonzero(mus[:-1] > 0)
+        assert wrong.size == wrong_pairs
+        for k in wrong:
+            u = vecs[:, k]
+            Au = A @ u  # a true eigenpair: only its sign disqualifies it
+            assert np.linalg.norm(Au - m_diag * u / mus[k]) <= 1e-10 * np.linalg.norm(Au)
+            with monkeypatch.context() as patch:
+                return_vector(patch, dom, u, mu=mus[k])
+                with pytest.raises(NoConvergence, match="eigenpair rejected"):
+                    principal_positive_eigenvalue(dom, m)
+
+    def test_near_double_lambda1_accepted(self):
+        # two 6 x 6 blocks joined by a 48-cell neck: λ₂ equals λ₁ to
+        # rounding, so dsyevr returns a sign-changing mix of u₁ and u₂, and
+        # its |u| is an eigenvector to rounding
+        dom = from_mask(dumbbell(6, 48), 0.1)
+        assert dom.n_cells == 120
+        m = dom.constant_field(1.0)
+        pair = principal_positive_eigenvalue(dom, m)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-15, abs=0)
+        assert pair.residual <= EIG_RESIDUAL_RTOL
 
     def test_far_field_below_rounding_accepted(self):
         # a cold Lanczos solve whose eigenfunction is localized on the
@@ -288,7 +334,7 @@ class TestPrincipalEigenvalue:
         m = dom.field(np.where(np.random.default_rng(0).permutation(n) < n // 10, 1.0, -1.0))
         pair = principal_positive_eigenvalue(dom, m)
         u = pair.u.values
-        assert 0 < u.min() <= SIGN_NOISE_ULPS * np.finfo(float).eps * u.max()
+        assert 0 < u.min()
         assert pair.residual <= EIG_RESIDUAL_RTOL
 
     def test_lapack_failure_raises(self, small_rect, monkeypatch):
@@ -456,7 +502,13 @@ class TestPrincipalEigenvalue:
         assert len(residuals) > 100
         assert max(residuals) <= EIG_RESIDUAL_RTOL / 20
 
-    def test_complex_ritz_value_raises(self, rect_above_dense, monkeypatch):
+    def test_ritz_value_is_not_read(self, rect_above_dense, monkeypatch):
+        # λ₁ is the Rayleigh quotient of ARPACK's vector, so a non-real Ritz
+        # value with the true vector changes no bit, and the vector alone
+        # decides: a second eigenvector is rejected
+        dom = rect_above_dense
+        m = dom.constant_field(1.0)
+        ref = principal_positive_eigenvalue(dom, m)
         eigs = weightopt.eig.eigs
 
         def complex_pair(*args, **kwargs):
@@ -464,8 +516,14 @@ class TestPrincipalEigenvalue:
             return vals + 1e-3j, vecs
 
         monkeypatch.setattr(weightopt.eig, "eigs", complex_pair)
-        with pytest.raises(NoConvergence, match="non-real Ritz value"):
-            principal_positive_eigenvalue(rect_above_dense, rect_above_dense.constant_field(1.0))
+        pair = principal_positive_eigenvalue(dom, m)
+        assert pair.lambda1 == ref.lambda1
+        assert pair.u.values.tobytes() == ref.u.values.tobytes()
+        A = assemble_stiffness(dom).toarray()
+        vecs = scipy.linalg.eigh(np.diag(m.values * dom.cell_area), A)[1]
+        return_vector(monkeypatch, dom, vecs[:, -2])
+        with pytest.raises(NoConvergence, match="eigenpair rejected"):
+            principal_positive_eigenvalue(dom, m)
 
 
 class TestFactorCache:
@@ -593,9 +651,8 @@ class TestSineBasis:
     @pytest.mark.parametrize("n", [96, 128])
     def test_far_field_sign_noise(self, n, no_superlu, monkeypatch):
         # cold solves whose eigenfunctions are localized on a favourable
-        # tenth or sixth of the box: the far field's negative rounding noise
-        # stays within half of SIGN_NOISE_ULPS, and the residuals far below
-        # their tolerance
+        # tenth or sixth of the box: the far field carries negative rounding
+        # noise, and the residuals of |u| stay far below their tolerance
         noise = []
 
         def recorded(*args, **kwargs):
@@ -613,7 +670,7 @@ class TestSineBasis:
                 m = dom.field(np.where(rng.permutation(cells) < cells // share, 1.0, -1.0))
                 pair = principal_positive_eigenvalue(dom, m)
                 assert pair.residual <= EIG_RESIDUAL_RTOL / 20
-        assert len(noise) == 6 and max(noise) <= SIGN_NOISE_ULPS / 2
+        assert len(noise) == 6 and max(noise) > 0
 
 
 class TestRayleigh:

@@ -26,7 +26,7 @@ from weightopt.io import (
     write_pgm,
 )
 
-from conftest import SPLIT_MASKS, row_intervals
+from conftest import SPLIT_MASKS, dumbbell, row_intervals
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -686,6 +686,10 @@ MALFORMED_PGMS = {
 }
 EXIT_CASES = {
     "eig-runs": ({}, [], 0),
+    # λ₁ and λ₂ agree to rounding: the solver's eigenvector changes sign,
+    # and its |u| is accepted
+    "eig-on-a-near-double-lambda1": ({"domain": {"shape": "mask_file",
+                                                 "mask_path": "dumbbell.pgm", "h": 0.1}}, [], 0),
     "csv-weight-without-path": ({"weight": {"kind": "csv"}}, [], 1),
     "unknown-weight-kind": ({"weight": {"kind": "gaussian"}}, [], 1),
     "zero-seeds": ({**SINGLE, "seeds": 0}, [], 1),
@@ -779,6 +783,7 @@ def _exit_case_files(d: Path) -> None:
     lopsided[1:5, 1:4] = 1
     lopsided[1, 4] = 1
     write_pgm(d / "lopsided.pgm", lopsided)
+    write_pgm(d / "dumbbell.pgm", dumbbell(6, 48).astype(np.uint8))
     (d / "bad.pgm").write_text("P2\n3 3\n255\n1 2\n")
     write_field_csv(d / "other.csv", make_rectangle(4, 4, 0.5).constant_field(1.0))
     for name, raw in MALFORMED_PGMS.items():
