@@ -30,7 +30,6 @@ from .optimize import (
 )
 from .rearrange import (
     InfeasibleClassError,
-    MeasureMismatchError,
     ResourceClass,
     comonotone,
     decreasing_rearrangement,
@@ -54,7 +53,6 @@ __all__ = [
     "EigenPair",
     "GridDomain",
     "InfeasibleClassError",
-    "MeasureMismatchError",
     "MismatchedClassesError",
     "NoConvergence",
     "OptimizeReport",

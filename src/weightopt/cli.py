@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import io as wio
 from . import verify as wverify
 from .eig import EIG_RESIDUAL_RTOL, NoConvergence, principal_positive_eigenvalue
-from .grid import GridDomain, ScalarField, transpose_field
+from .grid import GridDomain, ScalarField, transpose_field, unit_scale
 from .optimize import (
     DEFAULT_SEEDS,
     OptimizeReport,
@@ -42,8 +42,6 @@ from .rearrange import ResourceClass
 from .steiner import symmetrize_function, symmetry_defect
 
 TASKS = ("eig", "optimize", "optimize2", "symmetrize", "verify", "remark")
-
-DEFAULT_TOLERANCES = {"eig_residual": EIG_RESIDUAL_RTOL}
 
 
 class ConfigError(ValueError):
@@ -122,16 +120,16 @@ def _tagged(obj: dict, tag: str, specs: dict, where: str, optional=()) -> dict:
 class RunConfig:
     task: str
     domain_cfg: dict
-    weight_cfg: dict = field(default_factory=lambda: {"kind": "constant"})
-    single_class: tuple[float, float, float] | None = None
-    classes: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
+    weight_cfg: dict
+    single_class: tuple[float, float, float] | None
+    classes: tuple[tuple[float, float, float], tuple[float, float, float]] | None
+    eig_residual: float
+    base_dir: Path  # relative file names in the config resolve here
     seeds: int = DEFAULT_SEEDS
     seed: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_dir: str = "."
     heatmap: bool = False
     verify_trials: int = 60
-    base_dir: Path = Path(".")  # relative file names in the config resolve here
 
     @staticmethod
     def load(path: str | Path, task_override: str | None = None) -> "RunConfig":
@@ -180,12 +178,13 @@ class RunConfig:
                 _check_object(_checked(f"{where}classes[{i}]", c, OBJECT),
                               dict.fromkeys("pql", NUMBER), f"{where}classes[{i}].")
             classes = tuple(tuple(float(c[k]) for k in "pql") for c in classes)
-        tolerances = {**DEFAULT_TOLERANCES, **_check_object(
-            raw.get("tolerances", {}), {"eig_residual": POSITIVE}, where + "tolerances.",
-            optional=("eig_residual",))}
+        tolerances = _check_object(raw.get("tolerances", {}), {"eig_residual": POSITIVE},
+                                   where + "tolerances.", optional=("eig_residual",))
         return RunConfig(
             task=raw["task"], domain_cfg=domain_cfg, weight_cfg=weight_cfg,
-            single_class=single, classes=classes, tolerances=tolerances, base_dir=base_dir,
+            single_class=single, classes=classes,
+            eig_residual=float(tolerances.get("eig_residual", EIG_RESIDUAL_RTOL)),
+            base_dir=base_dir,
             **{k: raw[k] for k in ("seeds", "seed", "output_dir", "heatmap", "verify_trials")
                if k in raw},
         )
@@ -233,35 +232,31 @@ def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) ->
 
 
 def _bang_bang_integral(cls: ResourceClass, k: int, area: float, omega: float) -> float:
-    """∫ of q on k cells and -p on the rest of |Ω|, with p and q scaled by the
-    power of two that brings max(|p|, |q|) into [1/2, 1), so no product overflows."""
-    e = int(np.frexp(max(abs(cls.p), abs(cls.q)))[1])
-    p, q = np.ldexp(cls.p, -e), np.ldexp(cls.q, -e)
+    """∫ of q on k cells and -p on the rest of |Ω|, with p and q scaled by
+    ``grid.unit_scale``, so no product overflows."""
+    (p, q), e = unit_scale([cls.p, cls.q])
     return float(np.ldexp(q * k * area - p * (omega - k * area), e))
 
 
 def _run_task(cfg: RunConfig, domain: GridDomain
               ) -> tuple[dict, ScalarField | None, ScalarField | None]:
-    """Run the configured task; returns (results, weight, eigenfunction)."""
-    rtol = float(cfg.tolerances["eig_residual"])
+    """Run the configured task; returns (results without the task and seed,
+    which ``run`` adds, weight, eigenfunction)."""
+    rtol = cfg.eig_residual
     if cfg.task == "eig":
         m = _build_weight(cfg, domain)
         pair = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
         return {
-            "task": "eig",
             "lambda": pair.lambda1,
             "eig_iterations": pair.iterations,
             "eig_residual": pair.residual,
             "domain_measure": domain.total_measure,
-            "seed": cfg.seed,
         }, m, pair.u
     if cfg.task == "optimize":
         report = optimize_single(
             domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
         )
         return {
-            "task": "optimize",
-            "seed": cfg.seed,
             "domain_measure": domain.total_measure,
             "realized_integral": report.weight.integral(),
             **_optimize_results(report, domain, cfg.seeds),
@@ -283,8 +278,6 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             return float(w[cells][0]) if cells.any() else None
 
         return {
-            "task": "optimize2",
-            "seed": cfg.seed,
             "domain_measure": omega,
             "levels": {"top": level(E), "mid": level(G & ~E), "bot": level(~G)},
             "measure_E": float(E.sum()) * area,
@@ -299,8 +292,6 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         pair_before = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
         pair_after = principal_positive_eigenvalue(domain, m_sym, residual_rtol=rtol)
         return {
-            "task": "symmetrize",
-            "seed": cfg.seed,
             "lambda_before": pair_before.lambda1,
             "lambda_after": pair_after.lambda1,
             "defect_before": symmetry_defect(m),
@@ -314,8 +305,6 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         lam_single = report_one.final.lambda1
         # artifacts carry the winning (merged-constraint) arrangement
         return {
-            "task": "remark",
-            "seed": cfg.seed,
             "lambda_two_resource": lam_two,
             "lambda_single": lam_single,
             "single_beats_two_resource": lam_single < lam_two,
@@ -326,8 +315,6 @@ def _run_task(cfg: RunConfig, domain: GridDomain
     for name, passed in checks.items():
         print(f"{'PASS' if passed else 'FAIL'} {name}")
     return {
-        "task": "verify",
-        "seed": cfg.seed,
         "checks": checks,
         "all_passed": all(checks.values()),
     }, None, None
@@ -374,6 +361,7 @@ def run(config_path: str | Path, out_dir: str | None = None,
                                                   _checked("--grid", grid_n, COUNT))
         domain = wio.domain_from_config(cfg.domain_cfg, cfg.base_dir)
         results, weight, u = _run_task(cfg, domain)
+        results.update(task=cfg.task, seed=cfg.seed)
         _write_artifacts(Path(cfg.output_dir), cfg, results, weight, u)
         failed = [name for name, passed in results.get("checks", {}).items() if not passed]
         if failed:

@@ -17,12 +17,13 @@ alive.  Each Krylov step costs one A-solve, and the solver's iteration
 count is the number of those A-solves.  A is built in canonical CSR form
 directly, and ARPACK's reverse-communication loop calls the operator as it
 is, without LinearOperator's per-call checks.  ARPACK runs on m h² divided
-by the power of two 2^e that brings max |m h²| into [1/2, 1), and μ is
-multiplied back by 2^e: the scaling is exact, so any weight whose λ₁ and
-μ = 1/λ₁ are finite doubles solves, and a weight times 2^k gives the same
-eigenvector bits.  A⁻¹M is not normal, so the Ritz value is only
-first-order accurate in the Ritz vector v; μ is the pencil's Rayleigh
-quotient vᵀMv / vᵀAv instead, whose error is of second order.
+by the power of two 2^e that brings max |m h²| into [1/2, 1)
+(``grid.unit_scale``), and μ is multiplied back by 2^e: the scaling is
+exact, so any weight whose λ₁ and μ = 1/λ₁ are finite doubles solves, and
+a weight times 2^k gives the same eigenvector bits.  A⁻¹M is not normal,
+so the Ritz value is only first-order accurate in the Ritz vector v; μ is
+the pencil's Rayleigh quotient vᵀMv / vᵀAv instead, whose error is of
+second order.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
@@ -96,20 +97,22 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dsyevr
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh, splu
 
-from .grid import GridDomain, ScalarField
+from .grid import GridDomain, ScalarField, unit_scale
 
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_MAX_OUTER = 20000
 # Pencils of at most this many cells are solved by one dsyevr call on the
 # whitened pencil, which skips ARPACK's per-call overhead.  Median time per
-# solve on k x k unit-square grids, one BLAS thread (AMD EPYC, 2 shared
-# vCPUs), dense vs warm ARPACK, for a swap probe at an optimize_single
-# optimum and for a random bang-bang weight after one random swap: 0.04 vs
-# 0.36 and 0.21 ms at 36 cells, 0.23 vs 0.30 and 0.53 ms at 121, 0.31 vs 0.31
-# and 0.47 ms at 144, 0.64 vs 0.43 and 0.56 ms at 196, 1.22 vs 0.33 and
-# 0.22 ms at 256.  The crossover is near 144 cells at an optimum, where the
-# optimizer spends its solves, and near 190 cells for random weights; 128
-# keeps the dense path on the small side.
+# warm solve on k x k unit-square grids, one BLAS thread (Intel Xeon, 2
+# shared vCPUs; medians move by up to 2x between runs), dense vs ARPACK's
+# standard mode on the sine-basis solve, for a swap probe at an
+# optimize_single optimum and for a random bang-bang weight after one random
+# swap: 0.08 vs 0.37 and 0.08 vs 0.55 ms at 36 cells, 0.30 vs 0.51 and 0.34
+# vs 0.60 ms at 100, 0.84 vs 0.77 and 0.52 vs 0.58 ms at 121, 0.63 vs 0.37
+# and 1.13 vs 0.96 ms at 144, 2.1 vs 0.64 and 2.1 vs 0.89 ms at 196.  The
+# crossover is near 121 cells at an optimum, where the optimizer spends its
+# solves, and between 144 and 169 cells for random weights; 128 sits at the
+# first.
 DENSE_MAX_CELLS = 128
 # Krylov basis size of a warm-started solve; cold solves keep ARPACK's
 # default of 20.  A-solves of optimize_two on the 64-grid unit square, remark
@@ -320,10 +323,7 @@ def principal_positive_eigenvalue(
                 raise NoConvergence(f"no convergence within {EIG_MAX_OUTER} A-solves")
             return solve_a(x)
 
-        # exact power-of-two scaling to max |m h²| in [1/2, 1); ldexp, since
-        # a product with 2.0**-e overflows for subnormal m h²
-        e = int(np.frexp(np.abs(m_diag).max())[1])
-        m_scaled = np.ldexp(m_diag, -e)
+        m_scaled, e = unit_scale(m_diag)
         try:
             _, vecs = eigs(
                 _Raw(n, lambda x: solve(m_scaled * x)), k=1, which="LR",
@@ -398,9 +398,8 @@ def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, i
     A, _, solve = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
     cols = np.arange(i.size)
-    w = m.values * domain.cell_area
-    e = int(np.frexp(np.abs(w).max())[1])
-    w, beta = np.ldexp(w, -e), np.ldexp(beta, -e)
+    w, e = unit_scale(m.values * domain.cell_area)
+    beta = np.ldexp(beta, -e)
     u = pair.u.values
     du = np.zeros((domain.n_cells, i.size))
     du[i, cols] = (w[j] - w[i]) * u[i]

@@ -16,6 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2⁻ᵉ, e) for the power of two 2ᵉ that brings max |x| into [1/2, 1),
+    or e = 0 when x is all zeros.
+
+    Every scaled value lies in (-1, 1), so sums and dot products of them do
+    not overflow, and a power of two changes no bits of a value that stays
+    in the normal range.  It is an ``ldexp``, since a product with 2.0**-e
+    overflows for a subnormal max |x|.
+    """
+    x = np.asarray(x, dtype=float)
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
+
+
 class GridDomain:
     """Bounded open set discretized into uniform square cells.
 
@@ -122,10 +136,10 @@ class ScalarField:
         self.values = values
 
     def integral(self) -> float:
-        """∫f dx, summed with f scaled by the power of two that brings max |f|
-        into [1/2, 1), so no partial sum overflows; the scaling is exact."""
-        e = int(np.frexp(np.abs(self.values).max())[1])
-        return float(np.ldexp(np.ldexp(self.values, -e).sum() * self.domain.cell_area, e))
+        """∫f dx, summed over the values scaled by :func:`unit_scale`, so no
+        partial sum overflows."""
+        scaled, e = unit_scale(self.values)
+        return float(np.ldexp(scaled.sum() * self.domain.cell_area, e))
 
     def to_grid(self) -> np.ndarray:
         """The values spread onto the full grid, nan outside the domain."""

@@ -28,13 +28,8 @@ from .eig import (
     second_mu_bound,
     temple_swap_bounds,
 )
-from .grid import GridDomain, ScalarField
-from .rearrange import (
-    ResourceClass,
-    decreasing_rearrangement,
-    hl_pairing,
-    pair_family,
-)
+from .grid import GridDomain, ScalarField, unit_scale
+from .rearrange import ResourceClass, hl_pairing, pair_family
 
 DESCENT_RTOL = 1e-9
 # λ values closer than this (relative) are a tie: a polish swap must beat it
@@ -170,9 +165,6 @@ def _minimize_over_class(
         raise ValueError("need at least one seed")
     # β bounds μ₂ of every arrangement of the profile
     beta = second_mu_bound(domain, float(profile[0]))
-    # the Hardy-Littlewood check scales m by the power of two that brings
-    # max |m| into [1/2, 1), exactly, so its sums cannot overflow
-    e = int(np.frexp(np.abs(profile).max())[1])
 
     def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
         return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
@@ -187,10 +179,11 @@ def _minimize_over_class(
         while evals < MAX_FIXED_POINT_ITERS:
             seen.add(m.values.tobytes())
             m_next = rearrangement_step(profile, pair.u)
-            # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u²
+            # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u², with
+            # both arrangements of the profile scaled by one power of two
             u2 = pair.u.values**2
-            t_old = float(np.ldexp(m.values, -e) @ u2) * domain.cell_area
-            t_new = float(np.ldexp(m_next.values, -e) @ u2) * domain.cell_area
+            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) * domain.cell_area
+                            for w in (m, m_next))
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise DescentError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
@@ -240,17 +233,17 @@ def single_class(constants: tuple[float, float, float]) -> ResourceClass:
 def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
     """Quantized generator profile of the sum class of one or more classes.
 
-    The profile is the decreasing rearrangement of the Hardy-Littlewood-paired
-    generators' sum: one value per cell, descending and read-only.  The
-    paired generators stack into nested level sets; for one class the
-    profile is its own generator (q on e, -p elsewhere), for two the levels
-    are (q1+q2, the larger-measure resource's maximum plus the other's
-    minimum, -(p1+p2)).  A level set that rounds to no cell drops its level.
+    The profile is the cell-wise sum of the classes' generators: one value
+    per cell, descending and read-only.  Each generator is descending in
+    cell order, so they are comonotone and their sum is descending as it
+    stands: they stack into nested level sets.  For one class the profile
+    is its own generator (q on e, -p elsewhere), for two the levels are
+    (q1+q2, the larger-measure resource's maximum plus the other's minimum,
+    -(p1+p2)).  A level set that rounds to no cell drops its level.
     Raises WeightNotPositiveAnywhere unless the profile's top level is
     positive.
     """
-    parts = pair_family(_class_generators(domain, *classes))
-    profile = decreasing_rearrangement(ScalarField(domain, _sum_of(parts)))
+    profile = ScalarField(domain, _sum_of(_class_generators(domain, *classes))).values
     if profile[0] <= 0:
         raise WeightNotPositiveAnywhere("the classes' quantized sum is never positive")
     return profile

@@ -7,8 +7,8 @@ Hardy-Littlewood inequality with its equality-attaining pairing.
 
 All cells have equal area, so f* is f's cell values sorted in descending
 order, one entry per cell: a read-only array, not a step-function object.
-Fields compare only on one measure space (the same cell count and cell
-area), where profile comparisons are cell-exact; only cumulative-integral
+Two fields compare only if they share a domain (ValueError otherwise),
+where profile comparisons are cell-exact; only cumulative-integral
 comparisons carry a float tolerance.
 """
 
@@ -25,21 +25,13 @@ from .grid import ScalarField
 INTEGRAL_RTOL = 1e-12
 
 
-class MeasureMismatchError(ValueError):
-    """Operands live on different measure spaces (cell count or cell area)."""
-
-
 class InfeasibleClassError(ValueError):
     """Constraint constants admit no weight, or no positive weight."""
 
 
-def _check_same_space(f: ScalarField, g: ScalarField) -> None:
-    a, b = f.domain, g.domain
-    if a.n_cells != b.n_cells or a.cell_area != b.cell_area:
-        raise MeasureMismatchError(
-            f"measure spaces differ: {a.n_cells} cells of area {a.cell_area!r} vs "
-            f"{b.n_cells} cells of area {b.cell_area!r}"
-        )
+def _check_same_domain(f: ScalarField, g: ScalarField) -> None:
+    if f.domain is not g.domain:
+        raise ValueError("fields must share a domain")
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ def decreasing_rearrangement(f: ScalarField) -> np.ndarray:
 
 def equimeasurable(f: ScalarField, g: ScalarField) -> bool:
     """Whether f and g are rearrangements of one another (f* = g* exactly)."""
-    _check_same_space(f, g)
+    _check_same_domain(f, g)
     return np.array_equal(decreasing_rearrangement(f), decreasing_rearrangement(g))
 
 
@@ -94,7 +86,7 @@ def precedes(g: ScalarField, f: ScalarField) -> bool:
     The cumulative integrals are piecewise linear with knots at the cell
     boundaries, so checking them there is exhaustive.
     """
-    _check_same_space(g, f)
+    _check_same_domain(g, f)
     area = f.domain.cell_area
     cg = np.cumsum(decreasing_rearrangement(g)) * area
     cf = np.cumsum(decreasing_rearrangement(f)) * area
@@ -107,8 +99,7 @@ def precedes(g: ScalarField, f: ScalarField) -> bool:
 
 def hl_inner(f: ScalarField, g: ScalarField) -> tuple[float, float]:
     """(∫fg dx, ∫ f* g* ds): the Hardy-Littlewood pair (actual, bound)."""
-    if f.domain is not g.domain:
-        raise ValueError("fields must share a domain")
+    _check_same_domain(f, g)
     area = f.domain.cell_area
     actual = float(np.dot(f.values, g.values) * area)
     bound = float(np.dot(decreasing_rearrangement(f), decreasing_rearrangement(g)) * area)
@@ -126,8 +117,7 @@ def hl_pairing(f: ScalarField, g: ScalarField) -> ScalarField:
     Cells are ranked by f descending (ties by cell index ascending) and
     receive g's values in descending order, making g̃ comonotone with f.
     """
-    if f.domain is not g.domain:
-        raise ValueError("fields must share a domain")
+    _check_same_domain(f, g)
     order = _descending_order(f.values)
     out = np.empty_like(g.values)
     out[order] = decreasing_rearrangement(g)
@@ -157,12 +147,6 @@ def comonotone(f: ScalarField | np.ndarray, g: ScalarField | np.ndarray) -> bool
     gv = g.values if isinstance(g, ScalarField) else np.asarray(g, dtype=float)
     if fv.shape != gv.shape:
         raise ValueError("mismatched shapes")
-    order = _descending_order(fv)
-    f_sorted, g_sorted = fv[order], gv[order]
-    if f_sorted.size == 0:
-        return True
-    starts = np.flatnonzero(np.r_[True, f_sorted[1:] != f_sorted[:-1]])
-    # no block of equal f may reach above the smallest g of a larger f
-    block_max = np.maximum.reduceat(g_sorted, starts)
-    prior_min = np.minimum.accumulate(np.minimum.reduceat(g_sorted, starts))
-    return bool(np.all(block_max[1:] <= prior_min[:-1]))
+    # cells by f descending, ties by g descending: g may never rise
+    g_sorted = gv[np.lexsort((-gv, -fv))]
+    return bool(np.all(g_sorted[1:] <= g_sorted[:-1]))

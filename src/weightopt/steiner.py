@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridDomain, ScalarField
+from .grid import GridDomain, ScalarField, unit_scale
 
 DEFECT_FLOOR = 1e-30     # denominator floor of symmetry_defect for f = 0
 
@@ -75,12 +75,10 @@ def symmetry_defect(f: ScalarField) -> float:
     symmetric (up to the one-cell parity convention).
 
     The cell area cancels, so the ratio is taken of sums over the cells;
-    it does not change when f is scaled either, so the sums are of f times
-    the exact power of two that brings max |f| into [1/2, 1), which cannot
-    overflow.  ``DEFECT_FLOOR`` floors the denominator, which only f = 0
-    reaches.
+    it does not change when f is scaled either, so the sums are of f and
+    f♯ scaled by ``grid.unit_scale``, which cannot overflow: f♯ permutes
+    f's values, so both take one power of two.  ``DEFECT_FLOOR`` floors the
+    denominator, which only f = 0 reaches.
     """
-    fs = symmetrize_function(f)
-    e = np.frexp(np.abs(f.values).max())[1]
-    g, gs = np.ldexp(f.values, -e), np.ldexp(fs.values, -e)
+    (g, _), (gs, _) = unit_scale(f.values), unit_scale(symmetrize_function(f).values)
     return float(np.abs(g - gs).sum()) / max(float(np.abs(g).sum()), DEFECT_FLOOR)

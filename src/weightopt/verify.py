@@ -122,7 +122,7 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
         after = float(ms.values @ us.values**2)
         return {
             "steiner_measure_preserved": int(sub_s.sum()) == int(sub.sum()),
-            "steiner_equimeasurable": np.array_equal(np.sort(f.values), np.sort(fs.values)),
+            "steiner_equimeasurable": equimeasurable(f, fs),
             "steiner_idempotent": np.array_equal(symmetrize_function(fs).values,
                                                  fs.values),
             "steiner_superlevel_consistency": np.array_equal(

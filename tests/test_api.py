@@ -102,3 +102,21 @@ def test_no_caller_less_parameters():
                    for module, function, name, position in optional
                    if not passed(function, name, position)}
     assert caller_less == {"cli.main(argv)"}
+
+
+def test_power_of_two_scaling_lives_in_grid():
+    """np.frexp, the exponent that power-of-two scaling divides by, is called
+    only in grid.py, where grid.unit_scale scales values for every module
+    whose sums could overflow.  Calls are listed by module and top-level
+    def or class; an exempt call scales nothing."""
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "attr", None) == "frexp"
+                        or getattr(node.func, "id", None) == "frexp"):
+                    calls.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert {call for call in calls if not call.startswith("grid.")} == {
+        "eig.principal_positive_eigenvalue",  # whether 2^e μ overflows, from μ's exponent
+    }

@@ -218,7 +218,7 @@ class TestRunConfig:
         p = write_config(tmp_path / "c.json", task="eig")
         cfg = RunConfig.load(p)
         assert cfg.seeds == 8
-        assert cfg.tolerances["eig_residual"] == 1e-8
+        assert cfg.eig_residual == 1e-8
         dead = write_config(tmp_path / "d.json", task="eig",
                             tolerances={"symmetry_defect": 0.02})
         assert run(dead) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 from itertools import combinations
 
@@ -8,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightopt import optimize
+from weightopt.cli import run as cli_run
 from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
+    DESCENT_RTOL,
+    DescentError,
     MismatchedClassesError,
     _swap_candidates,
     combined_profile,
@@ -28,6 +32,8 @@ from weightopt.rearrange import (
     comonotone,
     decreasing_rearrangement,
     equimeasurable,
+    hl_pairing,
+    pair_family,
 )
 from weightopt.steiner import symmetrize_function, symmetry_defect
 
@@ -431,6 +437,86 @@ class TestCombinedProfile:
             expected = run_length_cells(optimize._sum_of(parts))
             assert profile.tobytes() == expected.tobytes()
         assert np.signbit(combined_profile(dom, p0)[-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(dom=st.sampled_from([make_box(1.0, 1.0, 16), make_ellipse(33, 33, 1 / 32, (0.5, 0.5)),
+                                make_rectangle(6, 5, 0.5)]),
+           classes=st.lists(st.tuples(class_bounds, fine_fraction), min_size=1, max_size=3))
+    def test_equals_the_paired_and_sorted_sum(self, dom, classes):
+        # the generators, built in cell order, are paired and their sum
+        # sorted already: Hardy-Littlewood pairing and a sort change no bit
+        omega = dom.total_measure
+        classes = [class_with_level_fraction(*pq, t, omega) for pq, t in classes]
+        paired = pair_family(optimize._class_generators(dom, *classes))
+        expected = decreasing_rearrangement(dom.field(optimize._sum_of(paired)))
+        if expected[0] <= 0:
+            with pytest.raises(WeightNotPositiveAnywhere):
+                combined_profile(dom, *classes)
+            return
+        profile = combined_profile(dom, *classes)
+        assert profile.tobytes() == expected.tobytes()
+        assert not profile.flags.writeable
+
+
+def anti_comonotone_step(profile, u):
+    """The class element that minimizes ∫ m u² dx: the profile's values on
+    the cells by u ascending, the reverse of rearrangement_step."""
+    return hl_pairing(u.domain.field(-u.values), u.domain.field(profile))
+
+
+def rising_solve(rise):
+    """principal_positive_eigenvalue, but every solve after the first reports
+    the λ of the one before times 1 + ``rise``."""
+    reported = []
+
+    def solve(domain, m, **kwargs):
+        pair = principal_positive_eigenvalue(domain, m, **kwargs)
+        lam = reported[-1] * (1.0 + rise) if reported else pair.lambda1
+        reported.append(lam)
+        return dataclasses.replace(pair, lambda1=lam)
+
+    return solve
+
+
+class TestDescentGuards:
+    """Both DescentError guards of the fixed-point loop, each tripped by a
+    planted fault at the real DESCENT_RTOL.  Each test matches its guard's
+    message, so it fails if that guard is deleted, even where the other
+    guard would catch the fault later."""
+
+    def test_step_that_lowers_the_hardy_littlewood_integral(self, small_rect, monkeypatch):
+        monkeypatch.setattr(optimize, "rearrangement_step", anti_comonotone_step)
+        with pytest.raises(DescentError, match="rearrangement step decreased"):
+            optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+
+    def test_solve_whose_lambda_rises(self, small_rect, monkeypatch):
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue",
+                            rising_solve(2 * DESCENT_RTOL))
+        with pytest.raises(DescentError, match="lambda increased"):
+            optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+
+    def test_rise_within_the_tolerance_passes(self, small_rect, monkeypatch):
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue",
+                            rising_solve(DESCENT_RTOL / 2))
+        report = optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+        assert len(report.lambda_history) > 1
+
+    @pytest.mark.parametrize("name, fault, message", [
+        ("rearrangement_step", anti_comonotone_step, "rearrangement step decreased"),
+        ("principal_positive_eigenvalue", rising_solve(2 * DESCENT_RTOL), "lambda increased"),
+    ], ids=["step", "solve"])
+    def test_cli_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                       name, fault, message):
+        monkeypatch.setattr(optimize, name, fault)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "task": "optimize", "domain": {"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5},
+            "single_class": {"m1": 1.0, "m2": 1.0, "m3": 1.25}, "seeds": 2,
+            "output_dir": str(tmp_path / "out")}))
+        assert cli_run(config) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"verification failed: {message}")
+        assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("run", [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from weightopt.grid import from_mask, make_rectangle
 from weightopt.rearrange import (
     InfeasibleClassError,
-    MeasureMismatchError,
     ResourceClass,
     comonotone,
     decreasing_rearrangement,
@@ -25,6 +24,9 @@ from conftest import reflect_field, rng_field
 def line_domain(n, h=1.0):
     return from_mask(np.ones((1, n), dtype=bool), h)
 
+
+# few distinct values, so draws tie often; ±0.0 compare equal
+tie_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
 dyadic_lists = st.lists(
     st.integers(min_value=-32, max_value=32).map(lambda k: k / 8.0),
@@ -79,7 +81,7 @@ class TestEquimeasurable:
         assert equimeasurable(f, reflect_field(f))
 
     def test_measure_mismatch(self):
-        with pytest.raises(MeasureMismatchError):
+        with pytest.raises(ValueError, match="share a domain"):
             equimeasurable(line_domain(3).constant_field(1.0),
                            line_domain(4).constant_field(1.0))
 
@@ -89,9 +91,9 @@ class TestEquimeasurable:
         fine = line_domain(8, h=0.5)
         f = coarse.field([1.0, 0.0])
         g = fine.field([1.0] * 4 + [0.0] * 4)
-        with pytest.raises(MeasureMismatchError):
+        with pytest.raises(ValueError, match="share a domain"):
             equimeasurable(f, g)
-        with pytest.raises(MeasureMismatchError):
+        with pytest.raises(ValueError, match="share a domain"):
             precedes(f, g)
 
 
@@ -302,3 +304,16 @@ class TestComonotone:
         assert comonotone(np.array([3.0, 2.0, 1.0]), np.array([5.0, 5.0, 0.0]))
         assert not comonotone(np.array([3.0, 2.0, 1.0]), np.array([0.0, 5.0, 5.0]))
         assert comonotone(np.array([1.0, 1.0, 0.0]), np.array([7.0, -7.0, -7.0]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(tie_values, tie_values), max_size=12))
+    def test_matches_the_definition(self, cells):
+        # f_i > f_j implies g_i >= g_j over all pairs, on arrays and on fields
+        f = np.array([c[0] for c in cells], dtype=float)
+        g = np.array([c[1] for c in cells], dtype=float)
+        expected = all(g[i] >= g[j] for i in range(f.size) for j in range(f.size)
+                       if f[i] > f[j])
+        assert comonotone(f, g) is expected
+        if f.size:
+            dom = line_domain(f.size)
+            assert comonotone(dom.field(f), dom.field(g)) is expected
