@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io as wio
 from . import verify as wverify
-from .eig import EIG_RESIDUAL_RTOL, NoConvergence, principal_positive_eigenvalue
+from .eig import NoConvergence, principal_positive_eigenvalue
 from .grid import GridDomain, ScalarField, transpose_field, unit_scale
 from .optimize import (
     DEFAULT_SEEDS,
@@ -72,7 +72,7 @@ AXES = (lambda v: type(v) is list and len(v) == 2 and all(POSITIVE[0](a) for a i
 TOP_LEVEL = {
     "task": (lambda v: type(v) is str and v in TASKS, "one of " + ", ".join(TASKS)),
     "domain": OBJECT, "weight": OBJECT, "single_class": OBJECT, "classes": PAIR,
-    "seeds": COUNT, "seed": SEED, "tolerances": OBJECT, "output_dir": PATH,
+    "seeds": COUNT, "seed": SEED, "output_dir": PATH,
     "heatmap": BOOL, "verify_trials": COUNT,
 }
 SHAPES = {
@@ -123,7 +123,6 @@ class RunConfig:
     weight_cfg: dict
     single_class: tuple[float, float, float] | None
     classes: tuple[tuple[float, float, float], tuple[float, float, float]] | None
-    eig_residual: float
     base_dir: Path  # relative file names in the config resolve here
     seeds: int = DEFAULT_SEEDS
     seed: int = 0
@@ -149,7 +148,7 @@ class RunConfig:
         return RunConfig.from_dict(raw, path)
 
     @staticmethod
-    def from_dict(raw: dict, path: str | Path = "<config>") -> "RunConfig":
+    def from_dict(raw: dict, path: str | Path) -> "RunConfig":
         """Type- and range-check every field, the fields the task needs and
         the files the config names; any violation raises ConfigError."""
         where = f"{path}: "
@@ -178,13 +177,9 @@ class RunConfig:
                 _check_object(_checked(f"{where}classes[{i}]", c, OBJECT),
                               dict.fromkeys("pql", NUMBER), f"{where}classes[{i}].")
             classes = tuple(tuple(float(c[k]) for k in "pql") for c in classes)
-        tolerances = _check_object(raw.get("tolerances", {}), {"eig_residual": POSITIVE},
-                                   where + "tolerances.", optional=("eig_residual",))
         return RunConfig(
             task=raw["task"], domain_cfg=domain_cfg, weight_cfg=weight_cfg,
-            single_class=single, classes=classes,
-            eig_residual=float(tolerances.get("eig_residual", EIG_RESIDUAL_RTOL)),
-            base_dir=base_dir,
+            single_class=single, classes=classes, base_dir=base_dir,
             **{k: raw[k] for k in ("seeds", "seed", "output_dir", "heatmap", "verify_trials")
                if k in raw},
         )
@@ -242,10 +237,9 @@ def _run_task(cfg: RunConfig, domain: GridDomain
               ) -> tuple[dict, ScalarField | None, ScalarField | None]:
     """Run the configured task; returns (results without the task and seed,
     which ``run`` adds, weight, eigenfunction)."""
-    rtol = cfg.eig_residual
     if cfg.task == "eig":
         m = _build_weight(cfg, domain)
-        pair = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
+        pair = principal_positive_eigenvalue(domain, m)
         return {
             "lambda": pair.lambda1,
             "eig_iterations": pair.iterations,
@@ -253,9 +247,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "domain_measure": domain.total_measure,
         }, m, pair.u
     if cfg.task == "optimize":
-        report = optimize_single(
-            domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
-        )
+        report = optimize_single(domain, cfg.single_class, cfg.seeds, rng_seed=cfg.seed)
         return {
             "domain_measure": domain.total_measure,
             "realized_integral": report.weight.integral(),
@@ -264,9 +256,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
     if cfg.task == "optimize2":
         omega, area = domain.total_measure, domain.cell_area
         classes = [ResourceClass(*c) for c in cfg.classes]
-        report = optimize_two(
-            domain, *classes, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol,
-        )
+        report = optimize_two(domain, *classes, cfg.seeds, rng_seed=cfg.seed)
         w = report.weight.values
         # E: every part at its maximum, G: some part at its maximum
         at_max = np.array([part.values == cls.q
@@ -289,8 +279,8 @@ def _run_task(cfg: RunConfig, domain: GridDomain
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
         m_sym = symmetrize_function(m)  # first: a domain without an axis solves nothing
-        pair_before = principal_positive_eigenvalue(domain, m, residual_rtol=rtol)
-        pair_after = principal_positive_eigenvalue(domain, m_sym, residual_rtol=rtol)
+        pair_before = principal_positive_eigenvalue(domain, m)
+        pair_after = principal_positive_eigenvalue(domain, m_sym)
         return {
             "lambda_before": pair_before.lambda1,
             "lambda_after": pair_after.lambda1,
@@ -298,9 +288,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "defect_after": symmetry_defect(m_sym),
         }, m_sym, pair_after.u
     if cfg.task == "remark":
-        report_two, report_one = compare_split_vs_merged(
-            domain, cfg.seeds, rng_seed=cfg.seed, residual_rtol=rtol
-        )
+        report_two, report_one = compare_split_vs_merged(domain, cfg.seeds, rng_seed=cfg.seed)
         lam_two = report_two.final.lambda1
         lam_single = report_one.final.lambda1
         # artifacts carry the winning (merged-constraint) arrangement

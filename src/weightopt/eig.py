@@ -27,9 +27,9 @@ second order.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
-below ``residual_rtol / 1000``: that estimate bounds another norm than the
-checked residual ‖Au - λMu‖/‖Au‖, and the factor 1000 keeps the checked
-residuals of optimizer runs below 1/20 of their tolerance (100 left 1/4).
+below ``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm
+than the checked residual ‖Au - λMu‖/‖Au‖, and the factor 1000 keeps the
+checked residuals of optimizer runs below 1/20 of the bound (100 left 1/4).
 In the optimizer, where nearly every solve is warm, a warm start halves
 the A-solves.
 
@@ -53,11 +53,12 @@ other mask is factored once by SuperLU.
 
 A solve returns (1/μ, |u|) for the computed eigenvector u, and accepts it
 under one rule: μ is a positive finite double, |u| > 0 on every cell, and
-|u|, normalized, meets ``residual_rtol``.  Neither u's sign nor ARPACK's
-Ritz value is read.  The rule accepts the principal pair only: it is the
-one positive pair with a one-signed eigenfunction (Perron-Frobenius for
-the irreducible M-matrix A; P. Hess & T. Kato, *Comm. PDE* 5 (1980)
-999-1030), and the |u| of any other eigenvector misses the eigen-equation.
+|u|, normalized, meets ``EIG_RESIDUAL_RTOL``, the one residual bound
+weightopt checks.  Neither u's sign nor ARPACK's Ritz value is read.  The
+rule accepts the principal pair only: it is the one positive pair with a
+one-signed eigenfunction (Perron-Frobenius for the irreducible M-matrix A;
+P. Hess & T. Kato, *Comm. PDE* 5 (1980) 999-1030), and the |u| of any
+other eigenvector misses the eigen-equation.
 For the 5-point A, Kato's inequality (T. Kato, *Israel J. Math.* 13 (1972)
 135-148) holds cell by cell, A|u| <= sign(u) ⊙ Au, with a deficit of
 2Σ|u_j| over the neighbours j of opposite sign, and that deficit is the
@@ -272,7 +273,6 @@ def principal_positive_eigenvalue(
     m: ScalarField,
     *,
     u0: np.ndarray | None = None,
-    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> EigenPair:
     """Smallest positive λ of A u = λ M u and its positive eigenfunction.
 
@@ -282,10 +282,10 @@ def principal_positive_eigenvalue(
     the top eigenvector of A⁻¹M, and μ = 1/λ₁ is its Rayleigh quotient
     uᵀMu / uᵀAu; ARPACK's Ritz value is not read.
     ``u0`` warm-starts ARPACK from a nearby eigenvector, with a
-    ``WARM_NCV``-vector basis and ARPACK stopped at ``residual_rtol / 1000``;
-    without it the start vector is all ones, so repeated runs give identical
-    bits.  Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely,
-    and ignore ``u0``.
+    ``WARM_NCV``-vector basis and ARPACK stopped at
+    ``EIG_RESIDUAL_RTOL / 1000``; without it the start vector is all ones,
+    so repeated runs give identical bits.  Pencils of at most
+    ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
 
     Raises ValueError when m h² overflows on some cell or the in-domain
     cells are not one 4-connected set, WeightNotPositiveAnywhere when
@@ -293,7 +293,7 @@ def principal_positive_eigenvalue(
     more than ``EIG_MAX_OUTER`` A-solves (read at call time), LAPACK or
     ARPACK reports a failure, μ or λ₁ = 1/μ is not a finite double, or the
     pair (1/μ, |u|) is rejected: |u| vanishes on some cell or misses
-    ``residual_rtol``, which the |u| of a sign-changing u does (see the
+    ``EIG_RESIDUAL_RTOL``, which the |u| of a sign-changing u does (see the
     module docstring).
     """
     if m.domain is not domain:
@@ -331,7 +331,7 @@ def principal_positive_eigenvalue(
                 # a warm start stops at a Ritz estimate 1000x tighter than the
                 # residual checked below; a cold one runs to machine precision
                 ncv=None if u0 is None else WARM_NCV,
-                tol=0.0 if u0 is None else residual_rtol / 1000,
+                tol=0.0 if u0 is None else EIG_RESIDUAL_RTOL / 1000,
                 maxiter=EIG_MAX_OUTER, rng=0,  # rng seeds ARPACK's restart vectors
             )
         except ArpackError as exc:
@@ -352,7 +352,7 @@ def principal_positive_eigenvalue(
     u = u / np.sqrt(float(u @ (A @ u)))
     Au = A @ u
     resid = float(np.linalg.norm(Au - (1.0 / mu) * (m_diag * u)) / np.linalg.norm(Au))
-    if not resid <= residual_rtol or u.min() <= 0:
+    if not resid <= EIG_RESIDUAL_RTOL or u.min() <= 0:
         raise NoConvergence(f"eigenpair rejected: residual {resid:.3g}, min |u| {u.min():.3g}")
     return EigenPair(1.0 / mu, ScalarField(domain, u), resid, iterations=solves)
 

@@ -21,7 +21,6 @@ from functools import reduce
 import numpy as np
 
 from .eig import (
-    EIG_RESIDUAL_RTOL,
     EigenPair,
     WeightNotPositiveAnywhere,
     principal_positive_eigenvalue,
@@ -140,7 +139,6 @@ def _minimize_over_class(
     profile: np.ndarray,
     seeds: int,
     rng_seed: int,
-    residual_rtol: float,
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
@@ -166,13 +164,10 @@ def _minimize_over_class(
     # β bounds μ₂ of every arrangement of the profile
     beta = second_mu_bound(domain, float(profile[0]))
 
-    def solve(m: ScalarField, u0: np.ndarray | None) -> EigenPair:
-        return principal_positive_eigenvalue(domain, m, u0=u0, residual_rtol=residual_rtol)
-
     best: OptimizeReport | None = None
     for s in range(seeds):
         m = m0 = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
-        pair = pair0 = solve(m, None)
+        pair = pair0 = principal_positive_eigenvalue(domain, m)
         evals, history = 1, [pair.lambda1]
         seen: set[bytes] = set()
         stabilized = False
@@ -188,7 +183,7 @@ def _minimize_over_class(
                 raise DescentError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
             if not stabilized and m_next.values.tobytes() not in seen:
-                m, pair = m_next, solve(m_next, pair.u.values)
+                m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
                 evals += 1
             else:
                 # fixed point or cycle: greedy one-swap polish around the
@@ -204,7 +199,7 @@ def _minimize_over_class(
                     values = m0.values.copy()
                     values[i], values[j] = values[j], values[i]
                     m = ScalarField(domain, values)
-                    pair = solve(m, pair0.u.values)
+                    pair = principal_positive_eigenvalue(domain, m, u0=pair0.u.values)
                     if pair.lambda1 < lam0 * (1.0 - LAMBDA_TIE_RTOL):
                         break
                 else:
@@ -252,10 +247,9 @@ def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
 def optimize_single(
     domain: GridDomain,
     constants: tuple[float, float, float],
-    seeds: int = DEFAULT_SEEDS,
+    seeds: int,
     *,
     rng_seed: int = 0,
-    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> OptimizeReport:
     """Minimize λ₁ over {-m2 <= m <= m1, ∫m = m3, m > 0 somewhere}.
 
@@ -264,17 +258,16 @@ def optimize_single(
     random starting sets.
     """
     profile = combined_profile(domain, single_class(constants))
-    return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
+    return _minimize_over_class(domain, profile, seeds, rng_seed)
 
 
 def optimize_two(
     domain: GridDomain,
     class1: ResourceClass,
     class2: ResourceClass,
-    seeds: int = DEFAULT_SEEDS,
+    seeds: int,
     *,
     rng_seed: int = 0,
-    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> OptimizeReport:
     """Minimize λ₁ over sums f1 + f2 with f_i in two resource classes.
 
@@ -283,7 +276,7 @@ def optimize_two(
     nested level sets E ⊆ G, and `decompose` splits it into its two parts.
     """
     profile = combined_profile(domain, class1, class2)
-    return _minimize_over_class(domain, profile, seeds, rng_seed, residual_rtol)
+    return _minimize_over_class(domain, profile, seeds, rng_seed)
 
 
 def decompose(weight: ScalarField, *classes: ResourceClass) -> list[ScalarField]:
@@ -303,10 +296,9 @@ def decompose(weight: ScalarField, *classes: ResourceClass) -> list[ScalarField]
 
 def compare_split_vs_merged(
     domain: GridDomain,
-    seeds: int = DEFAULT_SEEDS,
+    seeds: int,
     *,
     rng_seed: int = 0,
-    residual_rtol: float = EIG_RESIDUAL_RTOL,
 ) -> tuple[OptimizeReport, OptimizeReport]:
     """Two-resource optimum vs the single merged-constraint optimum.
 
@@ -322,13 +314,8 @@ def compare_split_vs_merged(
     omega = domain.total_measure
     cls1 = ResourceClass(p=0.0, q=1.0, l=2.0 * omega / 3.0)
     cls2 = ResourceClass(p=1.0, q=0.0, l=-omega / 2.0)
-    report_two = optimize_two(
-        domain, cls1, cls2, seeds, rng_seed=rng_seed, residual_rtol=residual_rtol
-    )
-    report_one = optimize_single(
-        domain, (1.0, 1.0, omega / 6.0), seeds, rng_seed=rng_seed,
-        residual_rtol=residual_rtol,
-    )
+    report_two = optimize_two(domain, cls1, cls2, seeds, rng_seed=rng_seed)
+    report_one = optimize_single(domain, (1.0, 1.0, omega / 6.0), seeds, rng_seed=rng_seed)
     lam_two = report_two.final.lambda1
     lam_one = report_one.final.lambda1
     if not lam_one < lam_two:

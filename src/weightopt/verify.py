@@ -48,7 +48,7 @@ def _every_trial(trial, trials: int) -> dict[str, bool]:
 
 
 def check_hardy_littlewood(domain: GridDomain, rng: np.random.Generator,
-                           trials: int = 200) -> dict[str, bool]:
+                           trials: int) -> dict[str, bool]:
     def trial() -> dict[str, bool]:
         f = _random_field(domain, rng)
         g = _random_field(domain, rng)
@@ -70,7 +70,7 @@ def check_hardy_littlewood(domain: GridDomain, rng: np.random.Generator,
 
 
 def check_precedence(domain: GridDomain, rng: np.random.Generator,
-                     trials: int = 200) -> dict[str, bool]:
+                     trials: int) -> dict[str, bool]:
     def trial() -> dict[str, bool]:
         f = _random_field(domain, rng)
         g = _random_field(domain, rng)
@@ -105,7 +105,7 @@ def check_descent(domain: GridDomain, constants: tuple[float, float, float],
 
 
 def check_steiner(domain: GridDomain, rng: np.random.Generator,
-                  trials: int = 200) -> dict[str, bool]:
+                  trials: int) -> dict[str, bool]:
     def trial() -> dict[str, bool]:
         f = _random_field(domain, rng)
         fs = symmetrize_function(f)
@@ -201,7 +201,7 @@ def random_connected_mask(rng: np.random.Generator, n_cells: int) -> np.ndarray:
 
 
 def check_small_domain_oracles(rng: np.random.Generator,
-                               trials: int = 20) -> dict[str, bool]:
+                               trials: int) -> dict[str, bool]:
     def pairing_trial() -> dict[str, bool]:
         # Hardy-Littlewood bound == max over all pairings (<= 7 cells)
         dom = from_mask(random_connected_mask(rng, int(rng.integers(3, 8))), 1.0)

@@ -1,13 +1,16 @@
 """The public surface: every exported name resolves, README's library
-example runs as written, every public name has a caller in weightopt, and
-so does every optional parameter."""
+example runs as written and its config example loads, every public name
+has a caller in weightopt, every optional parameter is passed by some call
+and every default is taken by some call."""
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
 
 import weightopt
+from weightopt.cli import RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(weightopt.__file__).resolve().parent
@@ -18,14 +21,28 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_readme_library_example_runs(capsys):
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library example", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block after `heading` in README."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    block = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
     assert block is not None
-    exec(compile(block.group(1), f"{README}:library-example", "exec"), {})
+    return block.group(1)
+
+
+def _readme_library_example() -> str:
+    return _readme_block("## Library example", "python")
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_library_example(), f"{README}:library-example", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
+
+
+def test_readme_config_example_loads():
+    raw = json.loads(_readme_block("### Config schema", "json"))
+    cfg = RunConfig.from_dict(raw, README)
+    assert (cfg.task, cfg.seeds, cfg.output_dir, cfg.heatmap) == ("optimize2", 8, "out", True)
 
 
 def test_no_caller_less_library_names():
@@ -64,13 +81,11 @@ def _passed_parameters(call: ast.Call) -> tuple[float, set[str] | None]:
     return positional, None if None in keywords else keywords
 
 
-def test_no_caller_less_parameters():
-    """Every parameter of a top-level function or method of a weightopt
-    module that has a default or is keyword-only is passed, by position or
-    by keyword, by some call in weightopt: an option that no caller sets is
-    a constant.  Calls resolve by name, as in the test above.  cli.main's
-    argv is exempt: the console script calls main()."""
-    optional, calls = [], {}
+def _optional_parameters() -> list[tuple[str, str, str, int | None, bool]]:
+    """(module, function, parameter, its position or None if keyword-only,
+    whether it has a default) for every parameter of a top-level function
+    or method of a weightopt module that has a default or is keyword-only."""
+    optional = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
@@ -84,14 +99,33 @@ def test_no_caller_less_parameters():
             args = node.args
             params = [a.arg for a in args.posonlyargs + args.args]
             first = len(params) - len(args.defaults)
-            optional += [(path.stem, node.name, name, k - skip)
+            optional += [(path.stem, node.name, name, k - skip, True)
                          for k, name in enumerate(params) if k >= first]
-            optional += [(path.stem, node.name, a.arg, None) for a in args.kwonlyargs]
-        for node in ast.walk(tree):
+            optional += [(path.stem, node.name, a.arg, None, default is not None)
+                         for a, default in zip(args.kwonlyargs, args.kw_defaults)]
+    return optional
+
+
+def _calls(sources) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """The ``_passed_parameters`` of every call in the source texts, by the
+    called name: a bare name or the last attribute."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(_passed_parameters(node))
+    return calls
+
+
+def test_no_caller_less_parameters():
+    """Every parameter of a top-level function or method of a weightopt
+    module that has a default or is keyword-only is passed, by position or
+    by keyword, by some call in weightopt: an option that no caller sets is
+    a constant.  Calls resolve by name, as in the test above.  cli.main's
+    argv is exempt: the console script calls main()."""
+    calls = _calls(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
 
     def passed(function, name, position):
         return any((position is not None and position < positional)
@@ -99,9 +133,31 @@ def test_no_caller_less_parameters():
                    for positional, keywords in calls.get(function, []))
 
     caller_less = {f"{module}.{function}({name})"
-                   for module, function, name, position in optional
+                   for module, function, name, position, _ in _optional_parameters()
                    if not passed(function, name, position)}
     assert caller_less == {"cli.main(argv)"}
+
+
+def test_no_default_without_a_taker():
+    """Every default of a top-level function or method of a weightopt module
+    is taken by some call, in weightopt, its tests or README's library
+    example, that passes the parameter neither by position nor by keyword:
+    a default that every call overrides only restates a value held
+    elsewhere.  Calls resolve by name, as in the tests above."""
+    sources = [path.read_text(encoding="utf-8")
+               for directory in (SRC, README.parent / "tests")
+               for path in sorted(directory.glob("*.py"))]
+    calls = _calls([*sources, _readme_library_example()])
+
+    def taken(function, name, position):
+        return any(keywords is not None and name not in keywords
+                   and (position is None or position >= positional)
+                   for positional, keywords in calls.get(function, []))
+
+    untaken = {f"{module}.{function}({name})"
+               for module, function, name, position, has_default in _optional_parameters()
+               if has_default and not taken(function, name, position)}
+    assert untaken == set()
 
 
 def test_power_of_two_scaling_lives_in_grid():

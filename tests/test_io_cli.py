@@ -218,10 +218,6 @@ class TestRunConfig:
         p = write_config(tmp_path / "c.json", task="eig")
         cfg = RunConfig.load(p)
         assert cfg.seeds == 8
-        assert cfg.eig_residual == 1e-8
-        dead = write_config(tmp_path / "d.json", task="eig",
-                            tolerances={"symmetry_defect": 0.02})
-        assert run(dead) == 1
 
 
 class TestRunTask:
@@ -694,8 +690,8 @@ EXIT_CASES = {
     "unknown-weight-kind": ({"weight": {"kind": "gaussian"}}, [], 1),
     "zero-seeds": ({**SINGLE, "seeds": 0}, [], 1),
     "seeds-not-a-number": ({**SINGLE, "seeds": "many"}, [], 1),
-    "tolerances-not-an-object": ({"tolerances": 5}, [], 1),
-    "dead-tolerance-key": ({"tolerances": {"integral_rel": 1e-12}}, [], 1),
+    # the eigenpair residual bound is eig.EIG_RESIDUAL_RTOL, set by no config
+    "tolerances-is-an-unknown-key": ({"tolerances": {"eig_residual": 1e-8}}, [], 1),
     "missing-config-file": ({}, ["--config", "absent.json"], 1),  # the last --config wins
     "missing-mask-file": ({"domain": {"shape": "mask_file", "mask_path": "absent.pgm",
                                       "h": 0.5}}, [], 1),
@@ -755,7 +751,6 @@ EXIT_CASES = {
     # m h² rounds to 0 on every cell
     "weight-times-cell-area-underflows": ({"weight": {"kind": "constant", "value": 5e-324}},
                                           [], 2),
-    "unreachable-eig-residual": ({"tolerances": {"eig_residual": 1e-300}}, [], 3),
     # m h² = 2.5e-323, so λ₁ = 1/μ overflows
     "lambda-not-a-finite-double": ({"weight": {"kind": "constant", "value": 1e-322}}, [], 3),
     # m h² = 2.5e-321 solves after scaling, but μ = 5.6e-320 is subnormal,
@@ -796,8 +791,14 @@ def _exit_case_files(d: Path) -> None:
     (d / "nan-pattern.csv").write_text("\n".join(lines[:2] + ["1.0"] + lines[3:]))
 
 
-@pytest.mark.parametrize("fields, args, code", EXIT_CASES.values(), ids=EXIT_CASES.keys())
-def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
+# the stderr line of a row, where it is pinned and not only counted
+EXIT_MESSAGES = {"tolerances-is-an-unknown-key": "error: c.json: tolerances: unexpected key"}
+
+
+@pytest.mark.parametrize("name, fields, args, code",
+                         [(name, *case) for name, case in EXIT_CASES.items()],
+                         ids=EXIT_CASES.keys())
+def test_exit_code_table(tmp_path, monkeypatch, capsys, name, fields, args, code):
     monkeypatch.chdir(tmp_path)
     _exit_case_files(tmp_path)
     cfg = {"task": "eig", "domain": RECT, "output_dir": "out", **fields}
@@ -806,6 +807,7 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, fields, args, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code != 0), err
+    assert err.startswith(EXIT_MESSAGES.get(name, "")), err
 
 
 @pytest.mark.parametrize("raw", [b"[1, 2]", b'{"task": "eig\xff"}',
@@ -823,12 +825,14 @@ def _raise_arpack_error(*args, **kwargs):
     raise ArpackError(-9)
 
 
-@pytest.mark.parametrize("name, replacement, nx", [
-    ("dsyevr", lambda a, **kwargs: (None, None, 0, None, 1), 6),
-    ("eigs", _raise_arpack_error, 26),
-    ("eigs", lambda op, **kwargs: (np.array([0.5 + 1e-3j]), np.ones((op.shape[0], 1), complex)), 26),
+@pytest.mark.parametrize("name, replacement, nx, prefix", [
+    ("dsyevr", lambda a, **kwargs: (None, None, 0, None, 1), 6, "no convergence: "),
+    ("eigs", _raise_arpack_error, 26, "no convergence: "),
+    # the all-ones vector misses the eigen-equation: the residual rule rejects it
+    ("eigs", lambda op, **kwargs: (np.array([0.5 + 1e-3j]), np.ones((op.shape[0], 1), complex)),
+     26, "no convergence: eigenpair rejected: residual 14.1, "),
 ], ids=["dsyevr", "eigs", "eigs-complex-ritz"])
-def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement, nx):
+def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement, nx, prefix):
     # a failed dense or Lanczos eigensolve is a solver failure, not
     # infeasible input
     assert (nx * RECT["ny"] > weightopt.eig.DENSE_MAX_CELLS) == (name == "eigs")
@@ -837,7 +841,7 @@ def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, name, replacement
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["optimize", "--config", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("no convergence: ") and len(err.splitlines()) == 1, err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1, err
 
 
 # the benchmark's three tasks: optimize2 on the 32-grid box (Lanczos path),
@@ -924,8 +928,6 @@ def fuzz_cases(draw):
         "weight": WEIGHT,
         "seeds": st.integers(1, 2),
         "seed": st.integers(0, 2**64 - 1),
-        "tolerances": st.fixed_dictionaries({}, optional={
-            "eig_residual": st.floats(1e-12, 1e-4)}),
         "output_dir": st.text(min_size=1, max_size=4),
         "heatmap": st.booleans(),
         "verify_trials": st.integers(1, 2),
