@@ -690,7 +690,10 @@ EXIT_CASES = {
     "unknown-weight-kind": ({"weight": {"kind": "gaussian"}}, [], 1),
     "zero-seeds": ({**SINGLE, "seeds": 0}, [], 1),
     "seeds-not-a-number": ({**SINGLE, "seeds": "many"}, [], 1),
-    # the eigenpair residual bound is eig.EIG_RESIDUAL_RTOL, set by no config
+    # the eigenpair residual bound is eig.EIG_RESIDUAL_RTOL, set by no config:
+    # `tolerances` is an unknown key, whatever its value
+    "tolerances-not-an-object": ({"tolerances": 5}, [], 1),
+    "dead-tolerance-key": ({"tolerances": {"integral_rel": 1e-12}}, [], 1),
     "tolerances-is-an-unknown-key": ({"tolerances": {"eig_residual": 1e-8}}, [], 1),
     "missing-config-file": ({}, ["--config", "absent.json"], 1),  # the last --config wins
     "missing-mask-file": ({"domain": {"shape": "mask_file", "mask_path": "absent.pgm",
@@ -792,7 +795,9 @@ def _exit_case_files(d: Path) -> None:
 
 
 # the stderr line of a row, where it is pinned and not only counted
-EXIT_MESSAGES = {"tolerances-is-an-unknown-key": "error: c.json: tolerances: unexpected key"}
+EXIT_MESSAGES = {name: "error: c.json: tolerances: unexpected key"
+                 for name in ("tolerances-not-an-object", "dead-tolerance-key",
+                              "tolerances-is-an-unknown-key")}
 
 
 @pytest.mark.parametrize("name, fields, args, code",
