@@ -11,6 +11,10 @@ around the best iterate looks for a lower λ₁; a descent step and an
 accepted swap are the same move of one loop, so descent resumes from it.
 
 Multi-start over random initial arrangements guards against local minima.
+The grid's reflections and rotations that map the domain onto itself leave
+λ₁ unchanged, so a polish probe that is a mirror image of the best iterate
+is not solved, and a later start ends once its next iterate is in the
+mirror orbit of an earlier start's iterate.
 """
 
 from __future__ import annotations
@@ -113,25 +117,53 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray) -> list[tuple[int, int]]:
     for t < min(cap, |a|, |b|): the exchanges just beyond what the
     comonotone ranking already chose, in deterministic order.  The cap on
     an n-cell domain is n up to 64 cells, 8 up to 400 and 2 above.  Each
-    probe is first screened by Temple's bound, and only one that the
-    screen cannot reject costs an eigensolve.
+    probe is first screened by Temple's bound and the mirror-image rule,
+    and only one that neither rejects costs an eigensolve.
     """
     n = m.size
     cap = n if n <= 64 else (8 if n <= 400 else 2)
-    levels = np.unique(m)[::-1]
+    # the cells of each level, levels descending, each by u ascending and
+    # ties by cell index (lexsort is stable)
+    order = np.lexsort((u, -m))
+    by_m = m[order]
+    edges = [0, *(np.flatnonzero(by_m[1:] != by_m[:-1]) + 1).tolist(), n]
+    by_level = [order[a:b] for a, b in zip(edges, edges[1:])]
     out: list[tuple[int, int]] = []
-    cells_by_level = {}
-    for v in levels:
-        cells = np.flatnonzero(m == v)
-        # sort by u ascending, ties by cell index (stable)
-        cells_by_level[v] = cells[np.argsort(u[cells], kind="stable")]
-    for ia in range(len(levels)):
-        for ib in range(ia + 1, len(levels)):
-            a_cells = cells_by_level[levels[ia]]          # u ascending
-            b_cells = cells_by_level[levels[ib]][::-1]    # u descending
+    for ia, a_cells in enumerate(by_level):
+        for b_cells in by_level[ia + 1:]:
             k = min(cap, a_cells.size, b_cells.size)
-            out.extend((int(a_cells[t]), int(b_cells[t])) for t in range(k))
+            # the t-th weakest a-cell with the t-th strongest b-cell
+            out += zip(a_cells[:k].tolist(), b_cells[::-1][:k].tolist())
     return out
+
+
+def _mirror_maps(domain: GridDomain) -> list[np.ndarray]:
+    """The grid's reflections and rotations other than the identity that map
+    ``domain.mask`` onto itself, each as the cell permutation p with
+    (m∘σ).values = m.values[p].
+
+    The 5-point A is invariant under each, so λ₁(m∘σ) = λ₁(m) exactly.  A
+    square mask is checked against all seven, any other against the
+    reflections across its two center lines and the half-turn.
+    """
+    idx = domain.index_map
+    images = [idx[::-1], idx[:, ::-1], idx[::-1, ::-1]]
+    if idx.shape[0] == idx.shape[1]:
+        images += [idx.T, idx.T[::-1], idx.T[:, ::-1], idx.T[::-1, ::-1]]
+    return [image[domain.mask] for image in images if np.array_equal(image >= 0, domain.mask)]
+
+
+def _orbit_key(values: np.ndarray, maps: list[np.ndarray]) -> bytes:
+    """One key per orbit of arrangements under `maps`: the smallest of the
+    bytes of the arrangement and its mirror images.
+
+    An arrangement that equals one of its own mirror images is keyed by its
+    own bytes instead: its eigenfunction has mirror-forced near-ties that
+    rounding breaks, so the descents from its mirror images need not agree.
+    """
+    own = values.tobytes()
+    images = [values[p].tobytes() for p in maps]
+    return own if own in images else min([own, *images])
 
 
 def _minimize_over_class(
@@ -158,11 +190,25 @@ def _minimize_over_class(
     without an eigensolve.
     A screened probe counts against the cap like a solved one, so the screen
     changes no result, only the number of eigensolves.
+
+    The ``_mirror_maps`` of the domain, computed once per call, add two
+    rules.  A probe whose swapped arrangement is a mirror image of the best
+    iterate has its λ₁ exactly, so it cannot lower λ₁: it is certified like
+    a screened probe, without an eigensolve.  A later seed ends as soon as
+    its next iterate, checked before its descent solve or after its
+    accepted swap, has the ``_orbit_key`` of an earlier seed's iterate:
+    from there it would only retrace a descent that did not beat the
+    winner, and the tie rule keeps the winner.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
     # β bounds μ₂ of every arrangement of the profile
     beta = second_mu_bound(domain, float(profile[0]))
+    # every arrangement has the profile's max |m|, so one power of two
+    # scales all of them as grid.unit_scale scales each
+    scale = unit_scale(profile)[1]
+    maps = _mirror_maps(domain)
+    earlier: set[bytes] = set()  # orbit keys of the earlier seeds' iterates
 
     best: OptimizeReport | None = None
     for s in range(seeds):
@@ -177,12 +223,14 @@ def _minimize_over_class(
             # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u², with
             # both arrangements of the profile scaled by one power of two
             u2 = pair.u.values**2
-            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) * domain.cell_area
+            t_old, t_new = (float(np.ldexp(w.values, -scale) @ u2) * domain.cell_area
                             for w in (m, m_next))
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise DescentError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
             if not stabilized and m_next.values.tobytes() not in seen:
+                if earlier and _orbit_key(m_next.values, maps) in earlier:
+                    break
                 m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
                 evals += 1
             else:
@@ -193,8 +241,11 @@ def _minimize_over_class(
                 mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
                 swaps = _swap_candidates(m0.values, pair0.u.values)[:MAX_FIXED_POINT_ITERS - evals]
                 bounds = temple_swap_bounds(m0, pair0, swaps, beta)
+                # the swaps that give a mirror image of m0, which has λ₀
+                mirror = {tuple(d.tolist()) for p in maps
+                          if (d := np.flatnonzero(m0.values[p] != m0.values)).size == 2}
                 for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
-                    if bound < mu_cut:
+                    if bound < mu_cut or (min(i, j), max(i, j)) in mirror:
                         continue  # certified: the swap cannot lower λ₁
                     values = m0.values.copy()
                     values[i], values[j] = values[j], values[i]
@@ -206,6 +257,8 @@ def _minimize_over_class(
                     break
                 evals += t + 1
                 stabilized = False
+                if earlier and _orbit_key(m.values, maps) in earlier:
+                    break
             if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
                 raise DescentError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
             history.append(pair.lambda1)
@@ -215,6 +268,8 @@ def _minimize_over_class(
         if best is None or pair0.lambda1 < best.final.lambda1 * (1.0 - LAMBDA_TIE_RTOL):
             best = OptimizeReport(lambda_history=history, final=pair0, weight=m0,
                                   stabilized=stabilized)
+        if s + 1 < seeds:
+            earlier.update(_orbit_key(np.frombuffer(b), maps) for b in seen)
     assert best is not None
     return best
 

@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 import weightopt.eig
-from weightopt.grid import make_box, make_rectangle
+from weightopt import optimize as opt
+from weightopt.grid import ScalarField, make_box, make_rectangle, unit_scale
 
 
 @pytest.fixture(scope="session")
@@ -137,3 +138,81 @@ def steiner_set_reference(domain, mask):
         first = start + (stop - start - k) // 2
         out[row, first:first + k] = True
     return out
+
+
+def reference_swap_candidates(m, u):
+    """optimize._swap_candidates as one loop per level: the reference for
+    its single sort."""
+    n = m.size
+    cap = n if n <= 64 else (8 if n <= 400 else 2)
+    levels = np.unique(m)[::-1]
+    cells_by_level = {}
+    for v in levels:
+        cells = np.flatnonzero(m == v)
+        cells_by_level[v] = cells[np.argsort(u[cells], kind="stable")]
+    out = []
+    for ia in range(len(levels)):
+        for ib in range(ia + 1, len(levels)):
+            a_cells = cells_by_level[levels[ia]]
+            b_cells = cells_by_level[levels[ib]][::-1]
+            k = min(cap, a_cells.size, b_cells.size)
+            out.extend((int(a_cells[t]), int(b_cells[t])) for t in range(k))
+    return out
+
+
+def reference_minimize_over_class(domain, profile, seeds, rng_seed):
+    """optimize._minimize_over_class without its mirror-image rules: every
+    polish probe the Temple screen passes is solved, and every seed runs to
+    its end.  The reference for the rules' claim that they change only the
+    number of eigensolves.  Every name resolves through weightopt.optimize,
+    so a test that patches one there patches it here too."""
+    beta = opt.second_mu_bound(domain, float(profile[0]))
+    best = None
+    for s in range(seeds):
+        m = m0 = opt.random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        pair = pair0 = opt.principal_positive_eigenvalue(domain, m)
+        evals, history = 1, [pair.lambda1]
+        seen = set()
+        stabilized = False
+        while evals < opt.MAX_FIXED_POINT_ITERS:
+            seen.add(m.values.tobytes())
+            m_next = opt.rearrangement_step(profile, pair.u)
+            u2 = pair.u.values**2
+            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) * domain.cell_area
+                            for w in (m, m_next))
+            if t_new < t_old - opt.DESCENT_RTOL * max(abs(t_old), abs(t_new)):
+                raise opt.DescentError("rearrangement step decreased ∫ m u² dx")
+            stabilized = np.array_equal(m_next.values, m.values)
+            if not stabilized and m_next.values.tobytes() not in seen:
+                m = m_next
+                pair = opt.principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
+                evals += 1
+            else:
+                lam0 = pair0.lambda1
+                mu_cut = (1.0 - opt.LAMBDA_TIE_RTOL) / lam0
+                swaps = opt._swap_candidates(m0.values, pair0.u.values)
+                swaps = swaps[:opt.MAX_FIXED_POINT_ITERS - evals]
+                bounds = opt.temple_swap_bounds(m0, pair0, swaps, beta)
+                for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
+                    if bound < mu_cut:
+                        continue
+                    values = m0.values.copy()
+                    values[i], values[j] = values[j], values[i]
+                    m = ScalarField(domain, values)
+                    pair = opt.principal_positive_eigenvalue(domain, m, u0=pair0.u.values)
+                    if pair.lambda1 < lam0 * (1.0 - opt.LAMBDA_TIE_RTOL):
+                        break
+                else:
+                    break
+                evals += t + 1
+                stabilized = False
+            if pair.lambda1 > history[-1] * (1.0 + opt.DESCENT_RTOL):
+                raise opt.DescentError(
+                    f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
+            history.append(pair.lambda1)
+            if pair.lambda1 < pair0.lambda1:
+                m0, pair0 = m, pair
+        if best is None or pair0.lambda1 < best.final.lambda1 * (1.0 - opt.LAMBDA_TIE_RTOL):
+            best = opt.OptimizeReport(lambda_history=history, final=pair0, weight=m0,
+                                      stabilized=stabilized)
+    return best

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from weightopt import optimize
 from weightopt.cli import run as cli_run
-from weightopt.eig import WeightNotPositiveAnywhere, principal_positive_eigenvalue
+from weightopt.eig import (
+    WeightNotPositiveAnywhere,
+    assemble_stiffness,
+    principal_positive_eigenvalue,
+)
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
     DESCENT_RTOL,
@@ -37,7 +41,7 @@ from weightopt.rearrange import (
 )
 from weightopt.steiner import symmetrize_function, symmetry_defect
 
-from conftest import indicator
+from conftest import indicator, reference_minimize_over_class, reference_swap_candidates
 
 
 def toy_profile(values, counts):
@@ -632,3 +636,177 @@ def test_swap_candidates_cap_per_level_pair(n, cap):
         strongest_b = b_cells[np.argsort(-u[b_cells])][:k]
         assert [s for s in swaps if (values[s[0]], values[s[1]]) == (a, b)] == list(
             zip(weakest_a.tolist(), strongest_b.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 500), levels=st.sets(st.sampled_from([2.0, 1.0, 0.0, -1.0]),
+                                               min_size=1, max_size=4),
+       tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_swap_candidates_match_the_per_level_loop(n, levels, tied, seed):
+    # ties in u, and +0.0 and -0.0 in one level, keep the loop's order
+    rng = np.random.default_rng(seed)
+    m = rng.choice(sorted(levels), n)
+    zero = m == 0
+    m[zero] = np.copysign(0.0, rng.choice([1.0, -1.0], zero.sum()))
+    u = rng.integers(1, 5, n) / 4.0 if tied else rng.random(n) + 0.5
+    swaps = _swap_candidates(m, u)
+    assert swaps == reference_swap_candidates(m, u)
+    assert all(type(c) is int for swap in swaps for c in swap)
+
+
+def _annulus_15():
+    i = np.arange(15) - 7
+    r = np.hypot(i[:, None], i)
+    return from_mask((2.5 <= r) & (r <= 6), 0.1)
+
+
+def _box_8_less_one_cell():
+    # inner cell (0, 1) lies on no center line and no diagonal of the block
+    mask = make_box(1.0, 1.0, 8).mask.copy()
+    mask[1, 2] = False
+    return from_mask(mask, 1 / 9)
+
+
+class TestMirrorMaps:
+    @pytest.mark.parametrize("dom, count", [
+        (make_rectangle(6, 5, 0.5), 3),
+        (make_box(1.0, 1.0, 8), 7),
+        (make_ellipse(13, 11, 0.1, (0.6, 0.5)), 3),
+        (_annulus_15(), 7),
+        (_box_8_less_one_cell(), 0),
+    ], ids=["rect6x5", "box8", "ellipse13x11", "annulus15", "box8-less-one-cell"])
+    def test_maps_leave_the_stiffness_unchanged(self, dom, count):
+        maps = optimize._mirror_maps(dom)
+        assert len(maps) == count
+        A = assemble_stiffness(dom)
+        cells = np.arange(dom.n_cells)
+        for p in maps:
+            assert np.array_equal(np.sort(p), cells)
+            assert not np.array_equal(p, cells)
+            B = A[p][:, p]
+            assert B.shape == A.shape and (B != A).nnz == 0
+
+    def test_key_of_an_orbit(self):
+        dom = make_rectangle(6, 5, 0.5)
+        maps = optimize._mirror_maps(dom)
+        key = optimize._orbit_key
+        # an asymmetric arrangement shares its key, the smallest bytes of its
+        # orbit, with each of its mirror images
+        values = random_arrangement(toy_profile([1.0, -1.0], [5, 25]), dom,
+                                    np.random.default_rng(3)).values
+        orbit = [values, *(values[p] for p in maps)]
+        assert len({v.tobytes() for v in orbit}) == 4
+        assert {key(v, maps) for v in orbit} == {min(v.tobytes() for v in orbit)}
+        # one that equals its mirror image across the vertical center line
+        # (and no other) is keyed by its own bytes, as is its other image
+        grid = np.full((5, 6), -1.0)
+        grid[1, 1] = grid[1, 4] = grid[2, 2] = grid[2, 3] = 1.0
+        sym = grid.ravel()
+        images = [sym[p] for p in maps]
+        assert sum(np.array_equal(v, sym) for v in images) == 1
+        assert {key(v, maps) for v in [sym, *images]} == {v.tobytes() for v in [sym, *images]}
+        assert len({key(v, maps) for v in [sym, *images]}) == 2
+
+
+def test_mirror_probe_is_not_solved(monkeypatch):
+    # a fixed point whose polish round offers two swaps the Temple screen
+    # passes: one whose result is the fixed point's mirror image across the
+    # vertical center line, which is not solved, and one that is not a
+    # mirror image, which is
+    dom = make_rectangle(6, 5, 0.5)
+
+    def cell(row, col):
+        return int(dom.index_map[row + 1, col + 1])
+
+    values = np.full(dom.n_cells, -1.0)
+    values[[cell(2, 2), cell(2, 3), cell(1, 2)]] = 1.0
+    planted = dom.field(values)
+    mirror_swap, other_swap = (cell(1, 2), cell(1, 3)), (cell(1, 2), cell(0, 0))
+    solved = []
+
+    def solve(domain, m, **kwargs):
+        solved.append(m.values.tobytes())
+        return principal_positive_eigenvalue(domain, m, **kwargs)
+
+    monkeypatch.setattr(optimize, "random_arrangement", lambda profile, domain, rng: planted)
+    monkeypatch.setattr(optimize, "rearrangement_step", lambda profile, u: planted)
+    monkeypatch.setattr(optimize, "_swap_candidates", lambda m, u: [mirror_swap, other_swap])
+    monkeypatch.setattr(optimize, "temple_swap_bounds",
+                        lambda m, pair, swaps, beta: np.full(len(swaps), np.inf))
+    monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+    report = optimize._minimize_over_class(dom, np.sort(values)[::-1], 1, 0)
+
+    def swapped(i, j):
+        v = values.copy()
+        v[i], v[j] = v[j], v[i]
+        return v
+
+    assert solved == [values.tobytes(), swapped(*other_swap).tobytes()]
+    assert np.array_equal(swapped(*mirror_swap), values[optimize._mirror_maps(dom)[1]])
+    # the other swap does not lower λ₁, so the round ends the run
+    assert report.lambda_history == [principal_positive_eigenvalue(dom, planted).lambda1]
+
+
+def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
+    # seed 1 starts at the mirror image of seed 0's start, so its first step
+    # lands in the orbit of seed 0's first step and it ends before solving it
+    dom = make_rectangle(6, 5, 0.5)
+    profile = combined_profile(dom, single_class((1.0, 1.0, dom.total_measure / 6)))
+    first = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
+    mirrored = dom.field(first.values[optimize._mirror_maps(dom)[1]])
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(None)
+        return principal_positive_eigenvalue(*args, **kwargs)
+
+    def run(starts):
+        monkeypatch.setattr(optimize, "random_arrangement",
+                            lambda profile, domain, rng: starts.pop(0))
+        solved.clear()
+        return optimize._minimize_over_class(dom, profile, 2 if len(starts) > 1 else 1, 0)
+
+    monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+    alone = run([first])
+    solves_alone = len(solved)
+    both = run([first, mirrored])
+    assert len(alone.lambda_history) > 1
+    assert len(solved) == solves_alone + 1  # seed 1's cold solve only
+    assert same_run(both, alone)
+
+
+def _reports_and_solves(monkeypatch, minimize, dom, profile, rng_seed):
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(None)
+        return principal_positive_eigenvalue(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "principal_positive_eigenvalue", solve)
+        report = minimize(dom, profile, 8, rng_seed)
+    return report, len(solves)
+
+
+@pytest.mark.parametrize("dom, classes, rng_seeds", [
+    (make_rectangle(6, 5, 0.5), lambda dom: [single_class((1.0, 1.0, dom.total_measure / 6))],
+     range(10)),
+    (make_box(1.0, 1.0, 8), remark_classes, [0]),
+    (make_box(1.0, 1.0, 8), lambda dom: [single_class((1.0, 1.0, dom.total_measure / 6))], [0]),
+    (make_ellipse(13, 13, 1 / 12, (0.5, 0.5)), remark_classes, [0]),
+    (make_ellipse(13, 13, 1 / 12, (0.5, 0.5)),
+     lambda dom: [single_class((1.0, 1.0, dom.total_measure / 6))], [0]),
+], ids=["rect6x5", "box8-two", "box8-merged", "disk-two", "disk-merged"])
+def test_mirror_rules_change_only_the_solve_count(monkeypatch, dom, classes, rng_seeds):
+    # with 8 seeds, the report is the one of the loop without the rules
+    profile = combined_profile(dom, *classes(dom))
+    total = total_reference = 0
+    for rng_seed in rng_seeds:
+        report, solves = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
+                                             dom, profile, rng_seed)
+        reference, reference_solves = _reports_and_solves(
+            monkeypatch, reference_minimize_over_class, dom, profile, rng_seed)
+        assert same_run(report, reference), rng_seed
+        assert solves <= reference_solves
+        total, total_reference = total + solves, total_reference + reference_solves
+    assert total < total_reference
