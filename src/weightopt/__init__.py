@@ -5,7 +5,6 @@ the rearrangement calculus and Steiner symmetrization behind it."""
 from .eig import (
     EigenPair,
     NoConvergence,
-    WeightNotPositiveAnywhere,
     assemble_stiffness,
     principal_positive_eigenvalue,
 )
@@ -19,8 +18,6 @@ from .grid import (
     transpose_field,
 )
 from .optimize import (
-    DescentError,
-    MismatchedClassesError,
     OptimizeReport,
     compare_split_vs_merged,
     decompose,
@@ -29,7 +26,6 @@ from .optimize import (
     rearrangement_step,
 )
 from .rearrange import (
-    InfeasibleClassError,
     ResourceClass,
     comonotone,
     decreasing_rearrangement,
@@ -40,7 +36,6 @@ from .rearrange import (
     precedes,
 )
 from .steiner import (
-    SteinerAxisError,
     symmetrize_function,
     symmetrize_set,
     symmetry_defect,
@@ -49,17 +44,12 @@ from .steiner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DescentError",
     "EigenPair",
     "GridDomain",
-    "InfeasibleClassError",
-    "MismatchedClassesError",
     "NoConvergence",
     "OptimizeReport",
     "ResourceClass",
     "ScalarField",
-    "SteinerAxisError",
-    "WeightNotPositiveAnywhere",
     "assemble_stiffness",
     "comonotone",
     "compare_split_vs_merged",

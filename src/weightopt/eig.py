@@ -122,10 +122,6 @@ DENSE_MAX_CELLS = 128
 WARM_NCV = 6
 
 
-class WeightNotPositiveAnywhere(ValueError):
-    """The weight has no in-domain cell with m > 0, so no positive eigenvalue exists."""
-
-
 class NoConvergence(RuntimeError):
     """The eigensolver hit its A-solve cap or returned an unacceptable eigenpair."""
 
@@ -287,14 +283,13 @@ def principal_positive_eigenvalue(
     so repeated runs give identical bits.  Pencils of at most
     ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
 
-    Raises ValueError when m h² overflows on some cell or the in-domain
-    cells are not one 4-connected set, WeightNotPositiveAnywhere when
-    m h² <= 0 on every cell, and NoConvergence when an ARPACK solve needs
-    more than ``EIG_MAX_OUTER`` A-solves (read at call time), LAPACK or
-    ARPACK reports a failure, μ or λ₁ = 1/μ is not a finite double, or the
-    pair (1/μ, |u|) is rejected: |u| vanishes on some cell or misses
-    ``EIG_RESIDUAL_RTOL``, which the |u| of a sign-changing u does (see the
-    module docstring).
+    Raises ValueError when m h² overflows on some cell, m h² <= 0 on every
+    cell or the in-domain cells are not one 4-connected set, and
+    NoConvergence when an ARPACK solve needs more than ``EIG_MAX_OUTER``
+    A-solves (read at call time), LAPACK or ARPACK reports a failure, μ or
+    λ₁ = 1/μ is not a finite double, or the pair (1/μ, |u|) is rejected:
+    |u| vanishes on some cell or misses ``EIG_RESIDUAL_RTOL``, which the |u|
+    of a sign-changing u does (see the module docstring).
     """
     if m.domain is not domain:
         raise ValueError("weight must live on the given domain")
@@ -302,7 +297,7 @@ def principal_positive_eigenvalue(
         raise ValueError("m h² overflows a double on some cell")
     m_diag = m.values * domain.cell_area
     if m_diag.max() <= 0.0:
-        raise WeightNotPositiveAnywhere("need m h² > 0 on at least one in-domain cell")
+        raise ValueError("need m h² > 0 on at least one in-domain cell")
     n = domain.n_cells
     A, W, solve_a = _factored_stiffness(domain)
 

@@ -156,8 +156,6 @@ def make_rectangle(width_cells: int, height_cells: int, h: float) -> GridDomain:
     """
     if width_cells < 3 or height_cells < 3:
         raise ValueError("rectangle needs at least 3x3 cells")
-    if h <= 0:
-        raise ValueError("cell spacing h must be positive")
     mask = np.zeros((height_cells + 2, width_cells + 2), dtype=bool)
     mask[1:-1, 1:-1] = True
     return GridDomain(mask, h)
@@ -176,8 +174,6 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
     a, b = float(semi_axes[0]), float(semi_axes[1])
     if nx < 3 or ny < 3:
         raise ValueError("grid needs at least 3x3 cells")
-    if h <= 0:
-        raise ValueError("cell spacing h must be positive")
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
 
@@ -216,7 +212,7 @@ def from_mask(mask: np.ndarray, h: float) -> GridDomain:
     mask = np.asarray(mask).astype(bool)
     if mask.ndim != 2:
         raise ValueError("mask must be 2D")
-    if mask.shape[0] and (
+    if mask.size and (
         mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any()
     ):
         mask = np.pad(mask, 1, mode="constant", constant_values=False)

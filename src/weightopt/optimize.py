@@ -26,7 +26,6 @@ import numpy as np
 
 from .eig import (
     EigenPair,
-    WeightNotPositiveAnywhere,
     principal_positive_eigenvalue,
     second_mu_bound,
     temple_swap_bounds,
@@ -44,14 +43,6 @@ LAMBDA_TIE_RTOL = 1e-12
 LEVEL_HALF_RTOL = 1e-12
 MAX_FIXED_POINT_ITERS = 500
 DEFAULT_SEEDS = 8
-
-
-class MismatchedClassesError(ValueError):
-    """A weight was split along classes whose parts do not sum to it."""
-
-
-class DescentError(RuntimeError):
-    """The fixed-point iteration increased λ₁ beyond the allowed slack."""
 
 
 @dataclass(frozen=True)
@@ -226,7 +217,7 @@ def _minimize_over_class(
             t_old, t_new = (float(np.ldexp(w.values, -scale) @ u2) * domain.cell_area
                             for w in (m, m_next))
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
-                raise DescentError("rearrangement step decreased ∫ m u² dx")
+                raise RuntimeError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
             if not stabilized and m_next.values.tobytes() not in seen:
                 if earlier and _orbit_key(m_next.values, maps) in earlier:
@@ -260,7 +251,7 @@ def _minimize_over_class(
                 if earlier and _orbit_key(m.values, maps) in earlier:
                     break
             if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
-                raise DescentError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
+                raise RuntimeError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
             history.append(pair.lambda1)
             if pair.lambda1 < pair0.lambda1:
                 m0, pair0 = m, pair
@@ -290,12 +281,11 @@ def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
     is its own generator (q on e, -p elsewhere), for two the levels are
     (q1+q2, the larger-measure resource's maximum plus the other's minimum,
     -(p1+p2)).  A level set that rounds to no cell drops its level.
-    Raises WeightNotPositiveAnywhere unless the profile's top level is
-    positive.
+    Raises ValueError unless the profile's top level is positive.
     """
     profile = ScalarField(domain, _sum_of(_class_generators(domain, *classes))).values
     if profile[0] <= 0:
-        raise WeightNotPositiveAnywhere("the classes' quantized sum is never positive")
+        raise ValueError("the classes' quantized sum is never positive")
     return profile
 
 
@@ -341,11 +331,11 @@ def decompose(weight: ScalarField, *classes: ResourceClass) -> list[ScalarField]
     all parts sit at their maxima where the weight takes its top level and
     at their minima where it takes its bottom level; a part is at its
     maximum on a larger set the larger its class's level-set measure.
-    Raises MismatchedClassesError unless the parts sum to the weight exactly.
+    Raises ValueError unless the parts sum to the weight exactly.
     """
     _, *parts = pair_family([weight, *_class_generators(weight.domain, *classes)])
     if not np.array_equal(_sum_of(parts), weight.values):
-        raise MismatchedClassesError("the classes' parts do not sum to the weight")
+        raise ValueError("the classes' parts do not sum to the weight")
     return parts
 
 

@@ -25,10 +25,6 @@ from .grid import ScalarField
 INTEGRAL_RTOL = 1e-12
 
 
-class InfeasibleClassError(ValueError):
-    """Constraint constants admit no weight, or no positive weight."""
-
-
 def _check_same_domain(f: ScalarField, g: ScalarField) -> None:
     if f.domain is not g.domain:
         raise ValueError("fields must share a domain")
@@ -48,19 +44,19 @@ class ResourceClass:
         upper level set on a space of measure |Omega| = ``omega``.
 
         Feasibility must be strict (-p|Omega| < l < q|Omega|), which makes e
-        land strictly inside (0, |Omega|); InfeasibleClassError otherwise, and
+        land strictly inside (0, |Omega|); ValueError otherwise, and
         when p + q <= 0 or a constant times |Omega| overflows a double.
         """
         if self.p + self.q <= 0:
-            raise InfeasibleClassError("need p + q > 0 for a non-degenerate class")
+            raise ValueError("need p + q > 0 for a non-degenerate class")
         e = (self.p * omega + self.l) / (self.p + self.q)
         if not np.isfinite([self.p * omega, self.q * omega, self.p + self.q, e]).all():
-            raise InfeasibleClassError(
+            raise ValueError(
                 f"constants overflow a double: p={self.p!r}, q={self.q!r}, l={self.l!r} "
                 f"on measure {omega!r}"
             )
         if not (-self.p * omega < self.l < self.q * omega):
-            raise InfeasibleClassError(
+            raise ValueError(
                 f"infeasible constants: need {-self.p * omega} < l={self.l} < {self.q * omega}"
             )
         return e

@@ -14,7 +14,7 @@ consistency cell-exact.
 
 Both need a Steiner-symmetric domain.  ``GridDomain`` checks that once,
 at construction, and sets ``axis`` only then; here a missing axis raises
-:class:`SteinerAxisError`.
+ValueError.
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ from .grid import GridDomain, ScalarField, unit_scale
 DEFECT_FLOOR = 1e-30     # denominator floor of symmetry_defect for f = 0
 
 
-class SteinerAxisError(ValueError):
-    """Domain is not Steiner-symmetric: it has no vertical axis (``axis`` is None)."""
-
-
 def _center2(domain: GridDomain) -> int:
     if domain.axis is None:
-        raise SteinerAxisError("domain is not Steiner-symmetric about its vertical center line")
+        raise ValueError("domain is not Steiner-symmetric about its vertical center line")
     return domain.axis
 
 

@@ -1,16 +1,17 @@
 """The public surface: every exported name resolves, README's library
 example runs as written and its config example loads, every public name
-has a caller in weightopt, every optional parameter is passed by some call
-and every default is taken by some call."""
+has a caller in weightopt, every optional parameter is passed by some call,
+every default is taken by some call and every error class has an exit code."""
 
 import ast
+import importlib
 import json
 import math
 import re
 from pathlib import Path
 
 import weightopt
-from weightopt.cli import RunConfig
+from weightopt.cli import EXIT_CODES, RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(weightopt.__file__).resolve().parent
@@ -176,3 +177,17 @@ def test_power_of_two_scaling_lives_in_grid():
     assert {call for call in calls if not call.startswith("grid.")} == {
         "eig.principal_positive_eigenvalue",  # whether 2^e μ overflows, from μ's exponent
     }
+
+
+def test_every_error_class_has_its_own_exit_code():
+    """An exception class of weightopt exists only if cli.EXIT_CODES names
+    it, so it selects an exit code or stderr label; one that only narrows
+    a builtin base nothing tells apart is that base."""
+    named = {t for types, _, _ in EXIT_CODES
+             for t in (types if isinstance(types, tuple) else (types,))}
+    modules = [importlib.import_module(f"weightopt.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    defined = {obj for module in [weightopt, *modules] for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert sorted(cls.__name__ for cls in defined - named) == []

@@ -16,7 +16,6 @@ from weightopt.eig import (
     EIG_RESIDUAL_RTOL,
     EigenPair,
     NoConvergence,
-    WeightNotPositiveAnywhere,
     assemble_stiffness,
     principal_positive_eigenvalue,
     second_mu_bound,
@@ -204,7 +203,7 @@ class TestPrincipalEigenvalue:
         assert lam_mix > lam_pos
 
     def test_weight_not_positive_anywhere(self, small_rect):
-        with pytest.raises(WeightNotPositiveAnywhere):
+        with pytest.raises(ValueError, match="need m h² > 0 on at least one"):
             principal_positive_eigenvalue(small_rect, small_rect.constant_field(-1.0))
 
     @pytest.mark.parametrize("name", SPLIT_MASKS)

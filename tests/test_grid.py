@@ -32,16 +32,34 @@ def test_rectangle_minimum_size():
 @pytest.mark.parametrize("build, match", [
     (lambda: GridDomain(np.ones((3, 3, 3), dtype=bool), 1.0), "2D"),
     (lambda: from_mask(np.ones(4, dtype=bool), 1.0), "2D"),
+    (lambda: from_mask(np.zeros((5, 0), dtype=bool), 1.0), "no in-domain cells"),
+    (lambda: from_mask(np.zeros((0, 5), dtype=bool), 1.0), "no in-domain cells"),
+    (lambda: from_mask(np.zeros((0, 0), dtype=bool), 1.0), "no in-domain cells"),
     (lambda: make_rectangle(3, 3, 1.0).subset_cells(np.ones((4, 4), dtype=bool)), "shape"),
     (lambda: make_rectangle(3, 3, 1.0).cells_to_mask(np.ones(8, dtype=bool)), "one entry"),
     (lambda: make_ellipse(2, 5, 1.0, (1.0, 1.0)), "3x3"),
-    (lambda: make_ellipse(5, 5, 0.0, (1.0, 1.0)), "positive"),
+    (lambda: make_ellipse(5, 5, 0.0, (1.0, 1.0)), "need h > 0"),
+    (lambda: make_ellipse(4, 4, -1.0, (0.5, 0.5)), "no cell centers"),
     (lambda: make_box(1.0, 1.0, 3), "at least 4"),
-], ids=["domain-mask-3d", "from-mask-1d", "subset-of-another-grid", "selector-too-short",
-        "ellipse-grid-too-small", "ellipse-spacing-zero", "box-resolution-3"])
+], ids=["domain-mask-3d", "from-mask-1d", "from-mask-5x0", "from-mask-0x5", "from-mask-0x0",
+        "subset-of-another-grid", "selector-too-short", "ellipse-grid-too-small",
+        "ellipse-spacing-zero", "ellipse-without-centers-at-negative-spacing",
+        "box-resolution-3"])
 def test_guards_reject_bad_input(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, -0.1])
+@pytest.mark.parametrize("build", [lambda h: make_rectangle(3, 3, h),
+                                   lambda h: make_ellipse(5, 5, h, (1.0, 1.0))],
+                         ids=["rectangle", "ellipse"])
+def test_constructors_leave_the_spacing_rule_to_the_domain(build, h):
+    # GridDomain owns the rule; at h = 0 and -0.1 every ellipse cell is
+    # inside, so the mask also touches the grid edge, which is checked later
+    with pytest.raises(ValueError,
+                       match=r"cell spacing h = .*: need h > 0 with h² > 0 and finite"):
+        build(h)
 
 
 def test_rectangle_padding_and_axis():
