@@ -168,8 +168,10 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
     inside belong to the domain, and a center on the ellipse within a
     relative 1e-12 (float rounding) counts as outside.  The inclusion test
     is evaluated through the integer offsets 2*i+1-nx, so the mask is
-    exactly symmetric under both center-line reflections.  An ellipse that
-    reaches the grid's outer ring is rejected by GridDomain.
+    exactly symmetric under both center-line reflections.  GridDomain
+    rejects an ellipse that reaches the grid's outer ring and every h its
+    spacing rule rejects, except a negative h with no cell center inside
+    at |h|, which is reported as an empty ellipse.
     """
     a, b = float(semi_axes[0]), float(semi_axes[1])
     if nx < 3 or ny < 3:
@@ -182,8 +184,12 @@ def make_ellipse(nx: int, ny: int, h: float, semi_axes: tuple[float, float]) -> 
     # offsets of cell centers from the grid center, in units of h/2
     u = 2 * i + 1 - nx
     v = 2 * j + 1 - ny
-    mask = (u * h / (2 * a)) ** 2 + (v * h / (2 * b)) ** 2 < 1.0 - 1e-12
-    if not mask.any():
+    # where h is not finite or a square overflows, r2 says nothing about
+    # the centers: GridDomain, which owns the spacing rule, judges h first
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = (u * h / (2 * a)) ** 2 + (v * h / (2 * b)) ** 2
+    mask = r2 < 1.0 - 1e-12
+    if not mask.any() and np.isfinite(r2).all():
         raise ValueError("ellipse contains no cell centers at this resolution")
     return GridDomain(mask, h)
 

@@ -61,6 +61,12 @@ def read_field_csv(path: str | Path, domain: GridDomain | None = None) -> Scalar
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+# the decimal text of each 8-bit sample, looked up by value: one fancy
+# index formats a whole image, about 5x faster than str() per sample
+_PGM_SAMPLES = np.array([str(v) for v in range(256)], dtype=object)
+_PGM_SAMPLES.setflags(write=False)
+
+
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
     """Write a 2D uint8 array as ASCII PGM (P2)."""
     image = np.asarray(image)
@@ -71,7 +77,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
             raise ValueError("PGM values must be in [0, 255]")
         image = image.astype(np.uint8)
     ny, nx = image.shape
-    rows = [" ".join(map(str, row)) for row in image.tolist()]
+    rows = map(" ".join, _PGM_SAMPLES[image].tolist())
     Path(path).write_text(f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n")
 
 

@@ -40,11 +40,13 @@ def test_rectangle_minimum_size():
     (lambda: make_ellipse(2, 5, 1.0, (1.0, 1.0)), "3x3"),
     (lambda: make_ellipse(5, 5, 0.0, (1.0, 1.0)), "need h > 0"),
     (lambda: make_ellipse(4, 4, -1.0, (0.5, 0.5)), "no cell centers"),
+    (lambda: make_ellipse(5, 5, np.inf, (1.0, 1.0)), r"cell spacing h = inf: need h > 0"),
+    (lambda: make_ellipse(5, 5, np.nan, (1.0, 1.0)), r"cell spacing h = nan: need h > 0"),
     (lambda: make_box(1.0, 1.0, 3), "at least 4"),
 ], ids=["domain-mask-3d", "from-mask-1d", "from-mask-5x0", "from-mask-0x5", "from-mask-0x0",
         "subset-of-another-grid", "selector-too-short", "ellipse-grid-too-small",
         "ellipse-spacing-zero", "ellipse-without-centers-at-negative-spacing",
-        "box-resolution-3"])
+        "ellipse-spacing-inf", "ellipse-spacing-nan", "box-resolution-3"])
 def test_guards_reject_bad_input(build, match):
     with pytest.raises(ValueError, match=match):
         build()

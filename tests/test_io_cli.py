@@ -104,6 +104,21 @@ def test_writer_bytes_match_per_element_formula(tmp_path):
     assert np.array_equal(read_pgm(q), img)
 
 
+@pytest.mark.parametrize("image", [
+    np.arange(256, dtype=np.uint8).reshape(16, 16),
+    np.random.default_rng(3).integers(0, 256, (49, 49), dtype=np.uint8),
+    np.random.default_rng(4).uniform(0, 255, (34, 34)),  # truncated to uint8
+], ids=["every-sample", "random-49x49", "float-34x34"])
+def test_pgm_bytes_match_per_sample_str(tmp_path, image):
+    # the samples' text comes from a lookup table; it must equal str() of
+    # each uint8 sample, joined by spaces and newlines
+    write_pgm(tmp_path / "img.pgm", image)
+    rows = [" ".join(map(str, row)) for row in image.astype(np.uint8).tolist()]
+    ny, nx = image.shape
+    expected = f"P2\n{nx} {ny}\n255\n" + "\n".join(rows) + "\n"
+    assert (tmp_path / "img.pgm").read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("image", [np.zeros(4, dtype=np.uint8), np.array([[0, 256]]),
                                    np.array([[-1, 0]])], ids=["1d", "above-255", "negative"])
 def test_write_pgm_rejects_what_no_pgm_holds(tmp_path, image):
@@ -413,6 +428,60 @@ def test_optimize2_levels_follow_the_classes(tmp_path, pair, empty):
     assert results["realized_integrals"] == [
         q * k * area - p * (omega - k * area) for p, q, k in ((p1, q1, k1), (p2, q2, k2))
     ]
+
+
+# the 17 x 17 grid of `--grid 16` holds 193 disk cells, above
+# DENSE_MAX_CELLS, so both symmetrize solves run ARPACK
+SYM_DISK = {"task": "symmetrize",
+            "domain": {"shape": "ellipse", "nx": 17, "ny": 17, "h": 1 / 16,
+                       "semi_axes": [0.5, 0.5]},
+            "weight": {"kind": "bang_bang", "m1": 1.0, "m2": 1.0, "m3": math.pi / 24}}
+
+
+class TestSymmetrizeWarmStart:
+    def _run(self, tmp_path, seed=0):
+        p = write_config(tmp_path / "c.json", **SYM_DISK)
+        return run(p, seed=seed)
+
+    def test_symmetrized_solve_starts_from_the_input_eigenfunction(self, tmp_path,
+                                                                   monkeypatch):
+        assert make_ellipse(17, 17, 1 / 16, (0.5, 0.5)).n_cells > weightopt.eig.DENSE_MAX_CELLS
+        calls = []
+
+        def recording(domain, m, **kwargs):
+            pair = weightopt.eig.principal_positive_eigenvalue(domain, m, **kwargs)
+            calls.append((kwargs, pair))
+            return pair
+
+        monkeypatch.setattr("weightopt.cli.principal_positive_eigenvalue", recording)
+        assert self._run(tmp_path) == 0
+        (cold, before), (warm, _) = calls
+        assert cold == {}
+        assert list(warm) == ["u0"] and warm["u0"] is before.u.values
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lambda_after_matches_a_cold_solve(self, tmp_path, seed):
+        assert self._run(tmp_path, seed) == 0
+        out = tmp_path / "out"
+        results = json.loads((out / "results.json").read_text())
+        domain = make_ellipse(17, 17, 1 / 16, (0.5, 0.5))
+        m_sym = read_field_csv(out / "weight.csv", domain)
+        cold = weightopt.eig.principal_positive_eigenvalue(domain, m_sym)
+        assert results["lambda_after"] == pytest.approx(cold.lambda1, rel=1e-13, abs=0)
+        assert results["lambda_after"] <= results["lambda_before"]
+        u = read_field_csv(out / "eigenfunction.csv", domain).values
+        assert np.abs(u - cold.u.values).max() <= 1e-10 * cold.u.values.max()
+
+    def test_failed_warm_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        def warm_fails(domain, m, **kwargs):
+            if "u0" in kwargs:
+                raise weightopt.eig.NoConvergence("warm solve refused")
+            return weightopt.eig.principal_positive_eigenvalue(domain, m, **kwargs)
+
+        monkeypatch.setattr("weightopt.cli.principal_positive_eigenvalue", warm_fails)
+        assert self._run(tmp_path) == 3
+        assert capsys.readouterr().err == "no convergence: warm solve refused\n"
+        assert not (tmp_path / "out").exists()
 
 
 def annulus_config(tmp_path: Path, task: str, **fields) -> Path:
