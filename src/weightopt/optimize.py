@@ -10,11 +10,14 @@ stabilizes or cycles.  At a fixed point or a cycle a greedy one-swap polish
 around the best iterate looks for a lower λ₁; a descent step and an
 accepted swap are the same move of one loop, so descent resumes from it.
 
-Multi-start over random initial arrangements guards against local minima.
-The grid's reflections and rotations that map the domain onto itself leave
-λ₁ unchanged, so a polish probe that is a mirror image of the best iterate
-is not solved, and a later start ends once its next iterate is in the
-mirror orbit of an earlier start's iterate.
+Several starts guard against local minima.  Each pairs the profile with
+ũ = A⁻¹(w - min w) of a random arrangement w, one A-solve: a comonotone
+step like every later one, where a cold eigensolve of the scattered w would
+only rank the cells.  The λ₁ history begins at that start, and every later
+move can only lower it.  The grid's reflections and rotations that map the
+domain onto itself leave λ₁ unchanged, so a polish probe that is a mirror
+image of the best iterate is not solved, and a later start ends once its
+start or next iterate is in the mirror orbit of an earlier start's iterate.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .eig import (
     EigenPair,
+    _factored_stiffness,
     principal_positive_eigenvalue,
     second_mu_bound,
     temple_swap_bounds,
@@ -165,13 +169,15 @@ def _minimize_over_class(
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
-    Per seed, one loop of moves.  Each pass takes the comonotone step from
-    the current eigenfunction.  A new arrangement is solved: that is a
-    descent move.  A fixed point or a cycle instead runs one greedy one-swap
-    polish round around the seed's best iterate, and the first swap that
-    strictly lowers λ₁ is the move; descent resumes from it.  A round with
-    no such swap ends the seed.  Every eigensolve counts against
-    MAX_FIXED_POINT_ITERS.
+    Seed s starts at the profile ranked by ũ = A⁻¹(w - min w) of its random
+    arrangement w, scaled by the profile's power of two, ties by cell index
+    (ũ need not be positive), and solves that start cold.  Then one loop of
+    moves.  Each pass takes the comonotone step from the current
+    eigenfunction.  A new arrangement is solved: that is a descent move.  A
+    fixed point or a cycle instead runs one greedy one-swap polish round
+    around the seed's best iterate, and the first swap that strictly lowers
+    λ₁ is the move; descent resumes from it.  A round with no such swap ends
+    the seed.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
 
     Every polish probe, a ``_swap_candidates`` swap of the best iterate, is
     first screened by Temple's bound: one ``temple_swap_bounds`` call per
@@ -186,7 +192,7 @@ def _minimize_over_class(
     rules.  A probe whose swapped arrangement is a mirror image of the best
     iterate has its λ₁ exactly, so it cannot lower λ₁: it is certified like
     a screened probe, without an eigensolve.  A later seed ends as soon as
-    its next iterate, checked before its descent solve or after its
+    its start or next iterate, checked before its solve or after its
     accepted swap, has the ``_orbit_key`` of an earlier seed's iterate:
     from there it would only retrace a descent that did not beat the
     winner, and the tie rule keeps the winner.
@@ -198,12 +204,17 @@ def _minimize_over_class(
     # every arrangement has the profile's max |m|, so one power of two
     # scales all of them as grid.unit_scale scales each
     scale = unit_scale(profile)[1]
+    solve_a = _factored_stiffness(domain)[2]
     maps = _mirror_maps(domain)
     earlier: set[bytes] = set()  # orbit keys of the earlier seeds' iterates
 
     best: OptimizeReport | None = None
     for s in range(seeds):
-        m = m0 = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        r = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        w = np.ldexp(r.values, -scale)
+        m = m0 = hl_pairing(domain.field(solve_a(w - w.min())), domain.field(profile))
+        if earlier and _orbit_key(m.values, maps) in earlier:
+            continue
         pair = pair0 = principal_positive_eigenvalue(domain, m)
         evals, history = 1, [pair.lambda1]
         seen: set[bytes] = set()
@@ -300,7 +311,7 @@ def optimize_single(
 
     The optimum is bang-bang, m1 on a set E of measure (m2|Ω|+m3)/(m1+m2)
     and -m2 elsewhere, reached by the fixed-point iteration from `seeds`
-    random starting sets.
+    smoothed random starting sets.
     """
     profile = combined_profile(domain, single_class(constants))
     return _minimize_over_class(domain, profile, seeds, rng_seed)

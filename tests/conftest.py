@@ -167,9 +167,12 @@ def reference_minimize_over_class(domain, profile, seeds, rng_seed):
     number of eigensolves.  Every name resolves through weightopt.optimize,
     so a test that patches one there patches it here too."""
     beta = opt.second_mu_bound(domain, float(profile[0]))
+    solve_a = opt._factored_stiffness(domain)[2]
     best = None
     for s in range(seeds):
-        m = m0 = opt.random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        r = opt.random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        w = unit_scale(r.values)[0]
+        m = m0 = opt.hl_pairing(domain.field(solve_a(w - w.min())), domain.field(profile))
         pair = pair0 = opt.principal_positive_eigenvalue(domain, m)
         evals, history = 1, [pair.lambda1]
         seen = set()

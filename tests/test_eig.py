@@ -482,7 +482,7 @@ class TestPrincipalEigenvalue:
     def test_warm_residual_keeps_its_margin(self, monkeypatch):
         # a warm solve stops at a Ritz estimate 1000x below the checked
         # residual; every warm residual of these optimizer runs stays 20x
-        # below it (3.4e-10; a stop at 100x read 2.1e-9)
+        # below it (3.6e-10; a stop at 100x read 6.8e-10)
         residuals = []
 
         def recording(domain, m, *, u0=None, **kwargs):
@@ -494,7 +494,7 @@ class TestPrincipalEigenvalue:
         monkeypatch.setattr(weightopt.optimize, "principal_positive_eigenvalue", recording)
         for dom in (make_box(1.0, 1.0, 32), make_ellipse(41, 41, 1 / 40, (0.5, 0.5))):
             omega = dom.total_measure
-            for rng_seed in (0, 1):
+            for rng_seed in range(5):
                 optimize_two(dom, ResourceClass(0.0, 1.0, 2 * omega / 3),
                              ResourceClass(1.0, 0.0, -omega / 2), seeds=2, rng_seed=rng_seed)
                 optimize_single(dom, (1.0, 1.0, omega / 6), seeds=2, rng_seed=rng_seed)
@@ -817,7 +817,7 @@ class TestTempleSwapBound:
         dom = make_rectangle(20, 20, 0.05)
         report = optimize_single(dom, (1.0, 1.0, -0.9), seeds=1)
         beta = second_mu_bound(dom, 1.0)
-        assert report.final.lambda1 == pytest.approx(159.3257, rel=1e-6)
+        assert report.final.lambda1 == pytest.approx(154.38264, rel=1e-6)
         assert beta == pytest.approx(0.02248, rel=1e-3)
         assert 1.0 / report.final.lambda1 < beta
         swaps = _swap_candidates(report.weight.values, report.final.u.values)

@@ -159,24 +159,30 @@ class TestOptimizeSingle:
         assert better.weight.values.tobytes() != first.weight.values.tobytes()
 
     def test_cycle_polishes_and_ends(self, monkeypatch):
-        # the step alternates between seed 0's start A and another
-        # arrangement B, so the second step closes a cycle A -> B -> A
+        # the step alternates between another arrangement B and seed 0's
+        # start A, the first weight solved, so the second step closes a
+        # cycle A -> B -> A
         dom = make_rectangle(6, 5, 0.5)
         consts = (1.0, 1.0, dom.total_measure / 3.0)
         profile = combined_profile(dom, single_class(consts))
-        a = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
         b = random_arrangement(profile, dom, np.random.default_rng([0, 1]))
-        assert not np.array_equal(a.values, b.values)
-        steps = []
+        solved, steps = [], []
+
+        def solve(domain, m, **kwargs):
+            solved.append(m)
+            return principal_positive_eigenvalue(domain, m, **kwargs)
 
         def step(profile, u):
             steps.append(None)
-            return b if len(steps) % 2 else a
+            return b if len(steps) % 2 else solved[0]
 
         # an arbitrary step may lower ∫ m u² and raise λ₁
         monkeypatch.setattr(optimize, "DESCENT_RTOL", 1e3)
         monkeypatch.setattr(optimize, "rearrangement_step", step)
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
         report = optimize_single(dom, consts, seeds=1)
+        a = solved[0]
+        assert not np.array_equal(a.values, b.values)
         pair_a = principal_positive_eigenvalue(dom, a)
         lam_b = principal_positive_eigenvalue(dom, b, u0=pair_a.u.values).lambda1
         assert report.lambda_history[:2] == [pair_a.lambda1, lam_b]
@@ -192,6 +198,92 @@ def remark_classes(dom):
     omega = dom.total_measure
     return (ResourceClass(0.0, 1.0, 2 * omega / 3),
             ResourceClass(1.0, 0.0, -omega / 2))
+
+
+class TestSmoothedStart:
+    """Each seed starts at the profile paired with ũ = A⁻¹(w - min w) of its
+    random arrangement w, scaled by the profile's power of two, and solves
+    that start first."""
+
+    @pytest.mark.parametrize("dom, classes, seeds", [
+        (make_rectangle(6, 5, 0.5),
+         lambda dom: [single_class((1.0, 1.0, dom.total_measure / 6))], 8),
+        (make_box(1.0, 1.0, 16), remark_classes, 4),
+        (make_ellipse(13, 13, 1 / 12, (0.5, 0.5)), remark_classes, 4),
+    ], ids=["rect6x5", "box16-two", "disk-two"])
+    def test_no_solved_weight_is_a_random_arrangement(self, monkeypatch, dom, classes, seeds):
+        arrangements, solved = [], []
+
+        def arrangement(*args):
+            r = random_arrangement(*args)
+            arrangements.append(r.values.tobytes())
+            return r
+
+        def solve(domain, m, **kwargs):
+            solved.append(m.values.tobytes())
+            return principal_positive_eigenvalue(domain, m, **kwargs)
+
+        monkeypatch.setattr(optimize, "random_arrangement", arrangement)
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+        optimize._minimize_over_class(dom, combined_profile(dom, *classes(dom)), seeds, 0)
+        assert len(arrangements) == seeds and len(solved) > seeds
+        assert not set(arrangements) & set(solved)
+
+    def test_one_level_class_starts_at_its_arrangement(self, monkeypatch):
+        # e rounds to no cell, so every cell takes -m2 = 0.5: ũ = 0, and the
+        # start is the one arrangement of the class
+        dom = make_rectangle(6, 5, 0.5)
+        solved = []
+
+        def solve(domain, m, **kwargs):
+            solved.append(m.values.tobytes())
+            return principal_positive_eigenvalue(domain, m, **kwargs)
+
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+        report = optimize_single(dom, (1.0, -0.5, 3.76), seeds=2)
+        assert solved[0] == np.full(dom.n_cells, 0.5).tobytes()
+        assert report.lambda_history == [principal_positive_eigenvalue(
+            dom, dom.constant_field(0.5)).lambda1]
+
+    def test_smoothing_with_zero_cells(self, monkeypatch):
+        # on the 3 x 1500 rectangle A⁻¹ of one favourable cell underflows to
+        # 0 on most cells, which rearrangement_step would reject; the start
+        # ranks those ties by cell index instead
+        dom = make_rectangle(1500, 3, 0.01)
+        consts = (1.0, 1.0, 2 * dom.cell_area - dom.total_measure)  # one favourable cell
+        smoothed = []
+        factored = optimize._factored_stiffness
+
+        def recording(domain):
+            A, W, solve = factored(domain)
+
+            def smooth(x):
+                smoothed.append(solve(x))
+                return smoothed[-1]
+            return A, W, smooth
+
+        monkeypatch.setattr(optimize, "_factored_stiffness", recording)
+        report = optimize_single(dom, consts, seeds=2)
+        assert len(smoothed) == 2
+        assert all((u <= 0).sum() > dom.n_cells // 10 for u in smoothed)
+        profile = combined_profile(dom, single_class(consts))
+        with pytest.raises(ValueError, match="must be positive"):
+            rearrangement_step(profile, dom.field(smoothed[0]))
+        assert (report.weight.values == 1.0).sum() == 1
+        assert report.final.lambda1 == pytest.approx(
+            principal_positive_eigenvalue(dom, report.weight).lambda1, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, 1020])
+    def test_weight_times_power_of_two(self, k):
+        # the start is ranked by ũ of the arrangement scaled into [1/2, 1),
+        # so a profile 2^k times as large, up to 1.1e307, has the same run to
+        # the bit, with no overflow and no warning
+        dom = make_rectangle(20, 20, 0.05)
+        profile = combined_profile(dom, single_class((1.0, 1.0, 0.0)))
+        base = optimize._minimize_over_class(dom, profile, 2, 0)
+        scaled = optimize._minimize_over_class(dom, np.ldexp(profile, k), 2, 0)
+        assert scaled.weight.values.tobytes() == np.ldexp(base.weight.values, k).tobytes()
+        assert scaled.lambda_history == np.ldexp(base.lambda_history, -k).tolist()
 
 
 def test_level_set_rounding_ignores_float_noise():
@@ -479,23 +571,25 @@ class TestDescentGuards:
     """Both descent guards of the fixed-point loop, each tripped by a
     planted fault at the real DESCENT_RTOL.  Each test matches its guard's
     message, so it fails if that guard is deleted, even where the other
-    guard would catch the fault later."""
+    guard would catch the fault later.  The class (1, 1, 0) on the 6 x 5
+    rectangle is one whose first seed starts off a fixed point, so its
+    second solve is a descent solve."""
 
     def test_step_that_lowers_the_hardy_littlewood_integral(self, small_rect, monkeypatch):
         monkeypatch.setattr(optimize, "rearrangement_step", anti_comonotone_step)
         with pytest.raises(RuntimeError, match="rearrangement step decreased"):
-            optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+            optimize_single(small_rect, (1.0, 1.0, 0.0), seeds=2)
 
     def test_solve_whose_lambda_rises(self, small_rect, monkeypatch):
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue",
                             rising_solve(2 * DESCENT_RTOL))
         with pytest.raises(RuntimeError, match="lambda increased"):
-            optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+            optimize_single(small_rect, (1.0, 1.0, 0.0), seeds=2)
 
     def test_rise_within_the_tolerance_passes(self, small_rect, monkeypatch):
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue",
                             rising_solve(DESCENT_RTOL / 2))
-        report = optimize_single(small_rect, (1.0, 1.0, 1.25), seeds=2)
+        report = optimize_single(small_rect, (1.0, 1.0, 0.0), seeds=2)
         assert len(report.lambda_history) > 1
 
     @pytest.mark.parametrize("name, fault, message", [
@@ -508,7 +602,7 @@ class TestDescentGuards:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({
             "task": "optimize", "domain": {"shape": "rectangle", "nx": 6, "ny": 5, "h": 0.5},
-            "single_class": {"m1": 1.0, "m2": 1.0, "m3": 1.25}, "seeds": 2,
+            "single_class": {"m1": 1.0, "m2": 1.0, "m3": 0.0}, "seeds": 2,
             "output_dir": str(tmp_path / "out")}))
         assert cli_run(config) == 4
         err = capsys.readouterr().err
@@ -741,8 +835,10 @@ def test_mirror_probe_is_not_solved(monkeypatch):
 
 
 def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
-    # seed 1 starts at the mirror image of seed 0's start, so its first step
-    # lands in the orbit of seed 0's first step and it ends before solving it
+    # seed 1's random arrangement is the mirror image of seed 0's; A commutes
+    # with the mirror maps, so seed 1's start, ranked by one A-solve of that
+    # arrangement, lands in the orbit of seed 0's start, and seed 1 ends
+    # before its first solve
     dom = make_rectangle(6, 5, 0.5)
     profile = combined_profile(dom, single_class((1.0, 1.0, dom.total_measure / 6)))
     first = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
@@ -764,7 +860,7 @@ def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
     solves_alone = len(solved)
     both = run([first, mirrored])
     assert len(alone.lambda_history) > 1
-    assert len(solved) == solves_alone + 1  # seed 1's cold solve only
+    assert len(solved) == solves_alone  # seed 1 solves nothing
     assert same_run(both, alone)
 
 
