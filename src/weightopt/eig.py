@@ -27,13 +27,13 @@ second order.
 A cold solve starts from all ones with ARPACK's default 20-vector basis and
 runs to machine precision.  A warm solve starts from a nearby eigenfunction
 with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
-below ``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm
-than the checked residual ‖Au - λMu‖/‖Au‖, and the factor 1000 keeps the
-checked residuals of optimizer runs below 1/20 of the bound (100 left 1/4).
-In the optimizer, where nearly every solve is warm, a warm start halves
-the A-solves.  The CLI's ``symmetrize`` task solves its input weight cold
-and the symmetrized weight warm from the input's eigenfunction: 21 and 13
-A-solves on the 48-grid disk.
+below ``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm than
+the checked residual ‖Au - λMu‖/‖Au‖.  In optimizer runs the factor 1000
+keeps the checked residuals within 1/70 of the bound, 1/28 without the
+starts' ranking moves; a stop at 100 reads the same bits with the moves and
+1/15 without them.  A warm start halves the A-solves.  The CLI's
+``symmetrize`` task solves its input weight cold and the symmetrized weight
+warm from the input's eigenfunction: 21 and 13 A-solves on the 48-grid disk.
 
 The cache entry is one of three kinds.  Pencils of at most
 ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead: their entry

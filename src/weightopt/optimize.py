@@ -11,10 +11,12 @@ around the best iterate looks for a lower λ₁; a descent step and an
 accepted swap are the same move of one loop, so descent resumes from it.
 
 Several starts guard against local minima.  Each pairs the profile with
-ũ = A⁻¹(w - min w) of a random arrangement w, one A-solve: a comonotone
-step like every later one, where a cold eigensolve of the scattered w would
-only rank the cells.  The λ₁ history begins at that start, and every later
-move can only lower it.  The grid's reflections and rotations that map the
+ũ = A⁻¹(w - min w) of a random arrangement w, one A-solve, where a cold
+eigensolve of the scattered w would only rank the cells.  A step reads only
+the order of u's values, so a start's first moves rank the cells by a few
+inverse-iteration steps with the cached factor of A, not by eigensolves.
+The λ₁ history begins at the first solved arrangement, and every later move
+can only lower it.  The grid's reflections and rotations that map the
 domain onto itself leave λ₁ unchanged, so a polish probe that is a mirror
 image of the best iterate is not solved, and a later start ends once its
 start or next iterate is in the mirror orbit of an earlier start's iterate.
@@ -46,6 +48,8 @@ LAMBDA_TIE_RTOL = 1e-12
 # that half-integer, so its cell count does not follow float noise
 LEVEL_HALF_RTOL = 1e-12
 MAX_FIXED_POINT_ITERS = 500
+# inverse-iteration steps per cheap ranking move of an optimizer start
+RANK_SOLVES = 8
 DEFAULT_SEEDS = 8
 
 
@@ -170,23 +174,26 @@ def _minimize_over_class(
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
     Seed s starts at the profile ranked by ũ = A⁻¹(w - min w) of its random
-    arrangement w, scaled by the profile's power of two, ties by cell index
-    (ũ need not be positive), and solves that start cold.  Then one loop of
-    moves.  Each pass takes the comonotone step from the current
-    eigenfunction.  A new arrangement is solved: that is a descent move.  A
-    fixed point or a cycle instead runs one greedy one-swap polish round
-    around the seed's best iterate, and the first swap that strictly lowers
-    λ₁ is the move; descent resumes from it.  A round with no such swap ends
-    the seed.  Every eigensolve counts against MAX_FIXED_POINT_ITERS.
+    arrangement w, scaled by the profile's power of two, ties by cell index (ũ
+    need not be positive).  If ũ > 0, cheap moves follow: each takes
+    RANK_SOLVES steps v <- A⁻¹(m ⊙ v) from the last v, each divided by max |v|,
+    and ranks the cells by v.  They end at the first ranking that repeats, or
+    at a step that leaves a cell of v <= 0: there A⁻¹M's most negative
+    eigenvalue outweighs 1/λ₁, so v need not approach u.  The last ranking is
+    solved, warm from the last v that passed or else cold.  The λ₁ history
+    starts at that solve, so descent holds as before.  Then one loop of moves.
+    Each pass takes the comonotone step from the current eigenfunction.  A new
+    arrangement is solved: that is a descent move.  A fixed point or a cycle
+    instead runs one greedy one-swap polish round around the seed's best
+    iterate, and the first swap that strictly lowers λ₁ is the move; descent
+    resumes from it.  A round with no such swap ends the seed.  Every
+    eigensolve counts against MAX_FIXED_POINT_ITERS.
 
     Every polish probe, a ``_swap_candidates`` swap of the best iterate, is
-    first screened by Temple's bound: one ``temple_swap_bounds`` call per
-    polish round bounds all its candidates with two block solves with the
-    cached factor of A, on every pencil size.  A swap whose bound on 1/λ₁
-    lies below 1/λ₀ by the tie tolerance cannot lower λ₁ and is rejected
-    without an eigensolve.
-    A screened probe counts against the cap like a solved one, so the screen
-    changes no result, only the number of eigensolves.
+    first screened: one ``temple_swap_bounds`` call per round bounds all its
+    candidates with two block solves.  A swap whose bound on 1/λ₁ lies below
+    1/λ₀ by the tie tolerance cannot lower λ₁; it is rejected without an
+    eigensolve but counts against the cap, so the screen changes no result.
 
     The ``_mirror_maps`` of the domain, computed once per call, add two
     rules.  A probe whose swapped arrangement is a mirror image of the best
@@ -212,11 +219,24 @@ def _minimize_over_class(
     for s in range(seeds):
         r = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
         w = np.ldexp(r.values, -scale)
-        m = m0 = hl_pairing(domain.field(solve_a(w - w.min())), domain.field(profile))
+        v = solve_a(w - w.min())
+        m = hl_pairing(domain.field(v), domain.field(profile))
+        u0, ranked = None, set()
+        while (RANK_SOLVES and v.min() > 0 and len(ranked) < MAX_FIXED_POINT_ITERS
+               and (key := m.values.tobytes()) not in ranked):
+            ranked.add(key)
+            w = np.ldexp(m.values, -scale)
+            for _ in range(RANK_SOLVES):
+                v = solve_a(w * v)
+                v = v / np.abs(v).max()
+                if not v.min() > 0:
+                    break
+            else:
+                u0, m = v, rearrangement_step(profile, domain.field(v))
         if earlier and _orbit_key(m.values, maps) in earlier:
             continue
-        pair = pair0 = principal_positive_eigenvalue(domain, m)
-        evals, history = 1, [pair.lambda1]
+        pair = pair0 = principal_positive_eigenvalue(domain, m, u0=u0)
+        m0, evals, history = m, 1, [pair.lambda1]
         seen: set[bytes] = set()
         stabilized = False
         while evals < MAX_FIXED_POINT_ITERS:

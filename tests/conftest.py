@@ -163,17 +163,36 @@ def reference_swap_candidates(m, u):
 def reference_minimize_over_class(domain, profile, seeds, rng_seed):
     """optimize._minimize_over_class without its mirror-image rules: every
     polish probe the Temple screen passes is solved, and every seed runs to
-    its end.  The reference for the rules' claim that they change only the
-    number of eigensolves.  Every name resolves through weightopt.optimize,
-    so a test that patches one there patches it here too."""
+    its end.  Each seed takes the same start: the cheap ranking moves, each
+    of opt.RANK_SOLVES inverse-iteration steps, end at a repeated ranking or
+    at a move with a step that leaves a cell of v <= 0.  The reference for
+    the rules' claim that they change only the number of eigensolves.  Every
+    name resolves through weightopt.optimize, so a test that patches one
+    there patches it here too."""
     beta = opt.second_mu_bound(domain, float(profile[0]))
     solve_a = opt._factored_stiffness(domain)[2]
     best = None
     for s in range(seeds):
         r = opt.random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
         w = unit_scale(r.values)[0]
-        m = m0 = opt.hl_pairing(domain.field(solve_a(w - w.min())), domain.field(profile))
-        pair = pair0 = opt.principal_positive_eigenvalue(domain, m)
+        v = solve_a(w - w.min())
+        m = opt.hl_pairing(domain.field(v), domain.field(profile))
+        u0, ranked = None, set()
+        while opt.RANK_SOLVES and v.min() > 0 and len(ranked) < opt.MAX_FIXED_POINT_ITERS:
+            if m.values.tobytes() in ranked:
+                break
+            ranked.add(m.values.tobytes())
+            x, failed, w = v, False, unit_scale(m.values)[0]
+            for _ in range(opt.RANK_SOLVES):
+                x = solve_a(w * x)
+                x = x / np.abs(x).max()
+                failed = failed or not x.min() > 0
+            if failed:
+                break
+            u0 = v = x
+            m = opt.rearrangement_step(profile, domain.field(v))
+        m0 = m
+        pair = pair0 = opt.principal_positive_eigenvalue(domain, m, u0=u0)
         evals, history = 1, [pair.lambda1]
         seen = set()
         stabilized = False

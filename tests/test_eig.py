@@ -482,9 +482,10 @@ class TestPrincipalEigenvalue:
     def test_warm_residual_keeps_its_margin(self, monkeypatch):
         # a warm solve stops at a Ritz estimate 1000x below the checked
         # residual; every warm residual of these optimizer runs stays 20x
-        # below it (3.6e-10; a stop at 100x read 6.8e-10)
-        residuals = []
-
+        # below it: 1.4e-10 over 104 solves, and 3.6e-10 over 151 without
+        # the starts' cheap ranking moves, whose warm solves from an exact
+        # eigenfunction read 6.8e-10 with a stop at 100x (the runs with the
+        # moves give the same bits with a stop anywhere from 50x to 1000x)
         def recording(domain, m, *, u0=None, **kwargs):
             pair = principal_positive_eigenvalue(domain, m, u0=u0, **kwargs)
             if u0 is not None:
@@ -492,14 +493,18 @@ class TestPrincipalEigenvalue:
             return pair
 
         monkeypatch.setattr(weightopt.optimize, "principal_positive_eigenvalue", recording)
-        for dom in (make_box(1.0, 1.0, 32), make_ellipse(41, 41, 1 / 40, (0.5, 0.5))):
-            omega = dom.total_measure
-            for rng_seed in range(5):
-                optimize_two(dom, ResourceClass(0.0, 1.0, 2 * omega / 3),
-                             ResourceClass(1.0, 0.0, -omega / 2), seeds=2, rng_seed=rng_seed)
-                optimize_single(dom, (1.0, 1.0, omega / 6), seeds=2, rng_seed=rng_seed)
-        assert len(residuals) > 100
-        assert max(residuals) <= EIG_RESIDUAL_RTOL / 20
+        for rank_solves in (weightopt.optimize.RANK_SOLVES, 0):
+            monkeypatch.setattr(weightopt.optimize, "RANK_SOLVES", rank_solves)
+            residuals = []
+            for dom in (make_box(1.0, 1.0, 32), make_ellipse(41, 41, 1 / 40, (0.5, 0.5))):
+                omega = dom.total_measure
+                for rng_seed in range(5):
+                    optimize_two(dom, ResourceClass(0.0, 1.0, 2 * omega / 3),
+                                 ResourceClass(1.0, 0.0, -omega / 2), seeds=2,
+                                 rng_seed=rng_seed)
+                    optimize_single(dom, (1.0, 1.0, omega / 6), seeds=2, rng_seed=rng_seed)
+            assert len(residuals) > 100, rank_solves
+            assert max(residuals) <= EIG_RESIDUAL_RTOL / 20, rank_solves
 
     def test_ritz_value_is_not_read(self, rect_above_dense, monkeypatch):
         # λ₁ is the Rayleigh quotient of ARPACK's vector, so a non-real Ritz

@@ -159,29 +159,30 @@ class TestOptimizeSingle:
         assert better.weight.values.tobytes() != first.weight.values.tobytes()
 
     def test_cycle_polishes_and_ends(self, monkeypatch):
-        # the step alternates between another arrangement B and seed 0's
-        # start A, the first weight solved, so the second step closes a
-        # cycle A -> B -> A
+        # the start's cheap ranking moves rank at an arrangement A twice, so
+        # they end there, and A is the first weight solved; then the step
+        # alternates between another arrangement B and A, so the second step
+        # closes a cycle A -> B -> A
         dom = make_rectangle(6, 5, 0.5)
         consts = (1.0, 1.0, dom.total_measure / 3.0)
         profile = combined_profile(dom, single_class(consts))
-        b = random_arrangement(profile, dom, np.random.default_rng([0, 1]))
-        solved, steps = [], []
+        a, b = (random_arrangement(profile, dom, np.random.default_rng([0, k])) for k in (2, 1))
+        solved, ranked, steps = [], [], []
 
         def solve(domain, m, **kwargs):
             solved.append(m)
             return principal_positive_eigenvalue(domain, m, **kwargs)
 
         def step(profile, u):
-            steps.append(None)
-            return b if len(steps) % 2 else solved[0]
+            (steps if solved else ranked).append(None)
+            return b if len(steps) % 2 else a
 
         # an arbitrary step may lower ∫ m u² and raise λ₁
         monkeypatch.setattr(optimize, "DESCENT_RTOL", 1e3)
         monkeypatch.setattr(optimize, "rearrangement_step", step)
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
         report = optimize_single(dom, consts, seeds=1)
-        a = solved[0]
+        assert len(ranked) == 2 and solved[0] is a
         assert not np.array_equal(a.values, b.values)
         pair_a = principal_positive_eigenvalue(dom, a)
         lam_b = principal_positive_eigenvalue(dom, b, u0=pair_a.u.values).lambda1
@@ -220,14 +221,16 @@ class TestSmoothedStart:
             return r
 
         def solve(domain, m, **kwargs):
-            solved.append(m.values.tobytes())
+            solved.append((len(arrangements), m.values.tobytes()))
             return principal_positive_eigenvalue(domain, m, **kwargs)
 
         monkeypatch.setattr(optimize, "random_arrangement", arrangement)
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
         optimize._minimize_over_class(dom, combined_profile(dom, *classes(dom)), seeds, 0)
-        assert len(arrangements) == seeds and len(solved) > seeds
-        assert not set(arrangements) & set(solved)
+        # some seed solves more than its first arrangement, so later solves
+        # are checked too
+        assert len(arrangements) == seeds and len(solved) > len({s for s, _ in solved})
+        assert not set(arrangements) & {values for _, values in solved}
 
     def test_one_level_class_starts_at_its_arrangement(self, monkeypatch):
         # e rounds to no cell, so every cell takes -m2 = 0.5: ũ = 0, and the
@@ -284,6 +287,86 @@ class TestSmoothedStart:
         scaled = optimize._minimize_over_class(dom, np.ldexp(profile, k), 2, 0)
         assert scaled.weight.values.tobytes() == np.ldexp(base.weight.values, k).tobytes()
         assert scaled.lambda_history == np.ldexp(base.lambda_history, -k).tolist()
+
+
+class TestRankingMoves:
+    """A start with ũ > 0 takes cheap ranking moves before its first
+    eigensolve: RANK_SOLVES inverse-iteration steps v <- A⁻¹(m ⊙ v), then
+    the comonotone step from v.  They end at a repeated ranking or at a step
+    that leaves a cell of v <= 0."""
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_same_run_as_without_the_moves(self, monkeypatch, rng_seed):
+        dom = make_box(1.0, 1.0, 32)
+        profile = combined_profile(dom, *remark_classes(dom))
+        on, solves_on = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
+                                            dom, profile, rng_seed)
+        monkeypatch.setattr(optimize, "RANK_SOLVES", 0)
+        off, solves_off = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
+                                              dom, profile, rng_seed)
+        assert on.weight.values.tobytes() == off.weight.values.tobytes()
+        assert on.final.lambda1 == pytest.approx(off.final.lambda1, rel=1e-14, abs=0)
+        assert solves_on < solves_off
+
+    def test_small_share_solves_its_start_cold(self, monkeypatch):
+        # at favourable share 1/50 the first step already leaves a cell of
+        # v <= 0 (A⁻¹M's most negative eigenvalue outweighs μ₁), so the start
+        # is solved cold and the run is the one without the moves, to the bit
+        dom = make_box(1.0, 1.0, 64)
+        consts = (1.0, 1.0, (2 / 50 - 1) * dom.total_measure)
+
+        def run():
+            cold = []
+
+            def solve(domain, m, **kwargs):
+                cold.append(kwargs.get("u0") is None)
+                return principal_positive_eigenvalue(domain, m, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(optimize, "principal_positive_eigenvalue", solve)
+                return optimize_single(dom, consts, seeds=1), cold
+
+        on, cold_on = run()
+        monkeypatch.setattr(optimize, "RANK_SOLVES", 0)
+        off, cold_off = run()
+        assert cold_on[0] and cold_on == cold_off
+        assert on.weight.values.tobytes() == off.weight.values.tobytes()
+        assert on.lambda_history == off.lambda_history
+
+    def test_moves_end_at_a_repeated_ranking(self, monkeypatch):
+        # the planted rankings alternate A, B, A: the third move repeats A,
+        # so the moves end there after 3 RANK_SOLVES steps and A is solved
+        # warm from the last v.  A and B rank cells by distance to a point
+        # left and right of the center, so no step leaves v <= 0.
+        dom = make_box(1.0, 1.0, 16)
+        profile = combined_profile(dom, *remark_classes(dom))
+        r, c = dom.cell_rows, dom.cell_cols
+        a, b = (hl_pairing(dom.field(-np.hypot(r - 8.5, c - c0)), dom.field(profile))
+                for c0 in (6, 11))
+        ranked, a_solves, solved = [], [], []
+        factored = optimize._factored_stiffness
+
+        def counting(domain):
+            A, W, solve = factored(domain)
+            return A, W, lambda x: a_solves.append(None) or solve(x)
+
+        def step(profile, u):
+            if solved:
+                return rearrangement_step(profile, u)
+            ranked.append(len(a_solves))
+            return b if len(ranked) % 2 == 0 else a
+
+        def solve(domain, m, **kwargs):
+            solved.append((m, kwargs.get("u0")))
+            return principal_positive_eigenvalue(domain, m, **kwargs)
+
+        monkeypatch.setattr(optimize, "_factored_stiffness", counting)
+        monkeypatch.setattr(optimize, "rearrangement_step", step)
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+        optimize._minimize_over_class(dom, profile, 1, 0)
+        k = optimize.RANK_SOLVES
+        assert ranked == [1 + k, 1 + 2 * k, 1 + 3 * k]
+        assert solved[0][0] is a and solved[0][1] is not None
 
 
 def test_level_set_rounding_ignores_float_noise():
