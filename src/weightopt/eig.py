@@ -24,16 +24,20 @@ a weight times 2^k gives the same eigenvector bits.  A⁻¹M is not normal,
 so the Ritz value is only first-order accurate in the Ritz vector v; μ is
 the pencil's Rayleigh quotient vᵀMv / vᵀAv instead, whose error is of
 second order.
-A cold solve starts from all ones with ARPACK's default 20-vector basis and
-runs to machine precision.  A warm solve starts from a nearby eigenfunction
-with a ``WARM_NCV``-vector basis and stops once ARPACK's Ritz estimate is
-below ``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm than
-the checked residual ‖Au - λMu‖/‖Au‖.  In optimizer runs the factor 1000
-keeps the checked residuals within 1/70 of the bound, 1/28 without the
-starts' ranking moves; a stop at 100 reads the same bits with the moves and
-1/15 without them.  A warm start halves the A-solves.  The CLI's
-``symmetrize`` task solves its input weight cold and the symmetrized weight
-warm from the input's eigenfunction: 21 and 13 A-solves on the 48-grid disk.
+A warm solve starts from a nearby eigenfunction with a ``WARM_NCV``-vector
+basis and stops once ARPACK's Ritz estimate is below
+``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm than the
+checked residual ‖Au - λMu‖/‖Au‖.  In optimizer runs the factor 1000 keeps
+the checked residuals within 1/55 of the bound, 1/28 without the starts'
+ranking moves; a stop at 100 reads the same bits with the moves and 1/15
+without them.  A warm start halves the A-solves.  Without ``u0``, a solve
+starts warm from v = A⁻¹(m h² ⊙ A⁻¹1), one inverse-iteration step from the
+torsion function, if v > 0 on every cell (residuals within 1/30 of the
+bound on random weights up to n = 256): a constant weight takes 9 to 12
+A-solves, the step's 2 included, instead of 21.  A cell of v <= 0 means
+that A⁻¹M's negative end outweighs μ₁, as on a scattered small favourable
+share; the solve then runs cold, from all ones with ARPACK's default
+20-vector basis to machine precision, with the bits of a solve without v.
 
 The cache entry is one of three kinds.  Pencils of at most
 ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead: their entry
@@ -135,8 +139,8 @@ class EigenPair:
     The eigenfunction is strictly positive, normalized to uᵀAu = 1, and the
     relative residual ‖Au - λMu‖/‖Au‖, computed here rather than taken from
     ARPACK, is below the solver tolerance.  ``iterations`` is the number of
-    A-solves that the Lanczos process used; a dense solve of an n-cell
-    pencil counts n.
+    A-solves that the Lanczos process used, with the 2 of the torsion step
+    of a solve without ``u0``; a dense solve of an n-cell pencil counts n.
     """
 
     lambda1: float
@@ -281,8 +285,9 @@ def principal_positive_eigenvalue(
     uᵀMu / uᵀAu; ARPACK's Ritz value is not read.
     ``u0`` warm-starts ARPACK from a nearby eigenvector, with a
     ``WARM_NCV``-vector basis and ARPACK stopped at
-    ``EIG_RESIDUAL_RTOL / 1000``; without it the start vector is all ones,
-    so repeated runs give identical bits.  Pencils of at most
+    ``EIG_RESIDUAL_RTOL / 1000``; without it, the same from
+    v = A⁻¹(m h² ⊙ A⁻¹1) if v > 0, else cold from all ones (see the module
+    docstring), so repeated runs give identical bits.  Pencils of at most
     ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
 
     Raises ValueError when m h² overflows on some cell, m h² <= 0 on every
@@ -321,6 +326,10 @@ def principal_positive_eigenvalue(
             return solve_a(x)
 
         m_scaled, e = unit_scale(m_diag)
+        if u0 is None:
+            # one inverse-iteration step from the torsion function A⁻¹1
+            v = solve(m_scaled * solve(np.ones(n)))
+            u0 = v if v.min() > 0 else None
         try:
             _, vecs = eigs(
                 _Raw(n, lambda x: solve(m_scaled * x)), k=1, which="LR",

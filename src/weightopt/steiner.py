@@ -76,5 +76,10 @@ def symmetry_defect(f: ScalarField) -> float:
     f's values, so both take one power of two.  ``DEFECT_FLOOR`` floors the
     denominator, which only f = 0 reaches.
     """
-    (g, _), (gs, _) = unit_scale(f.values), unit_scale(symmetrize_function(f).values)
+    return _defect(f, symmetrize_function(f))
+
+
+def _defect(f: ScalarField, f_sym: ScalarField) -> float:
+    """``symmetry_defect`` of f, given its symmetrization f_sym."""
+    (g, _), (gs, _) = unit_scale(f.values), unit_scale(f_sym.values)
     return float(np.abs(g - gs).sum()) / max(float(np.abs(g).sum()), DEFECT_FLOOR)

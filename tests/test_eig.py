@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -14,6 +15,7 @@ import weightopt.optimize
 from weightopt.eig import (
     DENSE_MAX_CELLS,
     EIG_RESIDUAL_RTOL,
+    WARM_NCV,
     EigenPair,
     NoConvergence,
     assemble_stiffness,
@@ -26,9 +28,12 @@ from weightopt.io import domain_from_config, write_pgm
 from weightopt.optimize import (
     LAMBDA_TIE_RTOL,
     _swap_candidates,
+    combined_profile,
     optimize_single,
     optimize_two,
+    random_arrangement,
     rearrangement_step,
+    single_class,
 )
 from weightopt.rearrange import ResourceClass, decreasing_rearrangement
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
@@ -81,6 +86,12 @@ def ragged_above_dense():
     short, so the cells do not fill their bounding box and A is factored by
     SuperLU."""
     return first_cells(DENSE_MAX_CELLS + 1)
+
+
+@pytest.fixture
+def sym_disk_above_dense():
+    """The 193-cell disk of `--grid 16` that the symmetrize tests solve."""
+    return make_ellipse(17, 17, 1 / 16, (0.5, 0.5))
 
 
 @pytest.fixture
@@ -482,10 +493,10 @@ class TestPrincipalEigenvalue:
     def test_warm_residual_keeps_its_margin(self, monkeypatch):
         # a warm solve stops at a Ritz estimate 1000x below the checked
         # residual; every warm residual of these optimizer runs stays 20x
-        # below it: 1.4e-10 over 104 solves, and 3.6e-10 over 151 without
+        # below it: 1.8e-10 over 203 solves, and 3.6e-10 over 266 without
         # the starts' cheap ranking moves, whose warm solves from an exact
         # eigenfunction read 6.8e-10 with a stop at 100x (the runs with the
-        # moves give the same bits with a stop anywhere from 50x to 1000x)
+        # moves give the same bits with a stop at 100x, and read 5.7e-9 at 50x)
         def recording(domain, m, *, u0=None, **kwargs):
             pair = principal_positive_eigenvalue(domain, m, u0=u0, **kwargs)
             if u0 is not None:
@@ -496,7 +507,8 @@ class TestPrincipalEigenvalue:
         for rank_solves in (weightopt.optimize.RANK_SOLVES, 0):
             monkeypatch.setattr(weightopt.optimize, "RANK_SOLVES", rank_solves)
             residuals = []
-            for dom in (make_box(1.0, 1.0, 32), make_ellipse(41, 41, 1 / 40, (0.5, 0.5))):
+            for dom in (make_box(1.0, 1.0, 32), make_ellipse(41, 41, 1 / 40, (0.5, 0.5)),
+                        make_ellipse(33, 33, 1 / 32, (0.5, 0.5))):
                 omega = dom.total_measure
                 for rng_seed in range(5):
                     optimize_two(dom, ResourceClass(0.0, 1.0, 2 * omega / 3),
@@ -528,6 +540,109 @@ class TestPrincipalEigenvalue:
         return_vector(monkeypatch, dom, vecs[:, -2])
         with pytest.raises(NoConvergence, match="eigenpair rejected"):
             principal_positive_eigenvalue(dom, m)
+
+
+@pytest.fixture
+def arpack_calls(monkeypatch):
+    """Record each ARPACK call in eig as (its keyword arguments, the A-solves
+    it made)."""
+    calls = []
+    real = weightopt.eig.eigs
+
+    def recording(op, **kwargs):
+        matvec, solves = op.matvec, [0]
+
+        def counted(x):
+            solves[0] += 1
+            return matvec(x)
+
+        op.matvec = counted
+        out = real(op, **kwargs)
+        calls.append((kwargs, solves[0]))
+        return out
+
+    monkeypatch.setattr(weightopt.eig, "eigs", recording)
+    return calls
+
+
+def sym_disk_weight(dom, seed):
+    """The CLI's `bang_bang` weight of the symmetrize tests' class, m1 = m2 = 1
+    and m3 = π/24, about |Ω|/6 on the unit-diameter disk."""
+    profile = combined_profile(dom, single_class((1.0, 1.0, math.pi / 24)))
+    return random_arrangement(profile, dom, np.random.default_rng([seed, 0xBB]))
+
+
+class TestTorsionStart:
+    """Above DENSE_MAX_CELLS a solve without u0 first takes one
+    inverse-iteration step from the torsion function, v = A⁻¹(m h² ⊙ A⁻¹1),
+    and runs ARPACK warm from v when v > 0 on every cell."""
+
+    # the all-ones 20-vector start takes 21 A-solves on each constant weight
+    # and 31 on the disk's bang-bang weight
+    @pytest.mark.parametrize("dom_name, weight, solves", [
+        ("rect_above_dense", "constant", 12), ("ragged_above_dense", "constant", 12),
+        ("sym_disk_above_dense", "constant", 9), ("sym_disk_above_dense", "bang_bang", 18)])
+    def test_positive_mean_weights_start_warm(self, dom_name, weight, solves, request,
+                                              arpack_calls):
+        dom = request.getfixturevalue(dom_name)
+        assert dom.n_cells > DENSE_MAX_CELLS
+        m = dom.constant_field(1.0) if weight == "constant" else sym_disk_weight(dom, 2)
+        pair = principal_positive_eigenvalue(dom, m)
+        (kwargs, arpack), = arpack_calls
+        assert (kwargs["ncv"], kwargs["tol"]) == (WARM_NCV, EIG_RESIDUAL_RTOL / 1000)
+        assert pair.iterations == arpack + 2 == solves
+        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-12)
+
+    def test_scattered_small_share_solves_cold(self, arpack_calls):
+        # a favourable 1/50 of the 64-grid box, scattered: the step leaves
+        # cells of v <= 0, so ARPACK runs the all-ones 20-vector pass to
+        # machine precision, the call it makes when no start is tried, and
+        # λ and u keep their bits at 2 more A-solves
+        dom = make_box(1.0, 1.0, 64)
+        n = dom.n_cells
+        m = dom.field(np.where(np.random.default_rng(0).permutation(n) < n // 50, 1.0, -1.0))
+        pair = principal_positive_eigenvalue(dom, m)
+        (kwargs, arpack), = arpack_calls
+        assert (kwargs["ncv"], kwargs["tol"]) == (None, 0.0)
+        assert np.array_equal(kwargs["v0"], np.ones(n))
+        assert pair.iterations == arpack + 2
+
+    @pytest.mark.parametrize("corner, started", [(-30.0, True), (-100.0, False)])
+    def test_one_nonpositive_cell_solves_cold(self, corner, started, arpack_calls):
+        # m = 1 except at a corner cell of the 20 x 20 rectangle: v changes
+        # sign on that cell at m = -36.9 there, and on no other cell above
+        # m = -213, so at -100 exactly one cell of v is negative
+        dom = make_rectangle(20, 20, 0.05)
+        n = dom.n_cells
+        m_vals = np.ones(n)
+        m_vals[0] = corner
+        A = assemble_stiffness(dom).toarray()
+        v = np.linalg.solve(A, m_vals * np.linalg.solve(A, np.ones(n)))
+        assert (v[1:] > 0).all() and (v[0] > 0) == started
+        m = dom.field(m_vals)
+        pair = principal_positive_eigenvalue(dom, m)
+        (kwargs, arpack), = arpack_calls
+        assert kwargs["ncv"] == (WARM_NCV if started else None)
+        assert (kwargs["v0"] == 1.0).all() == (not started)
+        assert pair.iterations == arpack + 2
+        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-12)
+
+    def test_started_residual_keeps_its_margin(self, arpack_calls):
+        # a started solve stops as a warm one does, at a Ritz estimate 1000x
+        # below the checked residual; from the step v, every residual of
+        # these positive-mean weights stays 20x below it: 2.1e-10 over 48
+        # solves, and 1.2e-9 with a stop at 100x
+        residuals = []
+        for dom in (make_box(1.0, 1.0, 32), make_ellipse(33, 33, 1 / 32, (0.5, 0.5)),
+                    make_ellipse(49, 49, 1 / 48, (0.5, 0.5))):
+            n = dom.n_cells
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                for m in (rng.uniform(0.0, 1.0, n),
+                          np.where(rng.permutation(n) < 7 * n // 12, 1.0, -1.0)):
+                    residuals.append(principal_positive_eigenvalue(dom, dom.field(m)).residual)
+        assert [kwargs["ncv"] for kwargs, _ in arpack_calls] == [WARM_NCV] * 48
+        assert max(residuals) <= EIG_RESIDUAL_RTOL / 20
 
 
 class TestFactorCache:
