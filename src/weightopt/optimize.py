@@ -62,11 +62,6 @@ class OptimizeReport:
     weight: ScalarField
     stabilized: bool
 
-    def __post_init__(self):
-        lam = np.asarray(self.lambda_history)
-        if lam.size and (np.diff(lam) > DESCENT_RTOL * np.abs(lam[:-1])).any():
-            raise ValueError("lambda history is not non-increasing")
-
 
 def rearrangement_step(m0_profile: np.ndarray, u: ScalarField) -> ScalarField:
     """The element of the class of m0 comonotone with u.
@@ -165,6 +160,70 @@ def _orbit_key(values: np.ndarray, maps: list[np.ndarray]) -> bytes:
     return own if own in images else min([own, *images])
 
 
+def _start(domain: GridDomain, profile: np.ndarray, rng: np.random.Generator,
+           scale: int, solve_a) -> tuple[ScalarField, np.ndarray | None]:
+    """One start's arrangement of `profile` and the u0 to solve it from.
+
+    The start is the profile ranked by ũ = A⁻¹(w - min w) of a random
+    arrangement w drawn from `rng`, scaled by the profile's power of two
+    `scale`, ties by cell index (ũ need not be positive).  If ũ > 0, cheap
+    moves follow: each takes RANK_SOLVES steps v <- A⁻¹(m ⊙ v) from the last
+    v, each divided by max |v|, and ranks the cells by v.  They end at the
+    first ranking that repeats, or at a step that leaves a cell of v <= 0:
+    there A⁻¹M's most negative eigenvalue outweighs 1/λ₁, so v need not
+    approach u.  The last ranking is to be solved warm from u0, the last v
+    that passed, or cold where u0 is None.
+    """
+    w = np.ldexp(random_arrangement(profile, domain, rng).values, -scale)
+    v = solve_a(w - w.min())
+    m = hl_pairing(domain.field(v), domain.field(profile))
+    u0, ranked = None, set()
+    while (RANK_SOLVES and v.min() > 0 and len(ranked) < MAX_FIXED_POINT_ITERS
+           and (key := m.values.tobytes()) not in ranked):
+        ranked.add(key)
+        w = np.ldexp(m.values, -scale)
+        for _ in range(RANK_SOLVES):
+            v = solve_a(w * v)
+            v = v / np.abs(v).max()
+            if not v.min() > 0:
+                break
+        else:
+            u0, m = v, rearrangement_step(profile, domain.field(v))
+    return m, u0
+
+
+def _polish_round(m0: ScalarField, pair0: EigenPair, beta: float, maps: list[np.ndarray],
+                  cap: int) -> tuple[ScalarField, EigenPair, int] | None:
+    """The first of up to `cap` one-swap probes of `m0` that strictly lowers
+    λ₁ below pair0's by the tie tolerance, with its pair and the number of
+    probes used; None if no probe does.
+
+    Every probe, a ``_swap_candidates`` swap of m0, is first screened: one
+    ``temple_swap_bounds`` call bounds all the round's candidates with two
+    block solves, against `beta`.  A swap whose bound on 1/λ₁ lies below
+    1/λ₀ by the tie tolerance cannot lower λ₁; it is rejected without an
+    eigensolve but counts as a probe, so the screen changes no result.  A
+    probe whose swapped arrangement is a mirror image of m0 under one of
+    `maps` has λ₀ exactly, so it is certified the same way.
+    """
+    mu_cut = (1.0 - LAMBDA_TIE_RTOL) / pair0.lambda1
+    swaps = _swap_candidates(m0.values, pair0.u.values)[:cap]
+    bounds = temple_swap_bounds(m0, pair0, swaps, beta)
+    # the swaps that give a mirror image of m0, which has λ₀
+    mirror = {tuple(d.tolist()) for p in maps
+              if (d := np.flatnonzero(m0.values[p] != m0.values)).size == 2}
+    for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
+        if bound < mu_cut or (min(i, j), max(i, j)) in mirror:
+            continue  # certified: the swap cannot lower λ₁
+        values = m0.values.copy()
+        values[i], values[j] = values[j], values[i]
+        m = ScalarField(m0.domain, values)
+        pair = principal_positive_eigenvalue(m0.domain, m, u0=pair0.u.values)
+        if pair.lambda1 < pair0.lambda1 * (1.0 - LAMBDA_TIE_RTOL):
+            return m, pair, t + 1
+    return None
+
+
 def _minimize_over_class(
     domain: GridDomain,
     profile: np.ndarray,
@@ -173,36 +232,21 @@ def _minimize_over_class(
 ) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
-    Seed s starts at the profile ranked by ũ = A⁻¹(w - min w) of its random
-    arrangement w, scaled by the profile's power of two, ties by cell index (ũ
-    need not be positive).  If ũ > 0, cheap moves follow: each takes
-    RANK_SOLVES steps v <- A⁻¹(m ⊙ v) from the last v, each divided by max |v|,
-    and ranks the cells by v.  They end at the first ranking that repeats, or
-    at a step that leaves a cell of v <= 0: there A⁻¹M's most negative
-    eigenvalue outweighs 1/λ₁, so v need not approach u.  The last ranking is
-    solved, warm from the last v that passed or else cold.  The λ₁ history
-    starts at that solve, so descent holds as before.  Then one loop of moves.
-    Each pass takes the comonotone step from the current eigenfunction.  A new
+    Seed s begins at ``_start`` with the rng stream [rng_seed, s].  The λ₁
+    history starts at the start's solve.  Then one loop of moves.  Each pass
+    takes the comonotone step from the current eigenfunction.  A new
     arrangement is solved: that is a descent move.  A fixed point or a cycle
-    instead runs one greedy one-swap polish round around the seed's best
-    iterate, and the first swap that strictly lowers λ₁ is the move; descent
-    resumes from it.  A round with no such swap ends the seed.  Every
-    eigensolve counts against MAX_FIXED_POINT_ITERS.
+    instead runs one ``_polish_round`` around the seed's best iterate, and
+    its swap is the move; descent resumes from it.  A round with no such
+    swap ends the seed.  Every eigensolve and polish probe counts against
+    MAX_FIXED_POINT_ITERS.  Every move is checked: the step must not lower
+    ∫ m u² dx, and λ₁ must not rise beyond DESCENT_RTOL.
 
-    Every polish probe, a ``_swap_candidates`` swap of the best iterate, is
-    first screened: one ``temple_swap_bounds`` call per round bounds all its
-    candidates with two block solves.  A swap whose bound on 1/λ₁ lies below
-    1/λ₀ by the tie tolerance cannot lower λ₁; it is rejected without an
-    eigensolve but counts against the cap, so the screen changes no result.
-
-    The ``_mirror_maps`` of the domain, computed once per call, add two
-    rules.  A probe whose swapped arrangement is a mirror image of the best
-    iterate has its λ₁ exactly, so it cannot lower λ₁: it is certified like
-    a screened probe, without an eigensolve.  A later seed ends as soon as
-    its start or next iterate, checked before its solve or after its
-    accepted swap, has the ``_orbit_key`` of an earlier seed's iterate:
-    from there it would only retrace a descent that did not beat the
-    winner, and the tie rule keeps the winner.
+    The ``_mirror_maps`` of the domain, computed once per call, also end a
+    later seed as soon as its start or next iterate, checked before its
+    solve or after its accepted swap, has the ``_orbit_key`` of an earlier
+    seed's iterate: from there it would only retrace a descent that did not
+    beat the winner, and the tie rule keeps the winner.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -217,22 +261,7 @@ def _minimize_over_class(
 
     best: OptimizeReport | None = None
     for s in range(seeds):
-        r = random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
-        w = np.ldexp(r.values, -scale)
-        v = solve_a(w - w.min())
-        m = hl_pairing(domain.field(v), domain.field(profile))
-        u0, ranked = None, set()
-        while (RANK_SOLVES and v.min() > 0 and len(ranked) < MAX_FIXED_POINT_ITERS
-               and (key := m.values.tobytes()) not in ranked):
-            ranked.add(key)
-            w = np.ldexp(m.values, -scale)
-            for _ in range(RANK_SOLVES):
-                v = solve_a(w * v)
-                v = v / np.abs(v).max()
-                if not v.min() > 0:
-                    break
-            else:
-                u0, m = v, rearrangement_step(profile, domain.field(v))
+        m, u0 = _start(domain, profile, np.random.default_rng([rng_seed, s]), scale, solve_a)
         if earlier and _orbit_key(m.values, maps) in earlier:
             continue
         pair = pair0 = principal_positive_eigenvalue(domain, m, u0=u0)
@@ -255,30 +284,14 @@ def _minimize_over_class(
                     break
                 m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
                 evals += 1
+            elif (move := _polish_round(m0, pair0, beta, maps,
+                                        MAX_FIXED_POINT_ITERS - evals)) is None:
+                break  # fixed point or cycle, and no swap of the best lowers λ₁
             else:
-                # fixed point or cycle: greedy one-swap polish around the
-                # seed's best; an accepted swap strictly lowers λ₁, so it
-                # cannot revisit a seen arrangement and descent resumes
-                lam0 = pair0.lambda1
-                mu_cut = (1.0 - LAMBDA_TIE_RTOL) / lam0
-                swaps = _swap_candidates(m0.values, pair0.u.values)[:MAX_FIXED_POINT_ITERS - evals]
-                bounds = temple_swap_bounds(m0, pair0, swaps, beta)
-                # the swaps that give a mirror image of m0, which has λ₀
-                mirror = {tuple(d.tolist()) for p in maps
-                          if (d := np.flatnonzero(m0.values[p] != m0.values)).size == 2}
-                for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
-                    if bound < mu_cut or (min(i, j), max(i, j)) in mirror:
-                        continue  # certified: the swap cannot lower λ₁
-                    values = m0.values.copy()
-                    values[i], values[j] = values[j], values[i]
-                    m = ScalarField(domain, values)
-                    pair = principal_positive_eigenvalue(domain, m, u0=pair0.u.values)
-                    if pair.lambda1 < lam0 * (1.0 - LAMBDA_TIE_RTOL):
-                        break
-                else:
-                    break
-                evals += t + 1
-                stabilized = False
+                # an accepted swap strictly lowers λ₁, so it cannot revisit a
+                # seen arrangement and descent resumes from it
+                (m, pair, probes), stabilized = move, False
+                evals += probes
                 if earlier and _orbit_key(m.values, maps) in earlier:
                     break
             if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):

@@ -607,6 +607,17 @@ class TestTorsionStart:
         assert np.array_equal(kwargs["v0"], np.ones(n))
         assert pair.iterations == arpack + 2
 
+    @pytest.mark.xfail(raises=NoConvergence, strict=True,
+                       reason="the all-ones pass on a scattered small share hits EIG_MAX_OUTER")
+    def test_scattered_small_share_on_the_16_grid_converges(self):
+        # a favourable 5 of the 16-grid box's 256 cells, scattered: the step
+        # leaves cells of v <= 0, and the cold pass stalls at 20000 A-solves
+        dom = make_box(1.0, 1.0, 16)
+        m = dom.field(np.where(np.random.default_rng([1, 256]).permutation(256) < 5, 1.0, -1.0))
+        dense = dense_lambda1(dom, m)
+        assert dense == pytest.approx(982.6368099120417, rel=1e-12)
+        assert principal_positive_eigenvalue(dom, m).lambda1 == pytest.approx(dense, rel=1e-8)
+
     @pytest.mark.parametrize("corner, started", [(-30.0, True), (-100.0, False)])
     def test_one_nonpositive_cell_solves_cold(self, corner, started, arpack_calls):
         # m = 1 except at a corner cell of the 20 x 20 rectangle: v changes
