@@ -209,8 +209,8 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
     return domain.constant_field(float(wc.get("value", 1.0)))
 
 
-def _optimize_results(report: OptimizeReport, domain: GridDomain, seeds: int) -> dict:
-    defect_v = symmetry_defect(report.weight) if domain.axis is not None else None
+def _optimize_results(report: OptimizeReport, seeds: int) -> dict:
+    defect_v = symmetry_defect(report.weight) if report.weight.domain.axis is not None else None
     wt = transpose_field(report.weight)
     defect_h = symmetry_defect(wt) if wt.domain.axis is not None else None
     return {
@@ -251,7 +251,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
         return {
             "domain_measure": domain.total_measure,
             "realized_integral": report.weight.integral(),
-            **_optimize_results(report, domain, cfg.seeds),
+            **_optimize_results(report, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "optimize2":
         omega, area = domain.total_measure, domain.cell_area
@@ -274,7 +274,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "measure_G": float(G.sum()) * area,
             "realized_integrals": [_bang_bang_integral(cls, k, area, omega)
                                    for cls, k in zip(classes, at_max.sum(axis=1))],
-            **_optimize_results(report, domain, cfg.seeds),
+            **_optimize_results(report, cfg.seeds),
         }, report.weight, report.final.u
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
@@ -299,7 +299,7 @@ def _run_task(cfg: RunConfig, domain: GridDomain
             "lambda_single": lam_single,
             "single_beats_two_resource": lam_single < lam_two,
             **{f"single_{k}": v
-               for k, v in _optimize_results(report_one, domain, cfg.seeds).items()},
+               for k, v in _optimize_results(report_one, cfg.seeds).items()},
         }, report_one.weight, report_one.final.u
     checks = wverify.run_all(domain, rng_seed=cfg.seed, trials=cfg.verify_trials)
     for name, passed in checks.items():
@@ -310,8 +310,9 @@ def _run_task(cfg: RunConfig, domain: GridDomain
     }, None, None
 
 
-def _write_artifacts(outdir: Path, cfg: RunConfig, results: dict,
+def _write_artifacts(cfg: RunConfig, results: dict,
                      weight: ScalarField | None, u: ScalarField | None) -> None:
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     wio.write_results_json(outdir / "results.json", results)
     if weight is not None:
@@ -352,7 +353,7 @@ def run(config_path: str | Path, out_dir: str | None = None,
         domain = wio.domain_from_config(cfg.domain_cfg, cfg.base_dir)
         results, weight, u = _run_task(cfg, domain)
         results.update(task=cfg.task, seed=cfg.seed)
-        _write_artifacts(Path(cfg.output_dir), cfg, results, weight, u)
+        _write_artifacts(cfg, results, weight, u)
         failed = [name for name, passed in results.get("checks", {}).items() if not passed]
         if failed:
             raise RuntimeError(", ".join(failed))

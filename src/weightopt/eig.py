@@ -86,11 +86,11 @@ the swapped pencil's top μ by Temple's inequality μ₁ <= ρ + η²/(ρ - β)
 whole polish round costs two block solves with the cached factor, one
 column per swap: W-products on dense pencils, one multi-column sine-basis
 or SuperLU solve above ``DENSE_MAX_CELLS``.
-``second_mu_bound`` gives β = max(m) h² / λ₂(A_R) for every weight of the
-class at no cost: M′ <= max(m) h² I, so Courant-Fischer gives
-μ₂ <= max(m) h² / λ₂(A); A is a principal submatrix of the 5-point matrix
-A_R of the domain's bounding rectangle, so Cauchy interlacing gives
-λ₂(A) >= λ₂(A_R), which is known in closed form.
+The screen takes β = max(m) h² / λ₂(A_R) from m itself, with
+``second_mu_bound``, at no cost.  A swap keeps max(m), so M′ <= max(m) h² I,
+and Courant-Fischer gives μ₂ <= max(m) h² / λ₂(A); A is a principal
+submatrix of the 5-point matrix A_R of the domain's bounding rectangle, so
+Cauchy interlacing gives λ₂(A) >= λ₂(A_R), which is known in closed form.
 """
 
 from __future__ import annotations
@@ -346,8 +346,8 @@ def principal_positive_eigenvalue(
         # the pencil's Rayleigh quotient of the Ritz vector is second-order
         u = vecs[:, 0].real
         mu = float(u @ (m_scaled * u)) / float(u @ (A @ u))
-        # 2^e μ overflows iff μ's binary exponent plus e passes 1024
-        mu = float(np.ldexp(mu, e)) if np.frexp(mu)[1] + e <= 1024 else np.inf
+        with np.errstate(over="ignore"):  # 2^e μ overflows to inf, rejected below
+            mu = float(np.ldexp(mu, e))
     if mu == np.inf:  # also dsyevr's μ when the whitened pencil overflows
         raise NoConvergence("μ = 1/λ₁ overflows a double: the weight m h² is too large")
     if not (mu > 0.0 and 1.0 / mu < np.inf):
@@ -379,15 +379,16 @@ def second_mu_bound(domain: GridDomain, m_max: float) -> float:
     return m_max * domain.cell_area / lam2
 
 
-def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, int]],
-                       beta: float) -> np.ndarray:
+def temple_swap_bounds(m: ScalarField, pair: EigenPair,
+                       swaps: list[tuple[int, int]]) -> np.ndarray:
     """Upper bounds on μ₁ = 1/λ₁ of the weight m with cells i and j swapped,
     one per (i, j) in ``swaps``.
 
-    ``pair`` is m's principal eigenpair (u, 1/μ₀) and ``beta`` >= μ₂ of every
-    swapped pencil M′ (see ``second_mu_bound``).  Each trial vector is one
-    inverse-iteration step from u, v = μ₀u + A⁻¹Du ≈ A⁻¹M′u with
-    D = M′ - M; with ρ = vᵀM′v / vᵀAv and η² = rᵀAr / vᵀAv for the residual
+    ``pair`` is m's principal eigenpair (u, 1/μ₀).  A swap keeps max m, so
+    β = ``second_mu_bound`` of m's domain and max m bounds μ₂ of every
+    swapped pencil M′.  Each trial vector is one inverse-iteration step
+    from u, v = μ₀u + A⁻¹Du ≈ A⁻¹M′u with D = M′ - M; with
+    ρ = vᵀM′v / vᵀAv and η² = rᵀAr / vᵀAv for the residual
     r = A⁻¹M′v - ρv, Temple's inequality bounds μ₁ <= ρ + η²/(ρ - β) when
     ρ > β, and the bound is inf when ρ <= β.  The whole list costs two block
     solves with the cached solver of A, one column per swap, and none when
@@ -398,9 +399,10 @@ def temple_swap_bounds(m: ScalarField, pair: EigenPair, swaps: list[tuple[int, i
     back: the scaling is exact, so the bounds' bits do not depend on it,
     and no product overflows for constants near the largest double.
     """
+    domain = m.domain
+    beta = second_mu_bound(domain, float(m.values.max()))
     if not 1.0 / pair.lambda1 > beta:
         return np.full(len(swaps), np.inf)
-    domain = m.domain
     A, _, solve = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
     cols = np.arange(i.size)

@@ -140,20 +140,9 @@ def heatmap_image(f: ScalarField) -> np.ndarray:
     return out
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_results_json(path: str | Path, results: dict) -> None:
     Path(path).write_text(
-        json.dumps(results, sort_keys=True, indent=2, allow_nan=False,
-                   default=_json_default) + "\n"
+        json.dumps(results, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
 
 

@@ -33,7 +33,6 @@ from .eig import (
     EigenPair,
     _factored_stiffness,
     principal_positive_eigenvalue,
-    second_mu_bound,
     temple_swap_bounds,
 )
 from .grid import GridDomain, ScalarField, unit_scale
@@ -160,28 +159,31 @@ def _orbit_key(values: np.ndarray, maps: list[np.ndarray]) -> bytes:
     return own if own in images else min([own, *images])
 
 
-def _start(domain: GridDomain, profile: np.ndarray, rng: np.random.Generator,
-           scale: int, solve_a) -> tuple[ScalarField, np.ndarray | None]:
+def _start(domain: GridDomain, profile: np.ndarray,
+           rng: np.random.Generator) -> tuple[ScalarField, np.ndarray | None]:
     """One start's arrangement of `profile` and the u0 to solve it from.
 
     The start is the profile ranked by ũ = A⁻¹(w - min w) of a random
-    arrangement w drawn from `rng`, scaled by the profile's power of two
-    `scale`, ties by cell index (ũ need not be positive).  If ũ > 0, cheap
-    moves follow: each takes RANK_SOLVES steps v <- A⁻¹(m ⊙ v) from the last
-    v, each divided by max |v|, and ranks the cells by v.  They end at the
-    first ranking that repeats, or at a step that leaves a cell of v <= 0:
-    there A⁻¹M's most negative eigenvalue outweighs 1/λ₁, so v need not
-    approach u.  The last ranking is to be solved warm from u0, the last v
-    that passed, or cold where u0 is None.
+    arrangement w drawn from `rng`, ties by cell index (ũ need not be
+    positive), with A⁻¹ from the domain's cached factor.  Each arrangement is
+    scaled by ``grid.unit_scale``, which takes the same power of two for
+    every arrangement of the profile.  If ũ > 0, cheap moves follow: each
+    takes RANK_SOLVES steps v <- A⁻¹(m ⊙ v) from the last v, each divided by
+    max |v|, and ranks the cells by v.  They end at the first ranking that
+    repeats, or at a step that leaves a cell of v <= 0: there A⁻¹M's most
+    negative eigenvalue outweighs 1/λ₁, so v need not approach u.  The last
+    ranking is to be solved warm from u0, the last v that passed, or cold
+    where u0 is None.
     """
-    w = np.ldexp(random_arrangement(profile, domain, rng).values, -scale)
+    solve_a = _factored_stiffness(domain)[2]
+    w = unit_scale(random_arrangement(profile, domain, rng).values)[0]
     v = solve_a(w - w.min())
     m = hl_pairing(domain.field(v), domain.field(profile))
     u0, ranked = None, set()
     while (RANK_SOLVES and v.min() > 0 and len(ranked) < MAX_FIXED_POINT_ITERS
            and (key := m.values.tobytes()) not in ranked):
         ranked.add(key)
-        w = np.ldexp(m.values, -scale)
+        w = unit_scale(m.values)[0]
         for _ in range(RANK_SOLVES):
             v = solve_a(w * v)
             v = v / np.abs(v).max()
@@ -192,7 +194,7 @@ def _start(domain: GridDomain, profile: np.ndarray, rng: np.random.Generator,
     return m, u0
 
 
-def _polish_round(m0: ScalarField, pair0: EigenPair, beta: float, maps: list[np.ndarray],
+def _polish_round(m0: ScalarField, pair0: EigenPair, maps: list[np.ndarray],
                   cap: int) -> tuple[ScalarField, EigenPair, int] | None:
     """The first of up to `cap` one-swap probes of `m0` that strictly lowers
     λ₁ below pair0's by the tie tolerance, with its pair and the number of
@@ -200,15 +202,16 @@ def _polish_round(m0: ScalarField, pair0: EigenPair, beta: float, maps: list[np.
 
     Every probe, a ``_swap_candidates`` swap of m0, is first screened: one
     ``temple_swap_bounds`` call bounds all the round's candidates with two
-    block solves, against `beta`.  A swap whose bound on 1/λ₁ lies below
-    1/λ₀ by the tie tolerance cannot lower λ₁; it is rejected without an
-    eigensolve but counts as a probe, so the screen changes no result.  A
-    probe whose swapped arrangement is a mirror image of m0 under one of
-    `maps` has λ₀ exactly, so it is certified the same way.
+    block solves, against the β that it reads off m0.  A swap whose bound on
+    1/λ₁ lies below 1/λ₀ by the tie tolerance cannot lower λ₁; it is
+    rejected without an eigensolve but counts as a probe, so the screen
+    changes no result.  A probe whose swapped arrangement is a mirror image
+    of m0 under one of `maps` has λ₀ exactly, so it is certified the same
+    way.
     """
     mu_cut = (1.0 - LAMBDA_TIE_RTOL) / pair0.lambda1
     swaps = _swap_candidates(m0.values, pair0.u.values)[:cap]
-    bounds = temple_swap_bounds(m0, pair0, swaps, beta)
+    bounds = temple_swap_bounds(m0, pair0, swaps)
     # the swaps that give a mirror image of m0, which has λ₀
     mirror = {tuple(d.tolist()) for p in maps
               if (d := np.flatnonzero(m0.values[p] != m0.values)).size == 2}
@@ -240,7 +243,9 @@ def _minimize_over_class(
     its swap is the move; descent resumes from it.  A round with no such
     swap ends the seed.  Every eigensolve and polish probe counts against
     MAX_FIXED_POINT_ITERS.  Every move is checked: the step must not lower
-    ∫ m u² dx, and λ₁ must not rise beyond DESCENT_RTOL.
+    ∫ m u² dx, and λ₁ must not rise beyond DESCENT_RTOL.  The start and the
+    polish round read what they need, the factor of A and Temple's β, off
+    the domain and the weight themselves.
 
     The ``_mirror_maps`` of the domain, computed once per call, also end a
     later seed as soon as its start or next iterate, checked before its
@@ -250,18 +255,12 @@ def _minimize_over_class(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    # β bounds μ₂ of every arrangement of the profile
-    beta = second_mu_bound(domain, float(profile[0]))
-    # every arrangement has the profile's max |m|, so one power of two
-    # scales all of them as grid.unit_scale scales each
-    scale = unit_scale(profile)[1]
-    solve_a = _factored_stiffness(domain)[2]
     maps = _mirror_maps(domain)
     earlier: set[bytes] = set()  # orbit keys of the earlier seeds' iterates
 
     best: OptimizeReport | None = None
     for s in range(seeds):
-        m, u0 = _start(domain, profile, np.random.default_rng([rng_seed, s]), scale, solve_a)
+        m, u0 = _start(domain, profile, np.random.default_rng([rng_seed, s]))
         if earlier and _orbit_key(m.values, maps) in earlier:
             continue
         pair = pair0 = principal_positive_eigenvalue(domain, m, u0=u0)
@@ -272,10 +271,10 @@ def _minimize_over_class(
             seen.add(m.values.tobytes())
             m_next = rearrangement_step(profile, pair.u)
             # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u², with
-            # both arrangements of the profile scaled by one power of two
+            # both arrangements of the profile scaled by one power of two and
+            # the common factor h² left out
             u2 = pair.u.values**2
-            t_old, t_new = (float(np.ldexp(w.values, -scale) @ u2) * domain.cell_area
-                            for w in (m, m_next))
+            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) for w in (m, m_next))
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise RuntimeError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
@@ -284,7 +283,7 @@ def _minimize_over_class(
                     break
                 m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
                 evals += 1
-            elif (move := _polish_round(m0, pair0, beta, maps,
+            elif (move := _polish_round(m0, pair0, maps,
                                         MAX_FIXED_POINT_ITERS - evals)) is None:
                 break  # fixed point or cycle, and no swap of the best lowers λ₁
             else:

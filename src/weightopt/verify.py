@@ -135,30 +135,30 @@ def check_steiner(domain: GridDomain, rng: np.random.Generator,
     return _every_trial(trial, trials)
 
 
-def dense_lambda1(domain: GridDomain, m: ScalarField) -> float:
-    """Independent dense route to λ₁: smallest positive eigenvalue of the
-    pencil via LAPACK's generalized symmetric sygvd (M u = μ A u, λ = 1/μ),
-    a route that principal_positive_eigenvalue does not take."""
-    A = assemble_stiffness(domain).toarray()
-    M = np.diag(m.values * domain.cell_area)
-    mu = scipy.linalg.eigh(M, A, eigvals_only=True)
-    mu_max = mu[-1]
+def dense_lambda1(m: ScalarField) -> float:
+    """Independent dense route to λ₁ of the weight m on its domain: smallest
+    positive eigenvalue of the pencil via LAPACK's generalized symmetric
+    sygvd (M u = μ A u, λ = 1/μ), a route that principal_positive_eigenvalue
+    does not take."""
+    A = assemble_stiffness(m.domain).toarray()
+    M = np.diag(m.values * m.domain.cell_area)
+    mu_max = scipy.linalg.eigh(M, A, eigvals_only=True)[-1]
     if mu_max <= 0:
         raise ValueError("weight admits no positive eigenvalue")
-    return 1.0 / mu_max
+    return float(1.0 / mu_max)
 
 
-def _batch_lambda1(A_dense: np.ndarray, m_values: np.ndarray, cell_area: float) -> np.ndarray:
+def _batch_lambda1(domain: GridDomain, m_values: np.ndarray) -> np.ndarray:
     """λ₁ for a batch of weights on one small domain (rows of m_values).
 
     Whitens the pencil with one Cholesky factor of A and runs a batched
     symmetric eigensolve.  principal_positive_eigenvalue whitens small
     pencils the same way, so dense_lambda1 is the route independent of it.
     """
-    L = np.linalg.cholesky(A_dense)
+    L = np.linalg.cholesky(assemble_stiffness(domain).toarray())
     Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
     # S_k = L^-1 diag(m_k h^2) L^-T, batched over k
-    scaled = m_values[:, None, :] * cell_area
+    scaled = m_values[:, None, :] * domain.cell_area
     S = (Linv[None, :, :] * scaled) @ Linv.T[None, :, :]
     mu = np.linalg.eigvalsh(S)[:, -1]
     out = np.full(mu.shape, np.inf)
@@ -177,8 +177,7 @@ def enumerate_bang_bang_minimum(
     weights = np.full((len(combos), n), -m2, dtype=float)
     for k, combo in enumerate(combos):
         weights[k, list(combo)] = m1
-    A_dense = assemble_stiffness(domain).toarray()
-    lams = _batch_lambda1(A_dense, weights, domain.cell_area)
+    lams = _batch_lambda1(domain, weights)
     k_best = int(np.argmin(lams))
     return float(lams[k_best]), weights[k_best]
 
@@ -235,7 +234,7 @@ def check_small_domain_oracles(rng: np.random.Generator,
         m3 = (m1 + m2) * n_top * dom.cell_area - m2 * dom.total_measure
         lam_brute, _ = enumerate_bang_bang_minimum(dom, m1, m2, n_top)
         report = optimize_single(dom, (m1, m2, m3), seeds=20, rng_seed=int(rng.integers(2**31)))
-        lam_opt_dense = dense_lambda1(dom, report.weight)
+        lam_opt_dense = dense_lambda1(report.weight)
         return {"oracle_optimizer_vs_enumeration": lam_opt_dense <= lam_brute * (1.0 + 1e-12)}
 
     return {**_every_trial(pairing_trial, trials), **_every_trial(optimum_trial, trials)}

@@ -5,6 +5,7 @@ from scipy import sparse
 import weightopt.eig
 from weightopt import optimize as opt
 from weightopt.grid import ScalarField, make_box, make_rectangle, unit_scale
+from weightopt.rearrange import ResourceClass
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +59,13 @@ def dumbbell(block, neck):
     mask[1:block + 1, 1:block + 1] = mask[1:block + 1, block + neck + 1:-1] = True
     mask[1 + block // 2, block + 1:block + neck + 1] = True
     return mask
+
+
+def remark_classes(domain):
+    """The paper's remark pair: (0 <= f1 <= 1, ∫f1 = 2|Ω|/3) and
+    (-1 <= f2 <= 0, ∫f2 = -|Ω|/2)."""
+    omega = domain.total_measure
+    return ResourceClass(0.0, 1.0, 2 * omega / 3), ResourceClass(1.0, 0.0, -omega / 2)
 
 
 def rng_field(domain, rng, lo=-16, hi=17, denom=8.0):
@@ -169,7 +177,6 @@ def reference_minimize_over_class(domain, profile, seeds, rng_seed):
     the rules' claim that they change only the number of eigensolves.  Every
     name resolves through weightopt.optimize, so a test that patches one
     there patches it here too."""
-    beta = opt.second_mu_bound(domain, float(profile[0]))
     solve_a = opt._factored_stiffness(domain)[2]
     best = None
     for s in range(seeds):
@@ -200,8 +207,7 @@ def reference_minimize_over_class(domain, profile, seeds, rng_seed):
             seen.add(m.values.tobytes())
             m_next = opt.rearrangement_step(profile, pair.u)
             u2 = pair.u.values**2
-            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) * domain.cell_area
-                            for w in (m, m_next))
+            t_old, t_new = (float(unit_scale(w.values)[0] @ u2) for w in (m, m_next))
             if t_new < t_old - opt.DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise RuntimeError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
@@ -214,7 +220,7 @@ def reference_minimize_over_class(domain, profile, seeds, rng_seed):
                 mu_cut = (1.0 - opt.LAMBDA_TIE_RTOL) / lam0
                 swaps = opt._swap_candidates(m0.values, pair0.u.values)
                 swaps = swaps[:opt.MAX_FIXED_POINT_ITERS - evals]
-                bounds = opt.temple_swap_bounds(m0, pair0, swaps, beta)
+                bounds = opt.temple_swap_bounds(m0, pair0, swaps)
                 for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
                     if bound < mu_cut:
                         continue

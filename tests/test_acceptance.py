@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, printing a PASS line each.
+"""Acceptance suite: one test per criterion, and a negative control of
+criterion 4, printing a PASS line each.
 
 Heavy optimization runs are shared through session fixtures; everything is
 seeded and deterministic.  The full module takes about 2.5 s on one thread
@@ -20,6 +21,7 @@ from weightopt.grid import (
     transpose_field,
 )
 from weightopt.optimize import (
+    LAMBDA_TIE_RTOL,
     decompose,
     optimize_single,
     optimize_two,
@@ -45,18 +47,10 @@ from weightopt.verify import (
     random_connected_mask,
 )
 
-from conftest import indicator
+from conftest import indicator, remark_classes
 
 EIG_RESIDUAL_TOL = 1e-8
 SYMMETRY_DEFECT_TOL = 0.02
-
-
-def remark_classes(domain):
-    omega = domain.total_measure
-    return (
-        ResourceClass(0.0, 1.0, 2 * omega / 3),
-        ResourceClass(1.0, 0.0, -omega / 2),
-    )
 
 
 @pytest.fixture(scope="session")
@@ -181,6 +175,31 @@ def test_criterion_4_steiner_symmetry_n128(symmetric_optima_n128):
     )
 
 
+def test_symmetry_breaks_without_a_steiner_axis():
+    """Negative control for criterion 4: the paper's symmetry result needs a
+    Steiner-symmetric domain.  The annulus 0.3 < r < 0.5 is symmetric under
+    every reflection through its centre, but some rows meet it in two
+    intervals, so it has no Steiner axis.  Its optimal favourable set for
+    the class of share 0.05 gathers on one side."""
+    i = np.arange(65) - 32
+    r = np.hypot(i[:, None], i) / 64
+    dom = from_mask((0.3 < r) & (r < 0.5), 1 / 64)
+    assert (dom.n_cells, dom.axis) == (2052, None)
+    report = optimize_single(dom, (1.0, 1.0, -0.9 * dom.total_measure), seeds=8, rng_seed=0)
+    assert report.final.lambda1 == pytest.approx(399.1930894247767, rel=LAMBDA_TIE_RTOL)
+    favourable = report.weight.values > 0
+    assert favourable.sum() == 103
+    # |mean e^{iθ}| over the favourable cells: 0 for a rotation-invariant set
+    center = (np.array(dom.shape) - 1) / 2
+    z = (dom.cell_cols - center[1]) + 1j * (dom.cell_rows - center[0])
+    concentration = abs(np.mean(z[favourable] / abs(z[favourable])))
+    assert concentration >= 0.9
+    grid = report.weight.to_grid()
+    for mirrored in (grid[:, ::-1], grid[::-1]):
+        assert not np.array_equal(mirrored[dom.mask], grid[dom.mask])
+    print(f"\nNEGATIVE CONTROL no Steiner axis: PASS (concentration {concentration:.4f})")
+
+
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(20240501)
     worst = 0.0
@@ -191,7 +210,7 @@ def test_criterion_5_oracle_equivalence():
         m3 = 2.0 * n_top * dom.cell_area - dom.total_measure
         lam_brute, _ = enumerate_bang_bang_minimum(dom, 1.0, 1.0, n_top)
         report = optimize_single(dom, (1.0, 1.0, m3), seeds=20, rng_seed=trial)
-        lam_opt = dense_lambda1(dom, report.weight)
+        lam_opt = dense_lambda1(report.weight)
         assert lam_opt <= lam_brute * (1 + 1e-12), (
             trial, n_cells, n_top, lam_brute, lam_opt,
         )

@@ -165,7 +165,7 @@ def test_power_of_two_scaling_lives_in_grid():
     """np.frexp, the exponent that power-of-two scaling divides by, is called
     only in grid.py, where grid.unit_scale scales values for every module
     whose sums could overflow.  Calls are listed by module and top-level
-    def or class; an exempt call scales nothing."""
+    def or class."""
     calls = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -174,8 +174,27 @@ def test_power_of_two_scaling_lives_in_grid():
                         getattr(node.func, "attr", None) == "frexp"
                         or getattr(node.func, "id", None) == "frexp"):
                     calls.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert {call for call in calls if not call.startswith("grid.")} == {
-        "eig.principal_positive_eigenvalue",  # whether 2^e μ overflows, from μ's exponent
+    assert {call for call in calls if not call.startswith("grid.")} == set()
+
+
+def test_no_domain_beside_a_field():
+    """No function of a weightopt module takes a GridDomain parameter beside
+    a ScalarField or OptimizeReport parameter: the field, or the report's
+    weight, carries its domain.  Parameters are matched by the names in
+    their annotations."""
+    both = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                types = {name.id for a in args.posonlyargs + args.args + args.kwonlyargs
+                         if a.annotation is not None
+                         for name in ast.walk(a.annotation) if isinstance(name, ast.Name)}
+                if "GridDomain" in types and types & {"ScalarField", "OptimizeReport"}:
+                    both.add(f"{path.stem}.{node.name}")
+    assert both == {
+        # perfbench's tracer reads the weight as the solve's second positional argument
+        "eig.principal_positive_eigenvalue",
     }
 
 

@@ -35,18 +35,17 @@ from weightopt.optimize import (
     rearrangement_step,
     single_class,
 )
-from weightopt.rearrange import ResourceClass, decreasing_rearrangement
+from weightopt.rearrange import decreasing_rearrangement
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
-from conftest import SPLIT_MASKS, coo_stiffness, dumbbell, rng_field
+from conftest import SPLIT_MASKS, coo_stiffness, dumbbell, remark_classes, rng_field
 
 
 def batch_lambda1(dom, m):
     """λ₁ by numpy Cholesky whitening and eigvalsh.  The production dense
     path whitens the same way, so dense_lambda1 (generalized sygvd) is the
     route independent of it; this one checks the whitening against it."""
-    A = assemble_stiffness(dom).toarray()
-    return float(_batch_lambda1(A, m.values[None, :], dom.cell_area)[0])
+    return float(_batch_lambda1(dom, m.values[None, :])[0])
 
 
 def return_vector(monkeypatch, dom, u, mu=None):
@@ -271,7 +270,7 @@ class TestPrincipalEigenvalue:
         for _ in range(3):
             m = dom.field(np.where(rng.permutation(n_cells) < n_cells // 3, 1.0, -1.0))
             pair = principal_positive_eigenvalue(dom, m)
-            assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+            assert pair.lambda1 == pytest.approx(dense_lambda1(m), rel=1e-10)
             assert pair.lambda1 == pytest.approx(batch_lambda1(dom, m), rel=1e-10)
             u = pair.u.values
             assert u.min() > 0
@@ -332,7 +331,7 @@ class TestPrincipalEigenvalue:
         assert dom.n_cells == 120
         m = dom.constant_field(1.0)
         pair = principal_positive_eigenvalue(dom, m)
-        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-15, abs=0)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(m), rel=1e-15, abs=0)
         assert pair.residual <= EIG_RESIDUAL_RTOL
 
     def test_far_field_below_rounding_accepted(self):
@@ -385,7 +384,7 @@ class TestPrincipalEigenvalue:
         m = dom.field(np.array([1.0 if c == "+" else -1.0
                                 for row in cells for c in row if c != "."]))
         pair = principal_positive_eigenvalue(dom, m)
-        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-10)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(m), rel=1e-10)
         assert pair.lambda1 == pytest.approx(batch_lambda1(dom, m), rel=1e-10)
 
     def test_single_cell(self):
@@ -511,9 +510,7 @@ class TestPrincipalEigenvalue:
                         make_ellipse(33, 33, 1 / 32, (0.5, 0.5))):
                 omega = dom.total_measure
                 for rng_seed in range(5):
-                    optimize_two(dom, ResourceClass(0.0, 1.0, 2 * omega / 3),
-                                 ResourceClass(1.0, 0.0, -omega / 2), seeds=2,
-                                 rng_seed=rng_seed)
+                    optimize_two(dom, *remark_classes(dom), seeds=2, rng_seed=rng_seed)
                     optimize_single(dom, (1.0, 1.0, omega / 6), seeds=2, rng_seed=rng_seed)
             assert len(residuals) > 100, rank_solves
             assert max(residuals) <= EIG_RESIDUAL_RTOL / 20, rank_solves
@@ -591,7 +588,7 @@ class TestTorsionStart:
         (kwargs, arpack), = arpack_calls
         assert (kwargs["ncv"], kwargs["tol"]) == (WARM_NCV, EIG_RESIDUAL_RTOL / 1000)
         assert pair.iterations == arpack + 2 == solves
-        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-12)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(m), rel=1e-12)
 
     def test_scattered_small_share_solves_cold(self, arpack_calls):
         # a favourable 1/50 of the 64-grid box, scattered: the step leaves
@@ -614,7 +611,7 @@ class TestTorsionStart:
         # leaves cells of v <= 0, and the cold pass stalls at 20000 A-solves
         dom = make_box(1.0, 1.0, 16)
         m = dom.field(np.where(np.random.default_rng([1, 256]).permutation(256) < 5, 1.0, -1.0))
-        dense = dense_lambda1(dom, m)
+        dense = dense_lambda1(m)
         assert dense == pytest.approx(982.6368099120417, rel=1e-12)
         assert principal_positive_eigenvalue(dom, m).lambda1 == pytest.approx(dense, rel=1e-8)
 
@@ -636,7 +633,7 @@ class TestTorsionStart:
         assert kwargs["ncv"] == (WARM_NCV if started else None)
         assert (kwargs["v0"] == 1.0).all() == (not started)
         assert pair.iterations == arpack + 2
-        assert pair.lambda1 == pytest.approx(dense_lambda1(dom, m), rel=1e-12)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(m), rel=1e-12)
 
     def test_started_residual_keeps_its_margin(self, arpack_calls):
         # a started solve stops as a warm one does, at a Ritz estimate 1000x
@@ -719,11 +716,6 @@ def no_superlu(monkeypatch):
         raise SuperLURefused
 
     monkeypatch.setattr(weightopt.eig, "splu", refuse)
-
-
-def remark_classes(dom):
-    omega = dom.total_measure
-    return ResourceClass(0.0, 1.0, 2 * omega / 3), ResourceClass(1.0, 0.0, -omega / 2)
 
 
 class TestSineBasis:
@@ -854,18 +846,18 @@ class TestTempleSwapBound:
         swaps = _swap_candidates(values, pair.u.values)
         at = data.draw(st.integers(0, len(swaps)))
         swaps.insert(at, (i, j))
-        bounds = temple_swap_bounds(m, pair, swaps, beta)
+        bounds = temple_swap_bounds(m, pair, swaps)
         assert bounds.shape == (len(swaps),)
         bound = bounds[at]
         A = assemble_stiffness(dom).toarray()
         mu = scipy.linalg.eigh(np.diag(m_swap.values * dom.cell_area), A, eigvals_only=True)
         assert beta >= mu[-2] - 1e-12 * abs(mu[-2])
         if np.isfinite(bound):
-            assert bound >= (1.0 - 1e-12) / dense_lambda1(dom, m_swap)
+            assert bound >= (1.0 - 1e-12) / dense_lambda1(m_swap)
         if not big:
             # every swap of the round: none that lowers λ₁ is certified
             batch = np.stack([values] + [swapped(m, a, b).values for a, b in swaps])
-            lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
+            lam0, *lams = _batch_lambda1(dom, batch)
             for b, lam in zip(bounds, lams):
                 assert lam * b >= 1.0 - 1e-12
                 if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
@@ -884,12 +876,10 @@ class TestTempleSwapBound:
             values[0] = 1.0
             m = dom.field(values)
             pair = principal_positive_eigenvalue(dom, m)
-            beta = second_mu_bound(dom, 1.0)
-            A = assemble_stiffness(dom).toarray()
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if values[i] != values[j]]
             batch = np.stack([values] + [swapped(m, i, j).values for i, j in pairs])
-            lam0, *lams = _batch_lambda1(A, batch, dom.cell_area)
-            bounds = temple_swap_bounds(m, pair, pairs, beta)
+            lam0, *lams = _batch_lambda1(dom, batch)
+            bounds = temple_swap_bounds(m, pair, pairs)
             for bound, lam in zip(bounds, lams):
                 is_certified = certified(bound, pair)
                 if lam < lam0 * (1.0 - LAMBDA_TIE_RTOL):
@@ -917,14 +907,13 @@ class TestTempleSwapBound:
         # columns of the block solves do not mix: each bound of a polish
         # round equals the bound of its swap alone
         m, pair, swaps = self.polish_round(dom)
-        beta = second_mu_bound(dom, 1.0)
-        bounds = temple_swap_bounds(m, pair, swaps, beta)
-        one = np.array([temple_swap_bounds(m, pair, [s], beta)[0] for s in swaps])
+        bounds = temple_swap_bounds(m, pair, swaps)
+        one = np.array([temple_swap_bounds(m, pair, [s])[0] for s in swaps])
         assert np.isfinite(one).sum() > len(swaps) // 2
         assert np.array_equal(np.isinf(bounds), np.isinf(one))
         finite = np.isfinite(one)
         np.testing.assert_allclose(bounds[finite], one[finite], rtol=1e-12, atol=0)
-        assert temple_swap_bounds(m, pair, [], beta).shape == (0,)
+        assert temple_swap_bounds(m, pair, []).shape == (0,)
 
     @pytest.mark.parametrize("k", [-1000, 1000])
     @pytest.mark.parametrize("dom", [make_rectangle(6, 5, 0.5), make_rectangle(12, 12, 0.5)],
@@ -934,11 +923,10 @@ class TestTempleSwapBound:
         # times as large gets bounds 2^k times as large, to the bit, with no
         # overflow near the largest double or underflow near the smallest
         m, pair, swaps = self.polish_round(dom)
-        bounds = temple_swap_bounds(m, pair, swaps, second_mu_bound(dom, 1.0))
+        bounds = temple_swap_bounds(m, pair, swaps)
         assert np.isfinite(bounds).sum() > len(swaps) // 2
         pair_k = EigenPair(np.ldexp(pair.lambda1, -k), pair.u, pair.residual, pair.iterations)
-        scaled = temple_swap_bounds(dom.field(np.ldexp(m.values, k)), pair_k, swaps,
-                                    second_mu_bound(dom, 2.0**k))
+        scaled = temple_swap_bounds(dom.field(np.ldexp(m.values, k)), pair_k, swaps)
         assert np.array_equal(scaled, np.ldexp(bounds, k))
 
     def test_mu0_at_most_beta_solves_nothing(self, monkeypatch):
@@ -957,7 +945,7 @@ class TestTempleSwapBound:
             raise AssertionError("the screen touched the factor")
 
         monkeypatch.setattr(weightopt.eig, "_factored_stiffness", refuse)
-        bounds = temple_swap_bounds(report.weight, report.final, swaps, beta)
+        bounds = temple_swap_bounds(report.weight, report.final, swaps)
         assert len(swaps) > 0
         assert np.array_equal(bounds, np.full(len(swaps), np.inf))
 

@@ -327,7 +327,7 @@ class TestRunTask:
         dom = make_rectangle(6, 5, 0.5)
         weight = read_field_csv(out / "weight.csv", dom)
         assert np.array_equal(weight.values, np.full(dom.n_cells, 0.5))
-        lam = weightopt.verify.dense_lambda1(dom, dom.constant_field(0.5))
+        lam = weightopt.verify.dense_lambda1(dom.constant_field(0.5))
         assert results["lambda"] == pytest.approx(lam, rel=1e-10)
 
     def test_symmetrize_run(self, tmp_path):
@@ -614,6 +614,11 @@ class TestVerifyTask:
         results = json.loads((tmp_path / "v" / "results.json").read_text())
         assert results["all_passed"] is True
 
+    def test_run_all_returns_python_bools(self, small_rect):
+        # results.json is written with no conversion of numpy scalars
+        checks = weightopt.verify.run_all(small_rect, rng_seed=0, trials=2)
+        assert [name for name, passed in checks.items() if type(passed) is not bool] == []
+
     def test_broken_tie_rule_negative_control(self, tmp_path, monkeypatch):
         def right_biased_symmetrize_set(domain, mask):
             # the extra cell of a parity mismatch goes to the higher column
@@ -698,7 +703,7 @@ class TestVerifyTask:
 @pytest.mark.parametrize("value", [-1.0, 0.0], ids=["negative", "zero"])
 def test_dense_lambda1_rejects_a_weight_without_positive_eigenvalue(small_rect, value):
     with pytest.raises(ValueError, match="no positive eigenvalue"):
-        weightopt.verify.dense_lambda1(small_rect, small_rect.constant_field(value))
+        weightopt.verify.dense_lambda1(small_rect.constant_field(value))
 
 
 class TestCliEntry:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from weightopt import optimize
 from weightopt.cli import run as cli_run
-from weightopt.eig import assemble_stiffness, principal_positive_eigenvalue, second_mu_bound
+from weightopt.eig import assemble_stiffness, principal_positive_eigenvalue
 from weightopt.grid import from_mask, make_box, make_ellipse, make_rectangle
 from weightopt.optimize import (
     DESCENT_RTOL,
@@ -34,7 +34,12 @@ from weightopt.rearrange import (
 )
 from weightopt.steiner import symmetrize_function, symmetry_defect
 
-from conftest import indicator, reference_minimize_over_class, reference_swap_candidates
+from conftest import (
+    indicator,
+    reference_minimize_over_class,
+    reference_swap_candidates,
+    remark_classes,
+)
 
 
 def toy_profile(values, counts):
@@ -193,12 +198,6 @@ class TestOptimizeSingle:
         assert len(report.lambda_history) == len(steps) >= 2
         assert not report.stabilized
         assert report.final.lambda1 <= min(pair_a.lambda1, lam_b)
-
-
-def remark_classes(dom):
-    omega = dom.total_measure
-    return (ResourceClass(0.0, 1.0, 2 * omega / 3),
-            ResourceClass(1.0, 0.0, -omega / 2))
 
 
 class TestSmoothedStart:
@@ -731,7 +730,7 @@ def run_counting_probes(monkeypatch, dom, screen, seeds, cap=None):
         mp.setattr(optimize, "principal_positive_eigenvalue", solve)
         if not screen:
             mp.setattr(optimize, "temple_swap_bounds",
-                       lambda m, pair, swaps, beta: np.full(len(swaps), np.inf))
+                       lambda m, pair, swaps: np.full(len(swaps), np.inf))
         if cap is not None:
             mp.setattr(optimize, "MAX_FIXED_POINT_ITERS", cap)
         report = optimize_two(dom, *remark_classes(dom), seeds=seeds)
@@ -824,7 +823,7 @@ def test_polish_round_finds_the_one_improving_swap():
     # not an assert: a moved optimum must fail the test, not count as the xfail
     if pair0.lambda1 != pytest.approx(2.251316376089483, rel=1e-12):
         pytest.fail(f"the planted optimum moved: {pair0.lambda1!r}")
-    move = optimize._polish_round(m0, pair0, second_mu_bound(dom, 1.0), optimize._mirror_maps(dom),
+    move = optimize._polish_round(m0, pair0, optimize._mirror_maps(dom),
                                   optimize.MAX_FIXED_POINT_ITERS)
     assert move is not None
     m, pair, _ = move
@@ -910,7 +909,7 @@ def test_mirror_probe_is_not_solved(monkeypatch):
     monkeypatch.setattr(optimize, "rearrangement_step", lambda profile, u: planted)
     monkeypatch.setattr(optimize, "_swap_candidates", lambda m, u: [mirror_swap, other_swap])
     monkeypatch.setattr(optimize, "temple_swap_bounds",
-                        lambda m, pair, swaps, beta: np.full(len(swaps), np.inf))
+                        lambda m, pair, swaps: np.full(len(swaps), np.inf))
     monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
     report = optimize._minimize_over_class(dom, np.sort(values)[::-1], 1, 0)
 
