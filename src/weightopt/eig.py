@@ -204,11 +204,6 @@ def _factored_stiffness(domain: GridDomain):
     return _LAST[1]
 
 
-def _bounding_box(domain: GridDomain) -> tuple[int, int]:
-    """(rows, columns) of the smallest rectangle of cells that holds the domain."""
-    return (int(np.ptp(domain.cell_rows)) + 1, int(np.ptp(domain.cell_cols)) + 1)
-
-
 def _factor(domain: GridDomain):
     n = domain.n_cells
     A = assemble_stiffness(domain)
@@ -220,7 +215,7 @@ def _factor(domain: GridDomain):
         A = A.toarray()
         W = scipy.linalg.solve_triangular(np.linalg.cholesky(A), np.eye(n), lower=True)
         return A, W, lambda x: W.T @ (W @ x)
-    ny, nx = _bounding_box(domain)
+    ny, nx = domain.bounding_box
     if n == ny * nx:
         return A, None, _sine_solver(ny, nx)
     # A is SPD: a symmetric fill-reducing order with no pivoting halves the
@@ -373,7 +368,7 @@ def second_mu_bound(domain: GridDomain, m_max: float) -> float:
     4 - 2cos(πp/(nx+1)) - 2cos(πq/(ny+1)); the smaller of the (2, 1) and
     (1, 2) values is at most λ₂(A_R), also when a side is one cell.
     """
-    ny, nx = _bounding_box(domain)
+    ny, nx = domain.bounding_box
     cx, cy = np.cos(np.pi / (nx + 1)), np.cos(np.pi / (ny + 1))
     lam2 = 4.0 - 2.0 * max(np.cos(2 * np.pi / (nx + 1)) + cy, cx + np.cos(2 * np.pi / (ny + 1)))
     return m_max * domain.cell_area / lam2

@@ -13,6 +13,9 @@ inside the array.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 
@@ -26,7 +29,7 @@ def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
     overflows for a subnormal max |x|.
     """
     x = np.asarray(x, dtype=float)
-    e = int(np.frexp(np.abs(x).max())[1])
+    e = math.frexp(float(np.abs(x).max()))[1]
     return np.ldexp(x, -e), e
 
 
@@ -41,6 +44,8 @@ class GridDomain:
     so every row is centered on it), else None.  It is even when the line
     runs through a cell-center column and odd when it runs between two
     columns; reflection maps column ``c`` to ``axis - c``.
+    ``bounding_box`` is (rows, columns) of the smallest rectangle of cells
+    that holds the domain.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
@@ -74,6 +79,26 @@ class GridDomain:
         self.cell_cols = cols
         self.cell_rows.setflags(write=False)
         self.cell_cols.setflags(write=False)
+        self.bounding_box = (int(np.ptp(rows)) + 1, int(np.ptp(cols)) + 1)
+
+    @cached_property
+    def mirror_maps(self) -> tuple[np.ndarray, ...]:
+        """The grid's reflections and rotations other than the identity that
+        map the mask onto itself, each as the read-only cell permutation p
+        with (m∘σ).values = m.values[p], found on first use.
+
+        The 5-point A is invariant under each, so λ₁(m∘σ) = λ₁(m) exactly.  A
+        square mask is checked against all seven, any other against the
+        reflections across its two center lines and the half-turn.
+        """
+        idx = self.index_map
+        images = [idx[::-1], idx[:, ::-1], idx[::-1, ::-1]]
+        if idx.shape[0] == idx.shape[1]:
+            images += [idx.T, idx.T[::-1], idx.T[:, ::-1], idx.T[::-1, ::-1]]
+        maps = tuple(im[self.mask] for im in images if np.array_equal(im >= 0, self.mask))
+        for p in maps:
+            p.setflags(write=False)
+        return maps
 
     @property
     def shape(self) -> tuple[int, int]:

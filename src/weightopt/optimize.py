@@ -130,25 +130,10 @@ def _swap_candidates(m: np.ndarray, u: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _mirror_maps(domain: GridDomain) -> list[np.ndarray]:
-    """The grid's reflections and rotations other than the identity that map
-    ``domain.mask`` onto itself, each as the cell permutation p with
-    (m∘σ).values = m.values[p].
-
-    The 5-point A is invariant under each, so λ₁(m∘σ) = λ₁(m) exactly.  A
-    square mask is checked against all seven, any other against the
-    reflections across its two center lines and the half-turn.
-    """
-    idx = domain.index_map
-    images = [idx[::-1], idx[:, ::-1], idx[::-1, ::-1]]
-    if idx.shape[0] == idx.shape[1]:
-        images += [idx.T, idx.T[::-1], idx.T[:, ::-1], idx.T[::-1, ::-1]]
-    return [image[domain.mask] for image in images if np.array_equal(image >= 0, domain.mask)]
-
-
-def _orbit_key(values: np.ndarray, maps: list[np.ndarray]) -> bytes:
-    """One key per orbit of arrangements under `maps`: the smallest of the
-    bytes of the arrangement and its mirror images.
+def _orbit_key(values: np.ndarray, maps: tuple[np.ndarray, ...]) -> bytes:
+    """One key per orbit of arrangements under `maps`, a domain's
+    ``mirror_maps``: the smallest of the bytes of the arrangement and its
+    mirror images.
 
     An arrangement that equals one of its own mirror images is keyed by its
     own bytes instead: its eigenfunction has mirror-forced near-ties that
@@ -194,7 +179,7 @@ def _start(domain: GridDomain, profile: np.ndarray,
     return m, u0
 
 
-def _polish_round(m0: ScalarField, pair0: EigenPair, maps: list[np.ndarray],
+def _polish_round(m0: ScalarField, pair0: EigenPair,
                   cap: int) -> tuple[ScalarField, EigenPair, int] | None:
     """The first of up to `cap` one-swap probes of `m0` that strictly lowers
     λ₁ below pair0's by the tie tolerance, with its pair and the number of
@@ -206,14 +191,14 @@ def _polish_round(m0: ScalarField, pair0: EigenPair, maps: list[np.ndarray],
     1/λ₁ lies below 1/λ₀ by the tie tolerance cannot lower λ₁; it is
     rejected without an eigensolve but counts as a probe, so the screen
     changes no result.  A probe whose swapped arrangement is a mirror image
-    of m0 under one of `maps` has λ₀ exactly, so it is certified the same
-    way.
+    of m0 under one of its domain's ``mirror_maps`` has λ₀ exactly, so it is
+    certified the same way.
     """
     mu_cut = (1.0 - LAMBDA_TIE_RTOL) / pair0.lambda1
     swaps = _swap_candidates(m0.values, pair0.u.values)[:cap]
     bounds = temple_swap_bounds(m0, pair0, swaps)
     # the swaps that give a mirror image of m0, which has λ₀
-    mirror = {tuple(d.tolist()) for p in maps
+    mirror = {tuple(d.tolist()) for p in m0.domain.mirror_maps
               if (d := np.flatnonzero(m0.values[p] != m0.values)).size == 2}
     for t, ((i, j), bound) in enumerate(zip(swaps, bounds)):
         if bound < mu_cut or (min(i, j), max(i, j)) in mirror:
@@ -247,7 +232,7 @@ def _minimize_over_class(
     polish round read what they need, the factor of A and Temple's β, off
     the domain and the weight themselves.
 
-    The ``_mirror_maps`` of the domain, computed once per call, also end a
+    The domain's ``mirror_maps``, which each domain finds once, also end a
     later seed as soon as its start or next iterate, checked before its
     solve or after its accepted swap, has the ``_orbit_key`` of an earlier
     seed's iterate: from there it would only retrace a descent that did not
@@ -255,13 +240,12 @@ def _minimize_over_class(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    maps = _mirror_maps(domain)
     earlier: set[bytes] = set()  # orbit keys of the earlier seeds' iterates
 
     best: OptimizeReport | None = None
     for s in range(seeds):
         m, u0 = _start(domain, profile, np.random.default_rng([rng_seed, s]))
-        if earlier and _orbit_key(m.values, maps) in earlier:
+        if earlier and _orbit_key(m.values, domain.mirror_maps) in earlier:
             continue
         pair = pair0 = principal_positive_eigenvalue(domain, m, u0=u0)
         m0, evals, history = m, 1, [pair.lambda1]
@@ -279,19 +263,18 @@ def _minimize_over_class(
                 raise RuntimeError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
             if not stabilized and m_next.values.tobytes() not in seen:
-                if earlier and _orbit_key(m_next.values, maps) in earlier:
+                if earlier and _orbit_key(m_next.values, domain.mirror_maps) in earlier:
                     break
                 m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
                 evals += 1
-            elif (move := _polish_round(m0, pair0, maps,
-                                        MAX_FIXED_POINT_ITERS - evals)) is None:
+            elif (move := _polish_round(m0, pair0, MAX_FIXED_POINT_ITERS - evals)) is None:
                 break  # fixed point or cycle, and no swap of the best lowers λ₁
             else:
                 # an accepted swap strictly lowers λ₁, so it cannot revisit a
                 # seen arrangement and descent resumes from it
                 (m, pair, probes), stabilized = move, False
                 evals += probes
-                if earlier and _orbit_key(m.values, maps) in earlier:
+                if earlier and _orbit_key(m.values, domain.mirror_maps) in earlier:
                     break
             if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
                 raise RuntimeError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
@@ -303,7 +286,7 @@ def _minimize_over_class(
             best = OptimizeReport(lambda_history=history, final=pair0, weight=m0,
                                   stabilized=stabilized)
         if s + 1 < seeds:
-            earlier.update(_orbit_key(np.frombuffer(b), maps) for b in seen)
+            earlier.update(_orbit_key(np.frombuffer(b), domain.mirror_maps) for b in seen)
     assert best is not None
     return best
 

@@ -107,17 +107,22 @@ def _descending_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values, kind="stable")
 
 
+def _paired(f: ScalarField, g: ScalarField, order: np.ndarray) -> ScalarField:
+    """g's values in descending order placed on the cells in `order`, f's
+    ``_descending_order``."""
+    _check_same_domain(f, g)
+    out = np.empty_like(g.values)
+    out[order] = decreasing_rearrangement(g)
+    return ScalarField(g.domain, out)
+
+
 def hl_pairing(f: ScalarField, g: ScalarField) -> ScalarField:
     """Rearrangement g̃ ~ g attaining equality in the Hardy-Littlewood bound.
 
     Cells are ranked by f descending (ties by cell index ascending) and
     receive g's values in descending order, making g̃ comonotone with f.
     """
-    _check_same_domain(f, g)
-    order = _descending_order(f.values)
-    out = np.empty_like(g.values)
-    out[order] = decreasing_rearrangement(g)
-    return ScalarField(g.domain, out)
+    return _paired(f, g, _descending_order(f.values))
 
 
 def pair_family(fields: list[ScalarField]) -> list[ScalarField]:
@@ -126,11 +131,13 @@ def pair_family(fields: list[ScalarField]) -> list[ScalarField]:
     Every field is Hardy-Littlewood paired with the first, so all outputs
     share its cell order (value descending, ties by cell index ascending),
     are mutually comonotone, and the profile of the sum equals the sum of
-    the profiles.  The first field is returned unchanged.
+    the profiles.  The first field is returned unchanged.  Its cells are
+    ranked once for the whole family.
     """
     if not fields:
         raise ValueError("need at least one field")
-    return [hl_pairing(fields[0], f) for f in fields]
+    order = _descending_order(fields[0].values)
+    return [_paired(fields[0], f, order) for f in fields]
 
 
 def comonotone(f: ScalarField | np.ndarray, g: ScalarField | np.ndarray) -> bool:

@@ -161,20 +161,32 @@ def test_no_default_without_a_taker():
     assert untaken == set()
 
 
-def test_power_of_two_scaling_lives_in_grid():
-    """np.frexp, the exponent that power-of-two scaling divides by, is called
-    only in grid.py, where grid.unit_scale scales values for every module
-    whose sums could overflow.  Calls are listed by module and top-level
-    def or class."""
+def _callers(function: str) -> set[str]:
+    """Where the weightopt modules call a function of this name, by module
+    and top-level def or class."""
     calls = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and (
-                        getattr(node.func, "attr", None) == "frexp"
-                        or getattr(node.func, "id", None) == "frexp"):
+                        getattr(node.func, "attr", None) == function
+                        or getattr(node.func, "id", None) == function):
                     calls.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert {call for call in calls if not call.startswith("grid.")} == set()
+    return calls
+
+
+def test_power_of_two_scaling_lives_in_grid():
+    """frexp, the exponent that power-of-two scaling divides by, is called
+    only in grid.py, where grid.unit_scale scales values for every module
+    whose sums could overflow."""
+    assert {call for call in _callers("frexp") if not call.startswith("grid.")} == set()
+
+
+def test_the_bounding_box_lives_in_grid():
+    """ptp, which measures the extent of the cells, is called only in
+    grid.py: a GridDomain finds its ``bounding_box`` once, and the
+    eigensolver's sine-basis routing and Temple's β read it there."""
+    assert {call for call in _callers("ptp") if not call.startswith("grid.")} == set()
 
 
 def test_no_domain_beside_a_field():

@@ -12,6 +12,7 @@ from weightopt.grid import (
     make_ellipse,
     make_rectangle,
     transpose_field,
+    unit_scale,
 )
 
 from conftest import reflect_field
@@ -160,6 +161,26 @@ def test_domain_leaves_the_callers_mask_writable():
     assert dom.mask[2, 2] and dom.n_cells == 9
     with pytest.raises(ValueError):
         dom.mask[2, 2] = False
+
+
+@pytest.mark.parametrize("x", [
+    [0.0], [5e-324], [1.0], [-1.0], [1.7976931348623157e308], [3.0, -0.0, -7.5e-310, 2.5e300],
+], ids=["zero", "least-subnormal", "one", "minus-one", "largest", "mixed-sign"])
+def test_unit_scale_matches_the_frexp_formula(x):
+    x = np.array(x)
+    e = int(np.frexp(np.abs(x).max())[1])
+    scaled, got = unit_scale(x)
+    assert got == e and type(got) is int
+    assert scaled.tobytes() == np.ldexp(x, -e).tobytes()
+
+
+@pytest.mark.parametrize("dom, box", [
+    (make_rectangle(6, 5, 0.5), (5, 6)),
+    (make_ellipse(13, 11, 0.1, (0.6, 0.5)), (9, 11)),
+    (from_mask(np.eye(4, dtype=bool), 1.0), (4, 4)),
+], ids=["rect6x5", "ellipse13x11", "diagonal"])
+def test_bounding_box_holds_the_cells(dom, box):
+    assert dom.bounding_box == box
 
 
 def test_transpose_roundtrip():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weightopt.eig
 from weightopt import optimize
 from weightopt.cli import run as cli_run
 from weightopt.eig import assemble_stiffness, principal_positive_eigenvalue
@@ -823,12 +824,35 @@ def test_polish_round_finds_the_one_improving_swap():
     # not an assert: a moved optimum must fail the test, not count as the xfail
     if pair0.lambda1 != pytest.approx(2.251316376089483, rel=1e-12):
         pytest.fail(f"the planted optimum moved: {pair0.lambda1!r}")
-    move = optimize._polish_round(m0, pair0, optimize._mirror_maps(dom),
-                                  optimize.MAX_FIXED_POINT_ITERS)
+    move = optimize._polish_round(m0, pair0, optimize.MAX_FIXED_POINT_ITERS)
     assert move is not None
     m, pair, _ = move
     assert np.flatnonzero(m.values != m0.values).tolist() == [1, 17]
     assert pair.lambda1 == pytest.approx(2.251126019304257, rel=1e-12)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="1 of 200 optima moves with the eigenvector's last bit")
+def test_optimum_is_a_property_of_the_input(monkeypatch):
+    # tiny-cli's 200 ops at workload seed 7, run as they are and with the
+    # dense path's dsyevr eigenvector scaled by 1 + 2⁻⁵², which moves λ and u
+    # by rounding only: the descent and polish must reach the same weight
+    dom = make_rectangle(6, 5, 0.5)
+    seeds = np.random.default_rng([7, 2]).integers(0, 2**31, 200).tolist()
+
+    def weights():
+        return [optimize_single(dom, (1.0, 1.0, dom.total_measure / 6), 2,
+                                rng_seed=s).weight.values.tobytes() for s in seeds]
+
+    plain = weights()
+    dsyevr = weightopt.eig.dsyevr
+
+    def nudged(*args, **kwargs):
+        mus, y, *rest = dsyevr(*args, **kwargs)
+        return (mus, y * (1.0 + 2.0**-52), *rest)
+
+    monkeypatch.setattr(weightopt.eig, "dsyevr", nudged)
+    assert weights() == plain
 
 
 def _annulus_15():
@@ -853,11 +877,13 @@ class TestMirrorMaps:
         (_box_8_less_one_cell(), 0),
     ], ids=["rect6x5", "box8", "ellipse13x11", "annulus15", "box8-less-one-cell"])
     def test_maps_leave_the_stiffness_unchanged(self, dom, count):
-        maps = optimize._mirror_maps(dom)
+        maps = dom.mirror_maps
         assert len(maps) == count
+        assert dom.mirror_maps is maps  # found once per domain
         A = assemble_stiffness(dom)
         cells = np.arange(dom.n_cells)
         for p in maps:
+            assert not p.flags.writeable
             assert np.array_equal(np.sort(p), cells)
             assert not np.array_equal(p, cells)
             B = A[p][:, p]
@@ -865,7 +891,7 @@ class TestMirrorMaps:
 
     def test_key_of_an_orbit(self):
         dom = make_rectangle(6, 5, 0.5)
-        maps = optimize._mirror_maps(dom)
+        maps = dom.mirror_maps
         key = optimize._orbit_key
         # an asymmetric arrangement shares its key, the smallest bytes of its
         # orbit, with each of its mirror images
@@ -919,7 +945,7 @@ def test_mirror_probe_is_not_solved(monkeypatch):
         return v
 
     assert solved == [values.tobytes(), swapped(*other_swap).tobytes()]
-    assert np.array_equal(swapped(*mirror_swap), values[optimize._mirror_maps(dom)[1]])
+    assert np.array_equal(swapped(*mirror_swap), values[dom.mirror_maps[1]])
     # the other swap does not lower λ₁, so the round ends the run
     assert report.lambda_history == [principal_positive_eigenvalue(dom, planted).lambda1]
 
@@ -932,7 +958,7 @@ def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
     dom = make_rectangle(6, 5, 0.5)
     profile = combined_profile(dom, single_class((1.0, 1.0, dom.total_measure / 6)))
     first = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
-    mirrored = dom.field(first.values[optimize._mirror_maps(dom)[1]])
+    mirrored = dom.field(first.values[dom.mirror_maps[1]])
     solved = []
 
     def solve(*args, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightopt.rearrange
 from weightopt.grid import from_mask, make_rectangle
 from weightopt.rearrange import (
     ResourceClass,
@@ -293,6 +294,22 @@ class TestPairFamily:
             for j in range(i + 1, 3):
                 actual, bound = hl_inner(outs[i], outs[j])
                 assert actual == pytest.approx(bound, abs=1e-12)
+
+
+    def test_first_field_is_ranked_once(self, monkeypatch):
+        # the family shares one ranking of the first field, and each output
+        # keeps the bits of its own hl_pairing with it
+        dom = make_rectangle(5, 5, 1.0)
+        rng = np.random.default_rng(3)
+        fields = [rng_field(dom, rng) for _ in range(3)]
+        pairings = [hl_pairing(fields[0], f) for f in fields]
+        calls = []
+        order = weightopt.rearrange._descending_order
+        monkeypatch.setattr(weightopt.rearrange, "_descending_order",
+                            lambda values: calls.append(None) or order(values))
+        outs = pair_family(fields)
+        assert len(calls) == 1
+        assert [o.values.tobytes() for o in outs] == [p.values.tobytes() for p in pairings]
 
 
 class TestComonotone:
