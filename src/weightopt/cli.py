@@ -279,10 +279,8 @@ def _run_task(cfg: RunConfig, domain: GridDomain
     if cfg.task == "symmetrize":
         m = _build_weight(cfg, domain)
         m_sym = symmetrize_function(m)  # first: a domain without an axis solves nothing
-        # m's solve starts from the torsion step, m♯'s warm from m's eigenfunction:
-        # on the 48-grid disk 16.7 and 13.0 A-solves, 21.1 and 21 from all ones
         pair_before = principal_positive_eigenvalue(domain, m)
-        pair_after = principal_positive_eigenvalue(domain, m_sym, u0=pair_before.u.values)
+        pair_after = principal_positive_eigenvalue(domain, m_sym)
         return {
             "lambda_before": pair_before.lambda1,
             "lambda_after": pair_after.lambda1,

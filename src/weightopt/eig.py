@@ -24,20 +24,25 @@ a weight times 2^k gives the same eigenvector bits.  A⁻¹M is not normal,
 so the Ritz value is only first-order accurate in the Ritz vector v; μ is
 the pencil's Rayleigh quotient vᵀMv / vᵀAv instead, whose error is of
 second order.
-A warm solve starts from a nearby eigenfunction with a ``WARM_NCV``-vector
-basis and stops once ARPACK's Ritz estimate is below
+Every ARPACK pass stops once its Ritz estimate is below
 ``EIG_RESIDUAL_RTOL / 1000``: that estimate bounds another norm than the
 checked residual ‖Au - λMu‖/‖Au‖.  In optimizer runs the factor 1000 keeps
 the checked residuals within 1/55 of the bound, 1/28 without the starts'
 ranking moves; a stop at 100 reads the same bits with the moves and 1/15
-without them.  A warm start halves the A-solves.  Without ``u0``, a solve
-starts warm from v = A⁻¹(m h² ⊙ A⁻¹1), one inverse-iteration step from the
-torsion function, if v > 0 on every cell (residuals within 1/30 of the
-bound on random weights up to n = 256): a constant weight takes 9 to 12
-A-solves, the step's 2 included, instead of 21.  A cell of v <= 0 means
+without them.  A warm solve starts from a nearby eigenfunction with a
+``WARM_NCV``-vector basis, which halves the A-solves.  Without ``u0``, a
+solve starts warm from v = A⁻¹(m h² ⊙ A⁻¹1), one inverse-iteration step
+from the torsion function A⁻¹1, which depends on the mask alone and is
+kept with its factor, if v > 0 on every cell (residuals within 1/30 of the
+bound on random weights up to n = 256): a constant weight takes 8 to 11
+A-solves, the step's 1 included, instead of 21.  A cell of v <= 0 means
 that A⁻¹M's negative end outweighs μ₁, as on a scattered small favourable
 share; the solve then runs cold, from all ones with ARPACK's default
-20-vector basis to machine precision, with the bits of a solve without v.
+20-vector basis.  A stop at machine precision (ARPACK's tol = 0) would
+stall there: rounding in each A-solve leaves the Ritz estimate near
+ε|μ_min|, which cannot reach ε μ₁ when the most negative eigenvalue μ_min
+of A⁻¹M dwarfs μ₁ (48 times on a favourable 5 of the 16-grid box's 256
+cells, 498 times on a favourable 1/50 of the 64-grid box).
 
 The cache entry is one of three kinds.  Pencils of at most
 ``DENSE_MAX_CELLS`` cells skip ARPACK's per-call overhead: their entry
@@ -74,8 +79,8 @@ the residual of |u₂| read 5.6e-7 and 1.2e-3 at neck 10, and 4.3e-10 and
 3.4e-5 at neck 16, about 1.65√g.  So u₂ passes only where λ₂ = λ₁ to
 rounding, as at neck 48 (g = 3.6e-16), where |u| of any mix of u₁ and u₂
 is an eigenvector of that λ to rounding.  Far-field entries of a localized
-eigenfunction that rounding makes negative move the residual of |u| by
-about their own size, so they need no allowance.
+eigenfunction below the stop carry either sign, and they move the residual
+of |u| by about their own size, so they need no allowance.
 
 The optimizer screens each polish swap, on every pencil size, before solving
 for it.  From the current eigenpair (u, 1/μ₀), ``temple_swap_bounds`` takes
@@ -139,8 +144,9 @@ class EigenPair:
     The eigenfunction is strictly positive, normalized to uᵀAu = 1, and the
     relative residual ‖Au - λMu‖/‖Au‖, computed here rather than taken from
     ARPACK, is below the solver tolerance.  ``iterations`` is the number of
-    A-solves that the Lanczos process used, with the 2 of the torsion step
-    of a solve without ``u0``; a dense solve of an n-cell pencil counts n.
+    A-solves that the Lanczos process used, with the 1 of the torsion step
+    of a solve without ``u0`` (A⁻¹1 is kept with the factor and not
+    counted); a dense solve of an n-cell pencil counts n.
     """
 
     lambda1: float
@@ -185,22 +191,24 @@ def dominating_shift(A: sparse.csr_matrix, m_diag_bound: float) -> float:
     return 1.1 * m_diag_bound / lam_min
 
 
-# (mask shape, mask bytes) and (A, W, x -> A⁻¹x) of the last mask factored;
-# the entry refers to no domain
+# (mask shape, mask bytes) and (A, W, x -> A⁻¹x, A⁻¹1) of the last mask
+# factored; the entry refers to no domain
 _LAST = (None, None)
 
 
 def _factored_stiffness(domain: GridDomain):
-    """The cached (A, W, x -> A⁻¹x) of the domain's mask, one of three kinds:
-    (dense A, L⁻¹ with A = LLᵀ, Wᵀ(Wx)) up to ``DENSE_MAX_CELLS`` cells;
-    above, (sparse A, None, the sine-basis solve) when the cells fill their
-    bounding box, else (sparse A, None, splu(A).solve).  The solve takes one
-    vector or a block of columns."""
+    """The cached (A, W, x -> A⁻¹x, A⁻¹1) of the domain's mask, one of three
+    kinds: (dense A, L⁻¹ with A = LLᵀ, Wᵀ(Wx)) up to ``DENSE_MAX_CELLS``
+    cells; above, (sparse A, None, the sine-basis solve) when the cells fill
+    their bounding box, else (sparse A, None, splu(A).solve).  The solve
+    takes one vector or a block of columns.  The torsion function A⁻¹1, like
+    A, depends on the mask alone."""
     global _LAST
     key = (domain.mask.shape, domain.mask.tobytes())
     if _LAST[0] != key:
         _LAST = (None, None)  # free the last factor before building one
-        _LAST = key, _factor(domain)
+        A, W, solve = _factor(domain)
+        _LAST = key, (A, W, solve, solve(np.ones(domain.n_cells)))
     return _LAST[1]
 
 
@@ -279,11 +287,12 @@ def principal_positive_eigenvalue(
     the top eigenvector of A⁻¹M, and μ = 1/λ₁ is its Rayleigh quotient
     uᵀMu / uᵀAu; ARPACK's Ritz value is not read.
     ``u0`` warm-starts ARPACK from a nearby eigenvector, with a
-    ``WARM_NCV``-vector basis and ARPACK stopped at
-    ``EIG_RESIDUAL_RTOL / 1000``; without it, the same from
-    v = A⁻¹(m h² ⊙ A⁻¹1) if v > 0, else cold from all ones (see the module
-    docstring), so repeated runs give identical bits.  Pencils of at most
-    ``DENSE_MAX_CELLS`` cells are solved densely, and ignore ``u0``.
+    ``WARM_NCV``-vector basis; without it, the same from
+    v = A⁻¹(m h² ⊙ A⁻¹1) if v > 0, else cold from all ones with ARPACK's
+    default basis (see the module docstring).  Every pass stops at
+    ``EIG_RESIDUAL_RTOL / 1000``, and repeated runs give identical bits.
+    Pencils of at most ``DENSE_MAX_CELLS`` cells are solved densely, and
+    ignore ``u0``.
 
     Raises ValueError when m h² overflows on some cell, m h² <= 0 on every
     cell or the in-domain cells are not one 4-connected set, and
@@ -301,7 +310,7 @@ def principal_positive_eigenvalue(
     if m_diag.max() <= 0.0:
         raise ValueError("need m h² > 0 on at least one in-domain cell")
     n = domain.n_cells
-    A, W, solve_a = _factored_stiffness(domain)
+    A, W, solve_a, torsion = _factored_stiffness(domain)
 
     if W is not None:
         # W = L⁻¹ pushed all n columns through A's Cholesky factor: n A-solves
@@ -323,16 +332,15 @@ def principal_positive_eigenvalue(
         m_scaled, e = unit_scale(m_diag)
         if u0 is None:
             # one inverse-iteration step from the torsion function A⁻¹1
-            v = solve(m_scaled * solve(np.ones(n)))
+            v = solve(m_scaled * torsion)
             u0 = v if v.min() > 0 else None
         try:
             _, vecs = eigs(
                 _Raw(n, lambda x: solve(m_scaled * x)), k=1, which="LR",
                 v0=np.ones(n) if u0 is None else u0,
-                # a warm start stops at a Ritz estimate 1000x tighter than the
-                # residual checked below; a cold one runs to machine precision
                 ncv=None if u0 is None else WARM_NCV,
-                tol=0.0 if u0 is None else EIG_RESIDUAL_RTOL / 1000,
+                # a Ritz estimate 1000x tighter than the residual checked below
+                tol=EIG_RESIDUAL_RTOL / 1000,
                 maxiter=EIG_MAX_OUTER, rng=0,  # rng seeds ARPACK's restart vectors
             )
         except ArpackError as exc:
@@ -398,7 +406,7 @@ def temple_swap_bounds(m: ScalarField, pair: EigenPair,
     beta = second_mu_bound(domain, float(m.values.max()))
     if not 1.0 / pair.lambda1 > beta:
         return np.full(len(swaps), np.inf)
-    A, _, solve = _factored_stiffness(domain)
+    A, _, solve, _ = _factored_stiffness(domain)
     i, j = np.array(swaps, dtype=np.intp).reshape(-1, 2).T
     cols = np.arange(i.size)
     w, e = unit_scale(m.values * domain.cell_area)

@@ -18,13 +18,14 @@ inverse-iteration steps with the cached factor of A, not by eigensolves.
 The λ₁ history begins at the first solved arrangement, and every later move
 can only lower it.  The grid's reflections and rotations that map the
 domain onto itself leave λ₁ unchanged, so a polish probe that is a mirror
-image of the best iterate is not solved, and a later start ends once its
-start or next iterate is in the mirror orbit of an earlier start's iterate.
+image of the best iterate is not solved, a later start ends once its
+start or next iterate is in the mirror orbit of an earlier start's iterate,
+and the winner is returned as its mirror image of least bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -236,7 +237,9 @@ def _minimize_over_class(
     later seed as soon as its start or next iterate, checked before its
     solve or after its accepted swap, has the ``_orbit_key`` of an earlier
     seed's iterate: from there it would only retrace a descent that did not
-    beat the winner, and the tie rule keeps the winner.
+    beat the winner, and the tie rule keeps the winner.  The winner's weight
+    and eigenfunction come back moved by the map, the identity included,
+    that gives the weight of least bytes.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -288,7 +291,11 @@ def _minimize_over_class(
         if s + 1 < seeds:
             earlier.update(_orbit_key(np.frombuffer(b), domain.mirror_maps) for b in seen)
     assert best is not None
-    return best
+    # which image of an optimum a descent reached must not decide the result
+    w, u = best.weight.values, best.final.u.values
+    p = min((np.arange(w.size), *domain.mirror_maps), key=lambda p: w[p].tobytes())
+    return replace(best, weight=ScalarField(domain, w[p]),
+                   final=replace(best.final, u=ScalarField(domain, u[p])))
 
 
 def single_class(constants: tuple[float, float, float]) -> ResourceClass:
