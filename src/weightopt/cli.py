@@ -204,7 +204,7 @@ def _build_weight(cfg: RunConfig, domain: GridDomain) -> ScalarField:
         return wio.read_field_csv(cfg.base_dir / wc["path"], domain)
     if wc["kind"] == "bang_bang":
         cls = single_class((wc["m1"], wc["m2"], wc["m3"]))
-        return random_arrangement(combined_profile(domain, cls), domain,
+        return random_arrangement(combined_profile(domain, cls),
                                   np.random.default_rng([cfg.seed, 0xBB]))
     return domain.constant_field(float(wc.get("value", 1.0)))
 

@@ -1,16 +1,18 @@
 """Minimization of λ₁(m) over rearrangement classes.
 
-The optimal weight is an increasing function of its own eigenfunction, so
-the minimizer is approached by a fixed-point iteration: solve the
-eigenproblem, then reassign the generator profile's values to cells ranked
-by the eigenfunction (the unique class element comonotone with u, which
+A class enters as its generator, a ``ScalarField`` m0; any member of the
+class would serve.  The optimal weight is an increasing function of its own
+eigenfunction, so the minimizer is approached by a fixed-point iteration:
+solve the eigenproblem, then reassign m0's values to cells ranked by the
+eigenfunction (the unique class element comonotone with u, which
 maximizes ∫m u² dx by Hardy-Littlewood).  Each step can only lower λ₁, and
 the iteration runs over a finite set of arrangements, so it either
 stabilizes or cycles.  At a fixed point or a cycle a greedy one-swap polish
-around the best iterate looks for a lower λ₁; a descent step and an
-accepted swap are the same move of one loop, so descent resumes from it.
+around the best iterate looks for a lower λ₁.  A start, a descent step and
+an accepted swap are the same move of one loop: each passes one
+mirror-orbit gate and one solve site, and descent resumes from it.
 
-Several starts guard against local minima.  Each pairs the profile with
+Several starts guard against local minima.  Each pairs the class with
 ũ = A⁻¹(w - min w) of a random arrangement w, one A-solve, where a cold
 eigensolve of the scattered w would only rank the cells.  A step reads only
 the order of u's values, so a start's first moves rank the cells by a few
@@ -18,9 +20,9 @@ inverse-iteration steps with the cached factor of A, not by eigensolves.
 The λ₁ history begins at the first solved arrangement, and every later move
 can only lower it.  The grid's reflections and rotations that map the
 domain onto itself leave λ₁ unchanged, so a polish probe that is a mirror
-image of the best iterate is not solved, a later start ends once its
-start or next iterate is in the mirror orbit of an earlier start's iterate,
-and the winner is returned as its mirror image of least bytes.
+image of the best iterate is not solved, a later start ends at the first
+arrangement it reaches that is in the mirror orbit of an earlier start's
+iterate, and the winner is returned as its mirror image of least bytes.
 """
 
 from __future__ import annotations
@@ -63,18 +65,18 @@ class OptimizeReport:
     stabilized: bool
 
 
-def rearrangement_step(m0_profile: np.ndarray, u: ScalarField) -> ScalarField:
-    """The element of the class of m0 comonotone with u.
+def rearrangement_step(m0: ScalarField, u: ScalarField) -> ScalarField:
+    """The element of the rearrangement class of m0 comonotone with u.
 
-    ``m0_profile`` is m0*, one value per cell of u's domain in descending
-    order.  Its values are Hardy-Littlewood paired with u (cells ranked
-    by u descending, ties by cell index ascending); this maximizes ∫ m u² dx
+    m0 is any member of the class, on u's domain (ValueError otherwise).
+    Its values are Hardy-Littlewood paired with u (cells ranked by u
+    descending, ties by cell index ascending); this maximizes ∫ m u² dx
     over the class and is the discrete realization of m̌ = ψ(u_m̌) for an
     increasing ψ.
     """
     if u.values.min() <= 0:
         raise ValueError("eigenfunction must be positive on the domain")
-    return hl_pairing(u, ScalarField(u.domain, m0_profile))
+    return hl_pairing(u, m0)
 
 
 def _class_generators(domain: GridDomain, *classes: ResourceClass) -> list[ScalarField]:
@@ -95,12 +97,12 @@ def _sum_of(fields: list[ScalarField]) -> np.ndarray:
     return reduce(np.add, (f.values for f in fields))
 
 
-def random_arrangement(profile: np.ndarray, domain: GridDomain,
-                       rng: np.random.Generator) -> ScalarField:
-    """The profile's values on a uniformly random permutation of the cells."""
-    values = np.empty(domain.n_cells)
-    values[rng.permutation(domain.n_cells)] = profile
-    return ScalarField(domain, values)
+def random_arrangement(m0: ScalarField, rng: np.random.Generator) -> ScalarField:
+    """m0's values on a uniformly random permutation of its cells."""
+    n = m0.domain.n_cells
+    values = np.empty(n)
+    values[rng.permutation(n)] = m0.values
+    return ScalarField(m0.domain, values)
 
 
 def _swap_candidates(m: np.ndarray, u: np.ndarray) -> list[tuple[int, int]]:
@@ -145,7 +147,7 @@ def _orbit_key(values: np.ndarray, maps: tuple[np.ndarray, ...]) -> bytes:
     return own if own in images else min([own, *images])
 
 
-def _start(domain: GridDomain, profile: np.ndarray,
+def _start(profile: ScalarField,
            rng: np.random.Generator) -> tuple[ScalarField, np.ndarray | None]:
     """One start's arrangement of `profile` and the u0 to solve it from.
 
@@ -161,10 +163,11 @@ def _start(domain: GridDomain, profile: np.ndarray,
     ranking is to be solved warm from u0, the last v that passed, or cold
     where u0 is None.
     """
+    domain = profile.domain
     solve_a = _factored_stiffness(domain)[2]
-    w = unit_scale(random_arrangement(profile, domain, rng).values)[0]
+    w = unit_scale(random_arrangement(profile, rng).values)[0]
     v = solve_a(w - w.min())
-    m = hl_pairing(domain.field(v), domain.field(profile))
+    m = hl_pairing(domain.field(v), profile)
     u0, ranked = None, set()
     while (RANK_SOLVES and v.min() > 0 and len(ranked) < MAX_FIXED_POINT_ITERS
            and (key := m.values.tobytes()) not in ranked):
@@ -213,48 +216,52 @@ def _polish_round(m0: ScalarField, pair0: EigenPair,
     return None
 
 
-def _minimize_over_class(
-    domain: GridDomain,
-    profile: np.ndarray,
-    seeds: int,
-    rng_seed: int,
-) -> OptimizeReport:
+def _minimize_over_class(profile: ScalarField, seeds: int, rng_seed: int) -> OptimizeReport:
     """Multi-start fixed-point minimization of λ₁ over the class of `profile`.
 
-    Seed s begins at ``_start`` with the rng stream [rng_seed, s].  The λ₁
-    history starts at the start's solve.  Then one loop of moves.  Each pass
-    takes the comonotone step from the current eigenfunction.  A new
-    arrangement is solved: that is a descent move.  A fixed point or a cycle
-    instead runs one ``_polish_round`` around the seed's best iterate, and
-    its swap is the move; descent resumes from it.  A round with no such
-    swap ends the seed.  Every eigensolve and polish probe counts against
-    MAX_FIXED_POINT_ITERS.  Every move is checked: the step must not lower
-    ∫ m u² dx, and λ₁ must not rise beyond DESCENT_RTOL.  The start and the
-    polish round read what they need, the factor of A and Temple's β, off
-    the domain and the weight themselves.
-
-    The domain's ``mirror_maps``, which each domain finds once, also end a
-    later seed as soon as its start or next iterate, checked before its
-    solve or after its accepted swap, has the ``_orbit_key`` of an earlier
-    seed's iterate: from there it would only retrace a descent that did not
-    beat the winner, and the tie rule keeps the winner.  The winner's weight
-    and eigenfunction come back moved by the map, the identity included,
-    that gives the weight of least bytes.
+    Seed s begins at ``_start`` with the rng stream [rng_seed, s].  Each
+    arrangement the seed reaches, its start, a descent step or an accepted
+    polish swap, takes one path.  It ends the seed if its ``_orbit_key`` is
+    that of an earlier seed's iterate: from there the seed would only
+    retrace a descent that did not beat the winner, and the tie rule keeps
+    the winner.  Otherwise it is solved, warm from the u0 of the move that
+    made it, unless a polish probe solved it already; λ₁ must not rise
+    beyond DESCENT_RTOL, and it extends the λ₁ history.  Then the
+    comonotone step from its eigenfunction, which must not lower ∫ m u² dx,
+    gives the next arrangement: a descent step if it is new to the seed.  A
+    fixed point or a cycle instead runs one ``_polish_round`` around the
+    seed's best iterate, whose accepted swap is the next arrangement, and
+    a round with no such swap ends the seed.  Every eigensolve and polish
+    probe counts against MAX_FIXED_POINT_ITERS, which ends the seed after
+    the arrangement that reaches it.  The start and the polish round read
+    what they need, the factor of A and Temple's β, off the domain and the
+    weight themselves, and every mirror rule reads the domain's
+    ``mirror_maps``, found once per domain.  The winner's weight and
+    eigenfunction come back moved by the map, the identity included, that
+    gives the weight of least bytes.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
+    domain = profile.domain
     earlier: set[bytes] = set()  # orbit keys of the earlier seeds' iterates
 
     best: OptimizeReport | None = None
     for s in range(seeds):
-        m, u0 = _start(domain, profile, np.random.default_rng([rng_seed, s]))
-        if earlier and _orbit_key(m.values, domain.mirror_maps) in earlier:
-            continue
-        pair = pair0 = principal_positive_eigenvalue(domain, m, u0=u0)
-        m0, evals, history = m, 1, [pair.lambda1]
+        m, u0 = _start(profile, np.random.default_rng([rng_seed, s]))
+        pair, evals, history = None, 0, []
         seen: set[bytes] = set()
         stabilized = False
-        while evals < MAX_FIXED_POINT_ITERS:
+        while not (earlier and _orbit_key(m.values, domain.mirror_maps) in earlier):
+            if pair is None:
+                pair = principal_positive_eigenvalue(domain, m, u0=u0)
+                evals += 1
+            if history and pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
+                raise RuntimeError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
+            if not history or pair.lambda1 < pair0.lambda1:
+                m0, pair0 = m, pair
+            history.append(pair.lambda1)
+            if evals >= MAX_FIXED_POINT_ITERS:
+                break
             seen.add(m.values.tobytes())
             m_next = rearrangement_step(profile, pair.u)
             # Hardy-Littlewood optimality of the step: ∫ m' u² >= ∫ m u², with
@@ -265,11 +272,9 @@ def _minimize_over_class(
             if t_new < t_old - DESCENT_RTOL * max(abs(t_old), abs(t_new)):
                 raise RuntimeError("rearrangement step decreased ∫ m u² dx")
             stabilized = np.array_equal(m_next.values, m.values)
-            if not stabilized and m_next.values.tobytes() not in seen:
-                if earlier and _orbit_key(m_next.values, domain.mirror_maps) in earlier:
-                    break
-                m, pair = m_next, principal_positive_eigenvalue(domain, m_next, u0=pair.u.values)
-                evals += 1
+            # m is seen, so a fixed point is seen too
+            if m_next.values.tobytes() not in seen:
+                m, u0, pair = m_next, pair.u.values, None
             elif (move := _polish_round(m0, pair0, MAX_FIXED_POINT_ITERS - evals)) is None:
                 break  # fixed point or cycle, and no swap of the best lowers λ₁
             else:
@@ -277,15 +282,9 @@ def _minimize_over_class(
                 # seen arrangement and descent resumes from it
                 (m, pair, probes), stabilized = move, False
                 evals += probes
-                if earlier and _orbit_key(m.values, domain.mirror_maps) in earlier:
-                    break
-            if pair.lambda1 > history[-1] * (1.0 + DESCENT_RTOL):
-                raise RuntimeError(f"lambda increased from {history[-1]!r} to {pair.lambda1!r}")
-            history.append(pair.lambda1)
-            if pair.lambda1 < pair0.lambda1:
-                m0, pair0 = m, pair
 
-        if best is None or pair0.lambda1 < best.final.lambda1 * (1.0 - LAMBDA_TIE_RTOL):
+        if history and (best is None
+                        or pair0.lambda1 < best.final.lambda1 * (1.0 - LAMBDA_TIE_RTOL)):
             best = OptimizeReport(lambda_history=history, final=pair0, weight=m0,
                                   stabilized=stabilized)
         if s + 1 < seeds:
@@ -304,20 +303,20 @@ def single_class(constants: tuple[float, float, float]) -> ResourceClass:
     return ResourceClass(p=m2, q=m1, l=m3)
 
 
-def combined_profile(domain: GridDomain, *classes: ResourceClass) -> np.ndarray:
-    """Quantized generator profile of the sum class of one or more classes.
+def combined_profile(domain: GridDomain, *classes: ResourceClass) -> ScalarField:
+    """Quantized generator of the sum class of one or more classes.
 
-    The profile is the cell-wise sum of the classes' generators: one value
-    per cell, descending and read-only.  Each generator is descending in
-    cell order, so they are comonotone and their sum is descending as it
-    stands: they stack into nested level sets.  For one class the profile
-    is its own generator (q on e, -p elsewhere), for two the levels are
-    (q1+q2, the larger-measure resource's maximum plus the other's minimum,
-    -(p1+p2)).  A level set that rounds to no cell drops its level.
-    Raises ValueError unless the profile's top level is positive.
+    The generator is the field on `domain` whose value on each cell is the
+    sum of the classes' generators there.  Each generator is descending in
+    cell order, so they are comonotone and their sum is descending too:
+    they stack into nested level sets.  For one class it is the class's own
+    generator (q on e, -p elsewhere), for two its levels are (q1+q2, the
+    larger-measure resource's maximum plus the other's minimum, -(p1+p2)).
+    A level set that rounds to no cell drops its level.  Raises ValueError
+    unless the top level is positive.
     """
-    profile = ScalarField(domain, _sum_of(_class_generators(domain, *classes))).values
-    if profile[0] <= 0:
+    profile = ScalarField(domain, _sum_of(_class_generators(domain, *classes)))
+    if profile.values[0] <= 0:
         raise ValueError("the classes' quantized sum is never positive")
     return profile
 
@@ -335,8 +334,8 @@ def optimize_single(
     and -m2 elsewhere, reached by the fixed-point iteration from `seeds`
     smoothed random starting sets.
     """
-    profile = combined_profile(domain, single_class(constants))
-    return _minimize_over_class(domain, profile, seeds, rng_seed)
+    return _minimize_over_class(combined_profile(domain, single_class(constants)), seeds,
+                                rng_seed)
 
 
 def optimize_two(
@@ -353,8 +352,7 @@ def optimize_two(
     generator, so the same fixed-point iteration applies; the optimum has
     nested level sets E ⊆ G, and `decompose` splits it into its two parts.
     """
-    profile = combined_profile(domain, class1, class2)
-    return _minimize_over_class(domain, profile, seeds, rng_seed)
+    return _minimize_over_class(combined_profile(domain, class1, class2), seeds, rng_seed)
 
 
 def decompose(weight: ScalarField, *classes: ResourceClass) -> list[ScalarField]:

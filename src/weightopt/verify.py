@@ -99,8 +99,7 @@ def check_descent(domain: GridDomain, constants: tuple[float, float, float],
     return {
         "descent_lambda_history": bool((np.diff(lam) <= DESCENT_RTOL * np.abs(lam[:-1])).all()),
         "descent_fixed_point_comonotone": comonotone(report.final.u, report.weight),
-        "descent_class_preserved": np.array_equal(decreasing_rearrangement(report.weight),
-                                                  profile),
+        "descent_class_preserved": equimeasurable(report.weight, profile),
     }
 
 

@@ -170,7 +170,7 @@ def reference_swap_candidates(m, u):
     return out
 
 
-def reference_minimize_over_class(domain, profile, seeds, rng_seed):
+def reference_minimize_over_class(profile, seeds, rng_seed):
     """optimize._minimize_over_class without the mirror-image rules that save
     solves: every polish probe the Temple screen passes is solved, and every
     seed runs to its end.  Each seed takes the same start: the cheap ranking
@@ -180,13 +180,14 @@ def reference_minimize_over_class(domain, profile, seeds, rng_seed):
     for the rules' claim that they change only the number of eigensolves.
     Every name resolves through weightopt.optimize, so a test that patches
     one there patches it here too."""
+    domain = profile.domain
     solve_a = opt._factored_stiffness(domain)[2]
     best = None
     for s in range(seeds):
-        r = opt.random_arrangement(profile, domain, np.random.default_rng([rng_seed, s]))
+        r = opt.random_arrangement(profile, np.random.default_rng([rng_seed, s]))
         w = unit_scale(r.values)[0]
         v = solve_a(w - w.min())
-        m = opt.hl_pairing(domain.field(v), domain.field(profile))
+        m = opt.hl_pairing(domain.field(v), profile)
         u0, ranked = None, set()
         while opt.RANK_SOLVES and v.min() > 0 and len(ranked) < opt.MAX_FIXED_POINT_ITERS:
             if m.values.tobytes() in ranked:

@@ -37,7 +37,6 @@ from weightopt.optimize import (
     rearrangement_step,
     single_class,
 )
-from weightopt.rearrange import decreasing_rearrangement
 from weightopt.steiner import symmetrize_function
 from weightopt.verify import _batch_lambda1, dense_lambda1, random_connected_mask
 
@@ -481,7 +480,7 @@ class TestPrincipalEigenvalue:
             share, low = int(rng.integers(n // 10, n // 2)), -float(rng.uniform(0.1, 1.0))
             m = dom.field(np.where(rng.permutation(n) < share, 1.0, low))
             u = principal_positive_eigenvalue(dom, m).u
-            step = rearrangement_step(decreasing_rearrangement(m), u)
+            step = rearrangement_step(m, u)
             # the optimizer's warm solve, from the eigenfunction before the step
             warm = principal_positive_eigenvalue(dom, step, u0=u.values)
             warm_ritz = ritz[-1]
@@ -569,7 +568,7 @@ def sym_disk_weight(dom, seed):
     """The CLI's `bang_bang` weight of the symmetrize tests' class, m1 = m2 = 1
     and m3 = π/24, about |Ω|/6 on the unit-diameter disk."""
     profile = combined_profile(dom, single_class((1.0, 1.0, math.pi / 24)))
-    return random_arrangement(profile, dom, np.random.default_rng([seed, 0xBB]))
+    return random_arrangement(profile, np.random.default_rng([seed, 0xBB]))
 
 
 class TestTorsionStart:
@@ -926,7 +925,7 @@ class TestTempleSwapBound:
         optimizer screens and most bounds are finite."""
         rng = np.random.default_rng(11)
         profile = np.sort(rng.choice([1.0, 0.0, -1.0], dom.n_cells, p=[0.3, 0.3, 0.4]))[::-1]
-        m = rearrangement_step(profile, principal_positive_eigenvalue(
+        m = rearrangement_step(dom.field(profile), principal_positive_eigenvalue(
             dom, dom.constant_field(1.0)).u)
         pair = principal_positive_eigenvalue(dom, m)
         return m, pair, _swap_candidates(m.values, pair.u.values)

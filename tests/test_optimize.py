@@ -58,7 +58,7 @@ class TestRearrangementStep:
             ([(-1.0 if i == k else 1.0) for i in range(3)] for k in range(3)),
             key=lambda vals: float(np.dot(vals, u.values**2)),
         )
-        m = rearrangement_step(prof, u)
+        m = rearrangement_step(dom.field(prof), u)
         assert np.array_equal(m.values, best)
         assert np.array_equal(m.values, [-1.0, 1.0, 1.0])
 
@@ -66,20 +66,45 @@ class TestRearrangementStep:
         dom = from_mask(np.ones((1, 4), dtype=bool), 1.0)
         u = dom.field([0.9, 0.7, 0.5, 0.1])
         prof = toy_profile([2.0, -1.0], [2, 2])
-        m = rearrangement_step(prof, u)
+        m = rearrangement_step(dom.field(prof), u)
         assert np.array_equal(m.values, [2.0, 2.0, -1.0, -1.0])
-        assert np.array_equal(rearrangement_step(prof, u).values, m.values)
+        assert np.array_equal(rearrangement_step(dom.field(prof), u).values, m.values)
 
     def test_constant_u_uses_cell_order(self):
         dom = from_mask(np.ones((1, 4), dtype=bool), 1.0)
         u = dom.constant_field(1.0)
-        m = rearrangement_step(toy_profile([1.0, 0.0], [2, 2]), u)
+        m = rearrangement_step(dom.field(toy_profile([1.0, 0.0], [2, 2])), u)
         assert np.array_equal(m.values, [1.0, 1.0, 0.0, 0.0])
 
     def test_rejects_nonpositive_u(self):
         dom = from_mask(np.ones((1, 3), dtype=bool), 1.0)
         with pytest.raises(ValueError):
-            rearrangement_step(toy_profile([1.0], [3]), dom.field([1.0, 0.0, 1.0]))
+            rearrangement_step(dom.field(toy_profile([1.0], [3])), dom.field([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("classes", [
+        remark_classes,
+        lambda dom: [ResourceClass(0.0, 1.0, dom.total_measure / 3)],  # levels 1.0 and -0.0
+    ], ids=["three-levels", "signed-zero"])
+    def test_any_member_of_the_class_serves(self, classes):
+        # the step reads only m0's values, sorted: the generator and its
+        # random arrangements give the same bytes
+        dom = make_rectangle(6, 5, 0.5)
+        m0 = combined_profile(dom, *classes(dom))
+        u = principal_positive_eigenvalue(dom, dom.constant_field(1.0)).u
+        step = rearrangement_step(m0, u).values.tobytes()
+        for seed in range(8):
+            member = random_arrangement(m0, np.random.default_rng(seed))
+            assert member.values.tobytes() != m0.values.tobytes()
+            assert rearrangement_step(member, u).values.tobytes() == step
+
+    @pytest.mark.parametrize("other", [make_rectangle(6, 5, 0.5), make_rectangle(5, 6, 0.5)],
+                             ids=["equal-mask", "transposed"])
+    def test_rejects_a_class_on_another_domain(self, other):
+        # 30 cells each, so only the domain check can tell
+        dom = make_rectangle(6, 5, 0.5)
+        u = dom.constant_field(1.0)
+        with pytest.raises(ValueError, match="share a domain"):
+            rearrangement_step(other.field(toy_profile([1.0, -1.0], [10, 20])), u)
 
 
 class TestOptimizeSingle:
@@ -91,7 +116,7 @@ class TestOptimizeSingle:
         assert n_top == round(7 * dom.n_cells / 12)
         assert report.stabilized
         prof = combined_profile(dom, single_class((1.0, 1.0, omega / 6.0)))
-        assert np.array_equal(decreasing_rearrangement(report.weight), prof)
+        assert np.array_equal(decreasing_rearrangement(report.weight), prof.values)
 
     def test_saturated_constraint_single_arrangement(self):
         dom = make_rectangle(4, 4, 0.5)
@@ -172,7 +197,7 @@ class TestOptimizeSingle:
         dom = make_rectangle(6, 5, 0.5)
         consts = (1.0, 1.0, dom.total_measure / 3.0)
         profile = combined_profile(dom, single_class(consts))
-        a, b = (random_arrangement(profile, dom, np.random.default_rng([0, k])) for k in (2, 1))
+        a, b = (random_arrangement(profile, np.random.default_rng([0, k])) for k in (2, 1))
         solved, ranked, steps = [], [], []
 
         def solve(domain, m, **kwargs):
@@ -226,7 +251,7 @@ class TestSmoothedStart:
 
         monkeypatch.setattr(optimize, "random_arrangement", arrangement)
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
-        optimize._minimize_over_class(dom, combined_profile(dom, *classes(dom)), seeds, 0)
+        optimize._minimize_over_class(combined_profile(dom, *classes(dom)), seeds, 0)
         # some seed solves more than its first arrangement, so later solves
         # are checked too
         assert len(arrangements) == seeds and len(solved) > len({s for s, _ in solved})
@@ -283,8 +308,8 @@ class TestSmoothedStart:
         # the bit, with no overflow and no warning
         dom = make_rectangle(20, 20, 0.05)
         profile = combined_profile(dom, single_class((1.0, 1.0, 0.0)))
-        base = optimize._minimize_over_class(dom, profile, 2, 0)
-        scaled = optimize._minimize_over_class(dom, np.ldexp(profile, k), 2, 0)
+        base = optimize._minimize_over_class(profile, 2, 0)
+        scaled = optimize._minimize_over_class(dom.field(np.ldexp(profile.values, k)), 2, 0)
         assert scaled.weight.values.tobytes() == np.ldexp(base.weight.values, k).tobytes()
         assert scaled.lambda_history == np.ldexp(base.lambda_history, -k).tolist()
 
@@ -300,10 +325,10 @@ class TestRankingMoves:
         dom = make_box(1.0, 1.0, 32)
         profile = combined_profile(dom, *remark_classes(dom))
         on, solves_on = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
-                                            dom, profile, rng_seed)
+                                            profile, rng_seed)
         monkeypatch.setattr(optimize, "RANK_SOLVES", 0)
         off, solves_off = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
-                                              dom, profile, rng_seed)
+                                              profile, rng_seed)
         assert on.weight.values.tobytes() == off.weight.values.tobytes()
         assert on.final.lambda1 == pytest.approx(off.final.lambda1, rel=1e-14, abs=0)
         assert solves_on < solves_off
@@ -341,7 +366,7 @@ class TestRankingMoves:
         dom = make_box(1.0, 1.0, 16)
         profile = combined_profile(dom, *remark_classes(dom))
         r, c = dom.cell_rows, dom.cell_cols
-        a, b = (hl_pairing(dom.field(-np.hypot(r - 8.5, c - c0)), dom.field(profile))
+        a, b = (hl_pairing(dom.field(-np.hypot(r - 8.5, c - c0)), profile)
                 for c0 in (6, 11))
         ranked, a_solves, solved = [], [], []
         factored = optimize._factored_stiffness
@@ -363,7 +388,7 @@ class TestRankingMoves:
         monkeypatch.setattr(optimize, "_factored_stiffness", counting)
         monkeypatch.setattr(optimize, "rearrangement_step", step)
         monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
-        optimize._minimize_over_class(dom, profile, 1, 0)
+        optimize._minimize_over_class(profile, 1, 0)
         k = optimize.RANK_SOLVES
         assert ranked == [1 + k, 1 + 2 * k, 1 + 3 * k]
         assert solved[0][0] is a and solved[0][1] is not None
@@ -386,7 +411,7 @@ def test_one_class_poses_on_domains_of_any_measure():
     for nx, cells in ((4, 9), (8, 33)):
         dom = make_rectangle(nx, nx, 0.5)  # |Omega| = 4 and 16
         assert cls.e(dom.total_measure) == cells * dom.cell_area
-        assert np.array_equal(combined_profile(dom, cls),
+        assert np.array_equal(combined_profile(dom, cls).values,
                               np.repeat([1.0, -1.0], [cells, dom.n_cells - cells]))
 
 
@@ -405,7 +430,7 @@ class TestOptimizeTwo:
         assert cls1.e(dom.total_measure) == pytest.approx(2 / 3)
         assert cls2.e(dom.total_measure) == pytest.approx(1 / 2)
         profile = combined_profile(dom, cls1, cls2)
-        levels, counts = np.unique(profile, return_counts=True)
+        levels, counts = np.unique(profile.values, return_counts=True)
         gamma, delta = np.cumsum(counts[::-1])[:2] * dom.cell_area
         assert (gamma, delta) == (pytest.approx(1 / 2), pytest.approx(2 / 3))
         assert list(levels[::-1]) == [1.0, 0.0, -1.0]
@@ -548,9 +573,9 @@ class TestPairedGenerators:
                 combined_profile(dom, cls1, cls2)
             return
         profile = combined_profile(dom, cls1, cls2)
-        assert np.array_equal(profile, expected)
+        assert np.array_equal(profile.values, expected)
 
-        m = random_arrangement(profile, dom, np.random.default_rng(seed))
+        m = random_arrangement(profile, np.random.default_rng(seed))
         f1, f2 = decompose(m, cls1, cls2)
         assert np.array_equal(f1.values + f2.values, m.values)
         for part, cls in ((f1, cls1), (f2, cls2)):
@@ -578,9 +603,9 @@ class TestPairedGenerators:
         expected = np.repeat(values, counts)
         profile = combined_profile(dom, cls)
         # bit for bit: -p is -0.0 for p = 0, and weight.csv writes it so
-        assert profile.tobytes() == expected.tobytes()
+        assert profile.values.tobytes() == expected.tobytes()
 
-        m = random_arrangement(profile, dom, np.random.default_rng(seed))
+        m = random_arrangement(profile, np.random.default_rng(seed))
         (part,) = decompose(m, cls)
         assert np.array_equal(part.values, m.values)
 
@@ -601,14 +626,14 @@ class TestCombinedProfile:
         omega = dom.total_measure
         p0 = ResourceClass(0.0, 1.0, omega / 3)  # levels 1.0 and -0.0
         for classes in (remark_classes(dom), (p0,)):
-            profile = combined_profile(dom, *classes)
+            profile = combined_profile(dom, *classes).values
             assert not profile.flags.writeable
             assert profile.shape == (dom.n_cells,)
             assert (np.diff(profile) <= 0).all()
             parts = optimize.pair_family(optimize._class_generators(dom, *classes))
             expected = run_length_cells(optimize._sum_of(parts))
             assert profile.tobytes() == expected.tobytes()
-        assert np.signbit(combined_profile(dom, p0)[-1])
+        assert np.signbit(combined_profile(dom, p0).values[-1])
 
     @settings(max_examples=300, deadline=None)
     @given(dom=st.sampled_from([make_box(1.0, 1.0, 16), make_ellipse(33, 33, 1 / 32, (0.5, 0.5)),
@@ -625,7 +650,7 @@ class TestCombinedProfile:
             with pytest.raises(ValueError, match="quantized sum is never positive"):
                 combined_profile(dom, *classes)
             return
-        profile = combined_profile(dom, *classes)
+        profile = combined_profile(dom, *classes).values
         assert profile.tobytes() == expected.tobytes()
         assert not profile.flags.writeable
 
@@ -633,7 +658,7 @@ class TestCombinedProfile:
 def anti_comonotone_step(profile, u):
     """The class element that minimizes ∫ m u² dx: the profile's values on
     the cells by u ascending, the reverse of rearrangement_step."""
-    return hl_pairing(u.domain.field(-u.values), u.domain.field(profile))
+    return hl_pairing(u.domain.field(-u.values), profile)
 
 
 def rising_solve(rise):
@@ -906,7 +931,7 @@ class TestMirrorMaps:
         key = optimize._orbit_key
         # an asymmetric arrangement shares its key, the smallest bytes of its
         # orbit, with each of its mirror images
-        values = random_arrangement(toy_profile([1.0, -1.0], [5, 25]), dom,
+        values = random_arrangement(dom.field(toy_profile([1.0, -1.0], [5, 25])),
                                     np.random.default_rng(3)).values
         orbit = [values, *(values[p] for p in maps)]
         assert len({v.tobytes() for v in orbit}) == 4
@@ -942,13 +967,13 @@ def test_mirror_probe_is_not_solved(monkeypatch):
         solved.append(m.values.tobytes())
         return principal_positive_eigenvalue(domain, m, **kwargs)
 
-    monkeypatch.setattr(optimize, "random_arrangement", lambda profile, domain, rng: planted)
+    monkeypatch.setattr(optimize, "random_arrangement", lambda profile, rng: planted)
     monkeypatch.setattr(optimize, "rearrangement_step", lambda profile, u: planted)
     monkeypatch.setattr(optimize, "_swap_candidates", lambda m, u: [mirror_swap, other_swap])
     monkeypatch.setattr(optimize, "temple_swap_bounds",
                         lambda m, pair, swaps: np.full(len(swaps), np.inf))
     monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
-    report = optimize._minimize_over_class(dom, np.sort(values)[::-1], 1, 0)
+    report = optimize._minimize_over_class(dom.field(np.sort(values)[::-1]), 1, 0)
 
     def swapped(i, j):
         v = values.copy()
@@ -968,7 +993,7 @@ def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
     # before its first solve
     dom = make_rectangle(6, 5, 0.5)
     profile = combined_profile(dom, single_class((1.0, 1.0, dom.total_measure / 6)))
-    first = random_arrangement(profile, dom, np.random.default_rng([0, 0]))
+    first = random_arrangement(profile, np.random.default_rng([0, 0]))
     mirrored = dom.field(first.values[dom.mirror_maps[1]])
     solved = []
 
@@ -978,9 +1003,9 @@ def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
 
     def run(starts):
         monkeypatch.setattr(optimize, "random_arrangement",
-                            lambda profile, domain, rng: starts.pop(0))
+                            lambda profile, rng: starts.pop(0))
         solved.clear()
-        return optimize._minimize_over_class(dom, profile, 2 if len(starts) > 1 else 1, 0)
+        return optimize._minimize_over_class(profile, 2 if len(starts) > 1 else 1, 0)
 
     monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
     alone = run([first])
@@ -991,7 +1016,155 @@ def test_later_seed_ends_in_an_earlier_orbit(monkeypatch):
     assert same_run(both, alone)
 
 
-def _reports_and_solves(monkeypatch, minimize, dom, profile, rng_seed):
+def _planted_seeds(monkeypatch, *starts):
+    """Each seed's start replaced by the next of `starts`, solved cold; the
+    list of seeds started so far comes back, so a patch can tell them apart."""
+    started = []
+
+    def start(*args):
+        started.append(None)
+        return starts[len(started) - 1], None
+
+    monkeypatch.setattr(optimize, "_start", start)
+    return started
+
+
+def test_later_seed_ends_where_its_descent_step_enters_an_earlier_orbit(monkeypatch):
+    # seed 1 starts at a random arrangement T whose comonotone step Y is a
+    # descent step; seed 0 starts at Y's mirror image, so seed 1's step
+    # lands in an earlier orbit and seed 1 ends without solving it
+    dom = make_rectangle(6, 5, 0.5)
+    profile = combined_profile(dom, single_class((1.0, 1.0, dom.total_measure / 6)))
+    t = random_arrangement(profile, np.random.default_rng(5))
+    y = rearrangement_step(profile, principal_positive_eigenvalue(dom, t).u)
+    mirror_y = dom.field(y.values[dom.mirror_maps[1]])
+    solved = []
+
+    def solve(domain, m, **kwargs):
+        solved.append(m.values.tobytes())
+        return principal_positive_eigenvalue(domain, m, **kwargs)
+
+    def run(*starts):
+        _planted_seeds(monkeypatch, *starts)
+        solved.clear()
+        return optimize._minimize_over_class(profile, len(starts), 0)
+
+    monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+    run(t)
+    assert solved[:2] == [t.values.tobytes(), y.values.tobytes()]  # alone, T solves Y
+    assert mirror_y.values.tobytes() != y.values.tobytes()
+    alone = run(mirror_y)
+    solves_alone = len(solved)
+    both = run(mirror_y, t)
+    assert solved[solves_alone:] == [t.values.tobytes()]  # seed 1 solves T only
+    assert same_run(both, alone)
+
+
+def test_later_seed_ends_where_its_accepted_swap_enters_an_earlier_orbit(monkeypatch):
+    # seed 0 starts at the mirror image of Z, the local optimum of the class
+    # (1, 1, 1.25) that test_polish_round_finds_the_one_improving_swap
+    # plants, and stays there.  Seed 1 starts at T, Z with one cell swap,
+    # is held at T by the step and offered only the swap back to Z, which
+    # its polish round accepts.  Z's λ is reported lower than seed 0's, so
+    # seed 1 would win had it recorded it; it ends instead, with no step
+    # from Z
+    dom = make_rectangle(6, 5, 0.5)
+    profile = combined_profile(dom, single_class((1.0, 1.0, 1.25)))
+    rows = ["--+++-", "-++++-", "-+++++", "-++++-", "--++--"]
+    z = dom.field(np.array([1.0 if c == "+" else -1.0 for c in "".join(rows)]))
+    i, j = 2, 0  # a favourable cell of the top row, and the corner
+    values = z.values.copy()
+    values[i], values[j] = values[j], values[i]
+    t = dom.field(values)
+    mirror_z = dom.field(z.values[dom.mirror_maps[1]])
+    step, candidates = optimize.rearrangement_step, optimize._swap_candidates
+    solved, steps = [], []
+
+    def run(*starts):
+        started = _planted_seeds(monkeypatch, *starts)
+        solved.clear()
+        steps.clear()
+
+        def solve(domain, m, **kwargs):
+            pair = principal_positive_eigenvalue(domain, m, **kwargs)
+            if len(started) < 2:
+                return pair
+            solved.append(m.values.tobytes())
+            if m.values.tobytes() == z.values.tobytes():
+                return dataclasses.replace(pair, lambda1=pair.lambda1 * (1.0 - 1e-6))
+            return pair
+
+        def held(*args):
+            if len(started) < 2:
+                return step(*args)
+            steps.append(None)
+            return t
+
+        monkeypatch.setattr(optimize, "principal_positive_eigenvalue", solve)
+        monkeypatch.setattr(optimize, "rearrangement_step", held)
+        monkeypatch.setattr(optimize, "_swap_candidates",
+                            lambda m, u: [(i, j)] if len(started) > 1 else candidates(m, u))
+        return optimize._minimize_over_class(profile, len(starts), 0)
+
+    alone = run(mirror_z)
+    both = run(mirror_z, t)
+    assert solved == [t.values.tobytes(), z.values.tobytes()]  # T, then the probe
+    assert len(steps) == 1  # the step from T's eigenfunction only
+    assert same_run(both, alone)
+
+
+@pytest.mark.parametrize("m3, rng_seed", [(0.0, 0), (1.25, 4)], ids=["descent", "swaps"])
+def test_budget_ends_on_a_recorded_move(monkeypatch, m3, rng_seed):
+    # every cap up to a full run's solves plus probes, one seed, on runs
+    # with accepted swaps (and a descent step at m3 = 0): the cap is never
+    # passed, every move's λ is recorded, the last one's included, whether
+    # it is a solve or an accepted swap, and the report is the history's best
+    dom = make_rectangle(6, 5, 0.5)
+    polish, screen = optimize._polish_round, optimize.temple_swap_bounds
+
+    def run(cap):
+        moves, probes, in_round = [], [], []
+
+        def solve(domain, m, **kwargs):
+            pair = principal_positive_eigenvalue(domain, m, **kwargs)
+            if not in_round:
+                moves.append(("solve", pair.lambda1))
+            return pair
+
+        def screened(m, pair, swaps):
+            probes.append(len(swaps))
+            return screen(m, pair, swaps)
+
+        def polish_round(*args):
+            in_round.append(None)
+            move = polish(*args)
+            in_round.clear()
+            if move is not None:
+                moves.append(("swap", move[1].lambda1))
+                probes[-1] = move[2]
+            return move
+
+        with monkeypatch.context() as mp:
+            mp.setattr(optimize, "principal_positive_eigenvalue", solve)
+            mp.setattr(optimize, "temple_swap_bounds", screened)
+            mp.setattr(optimize, "_polish_round", polish_round)
+            mp.setattr(optimize, "MAX_FIXED_POINT_ITERS", cap)
+            report = optimize_single(dom, (1.0, 1.0, m3), seeds=1, rng_seed=rng_seed)
+        solves = sum(kind == "solve" for kind, _ in moves)
+        return report, moves, solves + sum(probes)
+
+    _, _, total = run(optimize.MAX_FIXED_POINT_ITERS)
+    last_moves = set()
+    for cap in range(1, total + 1):
+        report, moves, used = run(cap)
+        assert used <= cap, cap
+        assert report.lambda_history == [lam for _, lam in moves], cap
+        assert report.final.lambda1 == min(report.lambda_history), cap
+        last_moves.add(moves[-1][0])
+    assert last_moves == {"solve", "swap"}
+
+
+def _reports_and_solves(monkeypatch, minimize, profile, rng_seed):
     solves = []
 
     def solve(*args, **kwargs):
@@ -1000,7 +1173,7 @@ def _reports_and_solves(monkeypatch, minimize, dom, profile, rng_seed):
 
     with monkeypatch.context() as mp:
         mp.setattr(optimize, "principal_positive_eigenvalue", solve)
-        report = minimize(dom, profile, 8, rng_seed)
+        report = minimize(profile, 8, rng_seed)
     return report, len(solves)
 
 
@@ -1019,9 +1192,9 @@ def test_mirror_rules_change_only_the_solve_count(monkeypatch, dom, classes, rng
     total = total_reference = 0
     for rng_seed in rng_seeds:
         report, solves = _reports_and_solves(monkeypatch, optimize._minimize_over_class,
-                                             dom, profile, rng_seed)
+                                             profile, rng_seed)
         reference, reference_solves = _reports_and_solves(
-            monkeypatch, reference_minimize_over_class, dom, profile, rng_seed)
+            monkeypatch, reference_minimize_over_class, profile, rng_seed)
         assert same_run(report, reference), rng_seed
         assert solves <= reference_solves
         total, total_reference = total + solves, total_reference + reference_solves
